@@ -1,6 +1,7 @@
 """Reverse-mode autodiff engine used as the deep-learning substrate."""
 
 from .functional import (
+    affine,
     cumsum,
     dropout,
     gather_rows,
@@ -30,6 +31,7 @@ __all__ = [
     "maximum",
     "minimum",
     "unbroadcast",
+    "affine",
     "softmax",
     "log_softmax",
     "logsumexp",

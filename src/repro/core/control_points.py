@@ -19,12 +19,14 @@ needs to be enforced during training.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+import re
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autodiff import Tensor, concat, cumsum, norm_l2_squared
-from ..nn import Linear, Module, Sequential, feed_forward
+from ..autodiff import Tensor, affine, concat, cumsum, norm_l2_squared
+from ..nn import Module, Sequential, feed_forward
+from ..nn.init import he_normal
 
 
 class TauGenerator(Module):
@@ -90,9 +92,13 @@ class PGenerator(Module):
     """The paper's model ``M``: generates non-decreasing control values p.
 
     An encoder FFN maps ``[x; z_x]`` to ``L + 2`` embeddings of size
-    ``embedding_dim``; each embedding has its own linear decoder whose ReLU
-    output is the non-negative increment ``k_i``; the prefix sum of the
-    increments gives ``p``.
+    ``embedding_dim``; each embedding has its own linear decoder
+    ``(w_i, b_i)`` whose ReLU output is the non-negative increment ``k_i``;
+    the prefix sum of the increments gives ``p``.
+
+    The ``L + 2`` decoders are stored stacked, as one ``(L + 2, E, 1)``
+    weight and one ``(L + 2, 1, 1)`` bias, and evaluated by one batched
+    matmul: slice ``i`` of the product is exactly ``h_i @ w_i + b_i``.
     """
 
     def __init__(
@@ -113,8 +119,29 @@ class PGenerator(Module):
         self.encoder: Sequential = feed_forward(
             input_dim, list(hidden_sizes), self.num_outputs * embedding_dim, rng=rng
         )
-        # Decoder: an independent linear map per control point (w_i, b_i).
-        self.decoders = [Linear(embedding_dim, 1, rng=rng) for _ in range(self.num_outputs)]
+        # Decoders: he-normal with fan-in E, drawn one control point after
+        # another (the stream a list of Linear(E, 1) layers would draw).
+        weights = [he_normal((embedding_dim, 1), rng) for _ in range(self.num_outputs)]
+        self.decoder_weight = Tensor(np.stack(weights), requires_grad=True, name="decoder_weight")
+        self.decoder_bias = Tensor(
+            np.zeros((self.num_outputs, 1, 1)), requires_grad=True, name="decoder_bias"
+        )
+
+    def __setstate__(self, state: dict) -> None:
+        # Format-1 pickles hold one Linear(E, 1) per control point.
+        decoders = state.pop("decoders", None)
+        self.__dict__.update(state)
+        if decoders is not None:
+            self.decoder_weight = Tensor(
+                np.stack([decoder.weight.data for decoder in decoders]),
+                requires_grad=True,
+                name="decoder_weight",
+            )
+            self.decoder_bias = Tensor(
+                np.stack([decoder.bias.data for decoder in decoders]).reshape(-1, 1, 1),
+                requires_grad=True,
+                name="decoder_bias",
+            )
 
     def forward(self, augmented_query: Tensor) -> Tensor:
         """Return p of shape ``(batch, L + 2)``, non-decreasing along axis 1."""
@@ -122,14 +149,39 @@ class PGenerator(Module):
             augmented_query = Tensor(augmented_query)
         batch = augmented_query.shape[0]
         embeddings = self.encoder(augmented_query)  # (batch, (L+2) * embedding_dim)
-        increments = []
-        for index, decoder in enumerate(self.decoders):
-            start = index * self.embedding_dim
-            h_i = embeddings[:, start : start + self.embedding_dim]
-            k_i = decoder(h_i).relu()  # (batch, 1), non-negative
-            increments.append(k_i)
-        stacked = concat(increments, axis=1)  # (batch, L + 2)
-        return cumsum(stacked, axis=1)
+        # (L+2, batch, E) @ (L+2, E, 1): slice i sees embeddings[:, i*E:(i+1)*E].
+        per_point = embeddings.reshape(batch, self.num_outputs, self.embedding_dim)
+        per_point = per_point.transpose((1, 0, 2))
+        increments = affine(per_point, self.decoder_weight, self.decoder_bias).relu()
+        increments = increments.reshape(self.num_outputs, batch).T  # (batch, L + 2)
+        return cumsum(increments, axis=1)
+
+
+_FORMAT1_DECODER_KEY = re.compile(
+    r"^(?P<prefix>.*)decoders\.(?P<index>\d+)\.(?P<kind>weight|bias)$"
+)
+
+
+def upgrade_format1_decoders(state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Map format-1 per-decoder weight keys onto the stacked parameters.
+
+    ``<prefix>decoders.<i>.weight`` (``(E, 1)``) and ``.bias`` (``(1,)``)
+    become ``<prefix>decoder_weight`` (``(L + 2, E, 1)``) and
+    ``<prefix>decoder_bias`` (``(L + 2, 1, 1)``); other keys pass through.
+    """
+    upgraded: Dict[str, np.ndarray] = {}
+    decoders: Dict[Tuple[str, str], Dict[int, np.ndarray]] = {}
+    for key, array in state.items():
+        match = _FORMAT1_DECODER_KEY.match(key)
+        if match is None:
+            upgraded[key] = array
+        else:
+            slots = decoders.setdefault((match["prefix"], match["kind"]), {})
+            slots[int(match["index"])] = array
+    for (prefix, kind), slots in decoders.items():
+        stacked = np.stack([slots[index] for index in range(len(slots))])
+        upgraded[f"{prefix}decoder_{kind}"] = stacked.reshape(len(slots), -1, 1)
+    return upgraded
 
 
 class ControlPointHead(Module):

@@ -95,12 +95,17 @@ class IncrementalSelNet:
         model: SelNetModel = self.estimator.model  # type: ignore[assignment]
         selnet_config: SelNetConfig = self.estimator.config
         optimizer = Adam(model.parameters(), learning_rate=self.config.learning_rate)
+        # The shuffle depends on the model's seed and on how many operations
+        # the stream has applied, this one included, so one stream always
+        # fine-tunes the same way.
+        operations_applied = len(self.reports) + 1
         loader = DataLoader(
             self.train.queries,
             self.train.thresholds,
             self.train.selectivities,
             batch_size=self.config.batch_size,
             shuffle=True,
+            rng=np.random.default_rng([selnet_config.seed, operations_applied]),
         )
         best_mae = self._validation_mae()
         best_state = model.state_dict()

@@ -80,8 +80,13 @@ class PartitionedSelNet(Module):
     # Forward passes
     # ------------------------------------------------------------------ #
     def local_outputs(self, queries: Tensor, thresholds: np.ndarray) -> List[Tensor]:
-        """Outputs of every local model for the batch, each of shape ``(batch,)``."""
-        return [model.forward(queries, thresholds) for model in self.local_models]
+        """Outputs of every local model for the batch, each of shape ``(batch,)``.
+
+        The shared autoencoder encodes the batch once; every local model
+        reads the same ``[x; z_x]``.
+        """
+        augmented = self.local_models[0].augment(queries)
+        return [model.forward_augmented(augmented, thresholds) for model in self.local_models]
 
     def forward(
         self,

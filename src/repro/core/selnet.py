@@ -96,7 +96,11 @@ class SelNetModel(Module):
 
     def forward(self, queries: Tensor, thresholds: np.ndarray) -> Tensor:
         """Estimate selectivities for a batch of (query, threshold) pairs."""
-        tau, p = self.control_points(queries)
+        return self.forward_augmented(self.augment(queries), thresholds)
+
+    def forward_augmented(self, augmented: Tensor, thresholds: np.ndarray) -> Tensor:
+        """Estimate from an already augmented batch ``[x; z_x]``."""
+        tau, p = self.head(augmented)
         return piecewise_linear(tau, p, thresholds)
 
     # ------------------------------------------------------------------ #

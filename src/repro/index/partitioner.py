@@ -154,10 +154,11 @@ class Partitioning:
         global selectivity is the sum of the per-partition selectivities.
 
         Vectorised like :meth:`indicator_batch`: instead of one distance
-        call per ``(row, partition)`` pair, each row is scanned against the
-        whole database once and the counts are segment-summed by partition.
-        Per-row distance kernels are bit-stable under row subsetting, so
-        the counts are bit-identical to the former per-partition loop.
+        call per ``(row, partition)`` pair, each distinct query is scanned
+        against the whole database once (for non-Euclidean kernels; the
+        Euclidean path batches rows) and the counts are segment-summed by
+        partition.  Per-query distance kernels are bit-stable under row
+        subsetting, so the counts are bit-identical to one scan per row.
         """
         queries = np.asarray(queries, dtype=np.float64)
         thresholds = np.asarray(thresholds, dtype=np.float64)
@@ -166,14 +167,15 @@ class Partitioning:
         if num_rows == 0 or len(self.data) == 0:
             return out
         partition_ids = self._partition_ids()
+        # Counts are 0/1 sums, exact in float64 in any order, so one GEMM
+        # against the partition one-hot matrix segment-sums a whole block.
+        onehot = np.zeros((len(self.data), self.num_partitions), dtype=np.float64)
+        onehot[np.arange(len(self.data)), partition_ids] = 1.0
 
         if self.distance.name == "euclidean":
             # Fully vectorised: chunked (rows, n, dim) difference tensor —
             # the einsum reduction per (row, object) pair matches the
-            # per-row kernel bit for bit — then one GEMM against the
-            # partition one-hot matrix (0/1 sums in float64 are exact).
-            onehot = np.zeros((len(self.data), self.num_partitions), dtype=np.float64)
-            onehot[np.arange(len(self.data)), partition_ids] = 1.0
+            # per-row kernel bit for bit.
             budget = 32 * 1024 * 1024
             chunk = int(max(budget // (8 * self.data.shape[0] * self.data.shape[1]), 1))
             for start in range(0, num_rows, chunk):
@@ -186,20 +188,29 @@ class Partitioning:
                 out[start:stop] = mask @ onehot
             return out
 
-        # Cosine (and any other kernel): one full-database scan per row with
-        # the norm pass hoisted out of the loop, segment-summed by partition.
+        # Cosine (and any other kernel): one full-database scan per distinct
+        # query, with the norm pass hoisted out of the loop.  A training
+        # workload repeats each query at every one of its thresholds, and
+        # rows with the same query bytes get the same distances.
         data_norms = None
         if self.distance.name == "cosine":
             data_norms = np.linalg.norm(self.data, axis=1)
-        for i in range(num_rows):
+        row_bytes = np.ascontiguousarray(queries).view(
+            np.dtype((np.void, queries.dtype.itemsize * queries.shape[1]))
+        ).ravel()
+        _, first, inverse = np.unique(row_bytes, return_index=True, return_inverse=True)
+        order = np.argsort(inverse, kind="stable")
+        start = 0
+        for group, stop in enumerate(np.cumsum(np.bincount(inverse))):
+            rows = order[start:stop]
+            start = stop
+            query = queries[first[group]]
             if data_norms is not None:
-                distances = cosine_distance_with_norms(queries[i], self.data, data_norms)
+                distances = cosine_distance_with_norms(query, self.data, data_norms)
             else:
-                distances = self.distance(queries[i], self.data)
-            mask = (distances <= thresholds[i]).astype(np.float64)
-            out[i] = np.bincount(
-                partition_ids, weights=mask, minlength=self.num_partitions
-            )
+                distances = self.distance(query, self.data)
+            mask = (distances[None, :] <= thresholds[rows, None]).astype(np.float64)
+            out[rows] = mask @ onehot
         return out
 
 

@@ -15,9 +15,8 @@ Three kernel families cover every registered estimator:
   ``selnet-inc``): fused autoencoder-encoder + control-point head with a
   batched piecewise-linear evaluation of Equation 1.
 * :class:`CompiledPartitionedSelNet` — full SelNet: the shared encoder runs
-  **once** per batch (graph mode re-encodes the same queries ``K`` times,
-  once per local model) and the per-partition curves are fused through one
-  indicator-weighted sum.
+  once per batch (as in graph mode) and the per-partition curves are fused
+  through one indicator-weighted sum.
 * :class:`GraphFallbackKernel` — everything else: delegates to
   ``estimator.estimate`` under :func:`repro.autodiff.no_grad`, so even
   non-compilable estimators stop paying for backward closures.
@@ -244,29 +243,17 @@ class CompiledControlPointHead:
         )
         self.embedding_dim = int(p_generator.embedding_dim)
         self.num_outputs = int(p_generator.num_outputs)
-        # Stack the per-point decoders into one (L+2, emb, 1) batched matmul
-        # operand: np.matmul evaluates every decoder's slice in one call,
-        # with per-slice results bit-equal to the graph-mode per-decoder
-        # ``h_i @ W_i`` products.
-        decoder_weights = np.stack(
-            [decoder.weight.data for decoder in p_generator.decoders], axis=0
-        )
-        # The per-point decoders are the head's final layer (emb x 1 each —
-        # a negligible share of the bytes, all of the output sensitivity),
-        # so like every last linear they stay unquantized under int8.
+        # The stacked per-point decoders are the head's final layer (emb x 1
+        # each: a negligible share of the bytes, all of the output
+        # sensitivity), so like every last linear they stay unquantized
+        # under int8.  They are already the (L+2, emb, 1) / (L+2, 1, 1)
+        # operands of the batched matmul below.
         self.decoder_weights = np.ascontiguousarray(
-            decoder_weights, dtype=spec.storage_dtype
+            p_generator.decoder_weight.data, dtype=spec.storage_dtype
         )
         self.decoder_biases = np.ascontiguousarray(
-            np.stack(
-                [
-                    np.zeros(1) if decoder.bias is None else decoder.bias.data
-                    for decoder in p_generator.decoders
-                ],
-                axis=0,
-            ),
-            dtype=spec.storage_dtype,
-        )[:, None, :]
+            p_generator.decoder_bias.data, dtype=spec.storage_dtype
+        )
 
     @property
     def num_parameters(self) -> int:
@@ -274,7 +261,7 @@ class CompiledControlPointHead:
             self.tau_network.num_parameters
             + self.p_encoder.num_parameters
             + self.decoder_weights.size
-            + self.num_outputs
+            + self.decoder_biases.size
         )
 
     def control_points(self, augmented: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -296,7 +283,8 @@ class CompiledControlPointHead:
         # --- p: encoder -> per-point linear decoders -> ReLU -> prefix sum --- #
         embeddings = self.p_encoder(augmented)
         # (L+2, batch, emb) @ (L+2, emb, 1): one batched matmul evaluates all
-        # decoders; slice i sees exactly embeddings[:, i*emb:(i+1)*emb].
+        # decoders, as in PGenerator.forward; slice i sees exactly
+        # embeddings[:, i*emb:(i+1)*emb].
         per_point = embeddings.reshape(batch, self.num_outputs, self.embedding_dim)
         value = np.matmul(per_point.transpose(1, 0, 2), self.decoder_weights)
         np.add(value, self.decoder_biases, out=value)
@@ -401,10 +389,10 @@ class CompiledSelNet(CompiledKernel):
 class CompiledPartitionedSelNet(CompiledKernel):
     """Fused inference kernel for partitioned SelNet (K local models).
 
-    Graph mode runs the shared autoencoder once *per local model*; the
-    compiled kernel encodes the batch once and feeds the shared augmented
-    representation to each frozen head, then combines the per-partition
-    curve evaluations through the indicator-weighted sum of Observation 1.
+    Like graph mode, the kernel encodes the batch once and feeds the shared
+    augmented representation to each frozen head, then combines the
+    per-partition curve evaluations through the indicator-weighted sum of
+    Observation 1.
     """
 
     kind = "selnet-partitioned"

@@ -6,13 +6,13 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..autodiff import Tensor, dropout
+from ..autodiff import Tensor, affine, dropout
 from . import init as initializers
 from .module import Module
 
 
 class Linear(Module):
-    """Fully connected layer ``y = x W + b``.
+    """Fully connected layer ``y = x W + b``, one :func:`~repro.autodiff.affine` node.
 
     Parameters
     ----------
@@ -53,10 +53,7 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return affine(x, self.weight, self.bias)
 
 
 class ReLU(Module):

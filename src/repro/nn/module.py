@@ -29,7 +29,20 @@ class Module:
     # Parameter / module discovery
     # ------------------------------------------------------------------ #
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
-        """Yield ``(name, parameter)`` pairs for this module and submodules."""
+        """Yield ``(name, parameter)`` pairs for this module and submodules.
+
+        A tensor reachable along several paths (the autoencoder that every
+        local model of a partitioned SelNet shares) is yielded once, under
+        the first name the walk meets.
+        """
+        seen = set()
+        for name, param in self._parameter_paths(prefix):
+            if id(param) not in seen:
+                seen.add(id(param))
+                yield name, param
+
+    def _parameter_paths(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
+        """Every ``(path, parameter)`` pair, shared tensors once per path."""
         for name, value in vars(self).items():
             if name == "training":
                 continue
@@ -37,30 +50,45 @@ class Module:
             if isinstance(value, Tensor) and value.requires_grad:
                 yield full_name, value
             elif isinstance(value, Module):
-                yield from value.named_parameters(prefix=f"{full_name}.")
+                yield from value._parameter_paths(prefix=f"{full_name}.")
             elif isinstance(value, (list, tuple)):
                 for index, item in enumerate(value):
                     if isinstance(item, Module):
-                        yield from item.named_parameters(prefix=f"{full_name}.{index}.")
+                        yield from item._parameter_paths(prefix=f"{full_name}.{index}.")
                     elif isinstance(item, Tensor) and item.requires_grad:
                         yield f"{full_name}.{index}", item
 
+    def parameter_aliases(self) -> Dict[str, str]:
+        """Map each extra path to a shared parameter onto its canonical name."""
+        canonical: Dict[int, str] = {}
+        aliases: Dict[str, str] = {}
+        for name, param in self._parameter_paths():
+            if id(param) in canonical:
+                aliases[name] = canonical[id(param)]
+            else:
+                canonical[id(param)] = name
+        return aliases
+
     def parameters(self) -> List[Tensor]:
-        """Return all trainable parameters as a list."""
+        """Return all trainable parameters as a list, each tensor once."""
         return [param for _, param in self.named_parameters()]
 
     def modules(self) -> Iterator["Module"]:
-        """Yield this module and all submodules."""
+        """Yield this module and all submodules, each module once."""
+        return self._walk_modules(set())
+
+    def _walk_modules(self, seen: set) -> Iterator["Module"]:
+        if id(self) in seen:
+            return
+        seen.add(id(self))
         yield self
-        for value in vars(self).items():
-            pass
         for value in vars(self).values():
             if isinstance(value, Module):
-                yield from value.modules()
+                yield from value._walk_modules(seen)
             elif isinstance(value, (list, tuple)):
                 for item in value:
                     if isinstance(item, Module):
-                        yield from item.modules()
+                        yield from item._walk_modules(seen)
 
     # ------------------------------------------------------------------ #
     # Training / evaluation mode

@@ -42,7 +42,9 @@ from .nn.serialization import load_state, save_state
 PathLike = Union[str, "os.PathLike[str]"]
 
 FORMAT_NAME = "repro-estimator"
-FORMAT_VERSION = 1
+#: Format 2 stores each shared tensor once, and SelNet's per-point decoders
+#: as one stacked weight and bias.  Format-1 directories still load.
+FORMAT_VERSION = 2
 
 SIDECAR_FILE = "estimator.json"
 WEIGHTS_FILE = "weights.npz"
@@ -157,6 +159,25 @@ def _resolve_class(dotted: str) -> type:
     return target
 
 
+def _upgrade_format1_weights(
+    module: Module, state: Dict[str, np.ndarray]
+) -> Dict[str, np.ndarray]:
+    """Map a format-1 weight dictionary onto ``module``'s current names.
+
+    Format 1 saved a shared tensor once per path to it (every local model of
+    a partitioned SelNet repeated the shared autoencoder) and each SelNet
+    decoder as its own ``Linear(E, 1)``.  The repeats are dropped and the
+    decoders stacked.  Pickled format-1 modules are upgraded on unpickling
+    (:meth:`repro.core.control_points.PGenerator.__setstate__`).
+    """
+    from .core.control_points import upgrade_format1_decoders
+
+    state = upgrade_format1_decoders(state)
+    for alias in module.parameter_aliases():
+        state.pop(alias, None)
+    return state
+
+
 def load_estimator(path: PathLike, mmap: bool = False) -> SelectivityEstimator:
     """Load an estimator saved by :func:`save_estimator`.
 
@@ -172,7 +193,7 @@ def load_estimator(path: PathLike, mmap: bool = False) -> SelectivityEstimator:
     directory = Path(path)
     metadata = read_metadata(directory)
     version = metadata.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise ValueError(
             f"unsupported estimator format version {version!r} (expected {FORMAT_VERSION})"
         )
@@ -199,6 +220,8 @@ def load_estimator(path: PathLike, mmap: bool = False) -> SelectivityEstimator:
                     f"checkpoint has weights for attribute {attribute!r} but the "
                     f"restored {cls.__name__} has no such module"
                 )
+            if version == 1:
+                module_state = _upgrade_format1_weights(module, module_state)
             module.load_state_dict(module_state)
     # Recompile the inference kernel from the freshly restored weights so a
     # loaded estimator serves through the compiled path immediately (never

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.autodiff import (
     Tensor,
+    affine,
     check_gradients,
     cumsum,
     dropout,
@@ -22,6 +23,48 @@ from repro.autodiff import (
     prefix_sum_matrix,
     softmax,
 )
+
+
+class TestAffine:
+    def test_gradients(self, rng):
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(4,)), requires_grad=True)
+        assert check_gradients(affine, [x, weight, bias])
+
+    def test_batched_gradients(self, rng):
+        """The batched form SelNet's stacked decoders use: (P, n, E) @ (P, E, 1)."""
+        x = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(3, 4, 1)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(3, 1, 1)), requires_grad=True)
+        assert check_gradients(affine, [x, weight, bias])
+
+    def test_without_bias(self, rng):
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        assert check_gradients(affine, [x, weight])
+
+    def test_bit_equal_to_matmul_then_add(self, rng):
+        x_data = rng.normal(size=(7, 5))
+        w_data, b_data = rng.normal(size=(5, 3)), rng.normal(size=(3,))
+        pair = [Tensor(a, requires_grad=True) for a in (x_data, w_data, b_data)]
+        fused = [Tensor(a, requires_grad=True) for a in (x_data, w_data, b_data)]
+        upstream = rng.normal(size=(7, 3))
+        expected = pair[0] @ pair[1] + pair[2]
+        expected.backward(upstream)
+        out = affine(*fused)
+        out.backward(upstream)
+        np.testing.assert_array_equal(out.data, expected.data)
+        for left, right in zip(fused, pair):
+            np.testing.assert_array_equal(left.grad, right.grad)
+
+    def test_one_tape_node_and_no_input_gradient_for_data(self, rng):
+        x = Tensor(rng.normal(size=(4, 3)))
+        weight = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        out = affine(x, weight, Tensor(np.zeros(2), requires_grad=True))
+        assert out._parents[0] is x and out._parents[1] is weight
+        grads = out._backward_fn(np.ones((4, 2)))
+        assert grads[0] is None and grads[1].shape == (3, 2)
 
 
 class TestSoftmaxFamily:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autodiff import Tensor
+from repro.autodiff import Tensor, check_gradients
 from repro.core import (
     PiecewiseLinearCurve,
     evaluate_piecewise_linear,
@@ -15,6 +15,8 @@ from repro.core import (
     is_monotone_curve,
 )
 from repro.core.control_points import ControlPointHead, PGenerator, TauGenerator
+from repro.nn import Linear
+from repro.nn.layers import feed_forward
 
 
 class TestPiecewiseLinearCurve:
@@ -160,8 +162,44 @@ class TestPGenerator:
         generator = self.make_generator(rng)
         p = generator(Tensor(rng.normal(size=(4, 5))))
         p.sum().backward()
-        decoder_grads = [decoder.weight.grad for decoder in generator.decoders]
-        assert any(grad is not None for grad in decoder_grads)
+        weight = generator.decoder_weight
+        assert weight.grad is not None and weight.grad.shape == weight.shape == (8, 4, 1)
+        assert generator.decoder_bias.grad.shape == (8, 1, 1)
+
+    def test_initial_weights_draw_the_per_decoder_stream(self):
+        """The stacked decoders draw he-normal (fan-in E) weights one control
+        point after another, as a list of Linear(E, 1) layers did."""
+        generator = self.make_generator(np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        encoder = feed_forward(5, [12], 8 * 4, rng=rng)
+        decoders = [Linear(4, 1, rng=rng) for _ in range(8)]
+        for ours, theirs in zip(generator.encoder.parameters(), encoder.parameters()):
+            np.testing.assert_array_equal(ours.data, theirs.data)
+        np.testing.assert_array_equal(
+            generator.decoder_weight.data, np.stack([d.weight.data for d in decoders])
+        )
+        np.testing.assert_array_equal(generator.decoder_bias.data, np.zeros((8, 1, 1)))
+
+    def test_batched_decoder_equals_per_point_decoders(self, rng):
+        generator = self.make_generator(rng)
+        generator.decoder_bias.data = rng.normal(size=(8, 1, 1))
+        x = Tensor(rng.normal(size=(6, 5)))
+        embeddings = generator.encoder(x).data
+        weight, bias = generator.decoder_weight.data, generator.decoder_bias.data
+        increments = [
+            np.maximum(embeddings[:, 4 * i : 4 * (i + 1)] @ weight[i] + bias[i, 0], 0.0)
+            for i in range(8)
+        ]
+        expected = np.cumsum(np.concatenate(increments, axis=1), axis=1)
+        np.testing.assert_array_equal(generator(x).data, expected)
+
+    def test_batched_decoder_gradients(self, rng):
+        generator = self.make_generator(rng)
+        # Shift the biases so no ReLU sits at its kink under the finite differences.
+        generator.decoder_bias.data = np.full((8, 1, 1), 0.5)
+        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        params = [generator.decoder_weight, generator.decoder_bias]
+        assert check_gradients(lambda q, w, b: generator(q), [x] + params, atol=1e-4)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))

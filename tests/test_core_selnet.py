@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from repro.core import (
 )
 from repro.data import generate_update_stream
 from repro.index import cover_tree_partitioning
+from repro.nn import Adam
 
 
 class TestSelNetConfig:
@@ -211,6 +215,54 @@ class TestPartitionedSelNet:
         )
         assert all(local.autoencoder is model.autoencoder for local in model.local_models)
 
+    @staticmethod
+    def make_model(split, config, rng, num_partitions=3):
+        config = replace(config, num_partitions=num_partitions)
+        partitioning = cover_tree_partitioning(
+            split.dataset.vectors, num_partitions=num_partitions, distance=split.distance
+        )
+        return PartitionedSelNet(
+            split.train.queries.shape[1], split.t_max, config, partitioning, rng=rng
+        )
+
+    def test_parameters_are_distinct(self, tiny_cosine_split, fast_selnet_config, rng):
+        model = self.make_model(tiny_cosine_split, fast_selnet_config, rng)
+        params = model.parameters()
+        assert len({id(param) for param in params}) == len(params)
+        names = [name for name, _ in model.named_parameters()]
+        assert not any(".autoencoder." in name for name in names)
+        assert sum(name.startswith("autoencoder.") for name in names) == len(
+            model.autoencoder.parameters()
+        )
+
+    def test_one_step_moves_shared_autoencoder_like_an_unshared_one(
+        self, tiny_cosine_split, fast_selnet_config, rng
+    ):
+        model = self.make_model(tiny_cosine_split, fast_selnet_config, rng)
+        unshared = copy.deepcopy(model.autoencoder)
+        for param in model.parameters():
+            param.grad = rng.normal(size=param.shape)
+        for mine, shared in zip(unshared.parameters(), model.autoencoder.parameters()):
+            mine.grad = shared.grad.copy()
+        Adam(model.parameters(), learning_rate=0.01).step()
+        Adam(unshared.parameters(), learning_rate=0.01).step()
+        for mine, shared in zip(unshared.parameters(), model.autoencoder.parameters()):
+            np.testing.assert_array_equal(shared.data, mine.data)
+
+    def test_local_outputs_encode_the_batch_once(self, tiny_cosine_split, fast_selnet_config, rng):
+        model = self.make_model(tiny_cosine_split, fast_selnet_config, rng)
+        queries = Tensor(tiny_cosine_split.test.queries[:6])
+        thresholds = tiny_cosine_split.test.thresholds[:6]
+        separate = [local.forward(queries, thresholds).data for local in model.local_models]
+        calls = []
+        encode = model.autoencoder.encode
+        model.autoencoder.encode = lambda x: calls.append(1) or encode(x)
+        shared = model.local_outputs(queries, thresholds)
+        del model.autoencoder.encode
+        assert len(calls) == 1
+        for ours, expected in zip(shared, separate):
+            np.testing.assert_array_equal(ours.data, expected)
+
     def test_global_is_indicator_weighted_sum(self, tiny_cosine_split, fast_selnet_config, rng):
         from dataclasses import replace
 
@@ -302,3 +354,33 @@ class TestIncrementalSelNet:
             UpdateOperation(kind="insert", vectors=np.zeros((5, split.dataset.dim)))
         )
         assert report.database_size == split.dataset.num_vectors + 5
+
+    def test_fine_tune_is_deterministic(self, tiny_cosine_split, fast_selnet_config):
+        """One update stream fine-tunes the same way on every run."""
+        split = tiny_cosine_split
+        # An under-trained model, so fine-tuning improves it and keeps its weights.
+        estimator = SelNetEstimator(replace(fast_selnet_config, epochs=1)).fit(split)
+        fitted_state = estimator.model.state_dict()
+        stream = generate_update_stream(split.dataset.vectors, num_operations=2, seed=1)
+        config = IncrementalConfig(
+            mae_drift_threshold=-1.0, max_epochs=4, patience=2, learning_rate=5e-3, batch_size=64
+        )
+        runs = []
+        for _ in range(2):
+            copy_ = copy.deepcopy(estimator)
+            incremental = IncrementalSelNet(
+                estimator=copy_,
+                data=split.dataset.vectors,
+                distance=split.distance,
+                train=split.train,
+                validation=split.validation,
+                config=config,
+            )
+            epochs = [report.fine_tune_epochs for report in incremental.apply_stream(stream)]
+            runs.append((epochs, copy_.model.state_dict()))
+        (epochs, state), (other_epochs, other_state) = runs
+        assert epochs == other_epochs and min(epochs) >= 1
+        assert any(not np.array_equal(state[name], fitted_state[name]) for name in state)
+        assert sorted(state) == sorted(other_state)
+        for name, array in state.items():
+            np.testing.assert_array_equal(array, other_state[name])

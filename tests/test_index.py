@@ -170,6 +170,32 @@ class TestPartitionings:
             total = np.count_nonzero(distance(query, small_data) <= threshold)
             assert local[i].sum() == pytest.approx(total)
 
+    @pytest.mark.parametrize("distance_name", ["cosine", "euclidean"])
+    def test_local_labels_match_one_scan_per_row(self, small_data, distance_name):
+        """Scanning once per distinct query gives exactly the counts of one
+        database scan per training row, whose queries repeat (at every
+        threshold, in any order)."""
+        partitioning = cover_tree_partitioning(
+            small_data, num_partitions=3, distance=distance_name
+        )
+        rng = np.random.default_rng(2)
+        picks = rng.choice(len(small_data), size=7, replace=False)
+        queries = np.repeat(small_data[picks], 5, axis=0)
+        thresholds = rng.uniform(0.0, 0.8, size=len(queries))
+        order = rng.permutation(len(queries))
+        queries, thresholds = queries[order], thresholds[order]
+
+        distance = get_distance(distance_name)
+        partition_ids = np.empty(len(small_data), dtype=np.int64)
+        for partition in partitioning.partitions:
+            partition_ids[partition.point_indices] = partition.index
+        reference = np.zeros((len(queries), 3))
+        for i in range(len(queries)):
+            mask = (distance(queries[i], small_data) <= thresholds[i]).astype(np.float64)
+            reference[i] = np.bincount(partition_ids, weights=mask, minlength=3)
+        local = partitioning.local_selectivity_labels(queries, thresholds)
+        np.testing.assert_array_equal(local, reference)
+
     def test_cover_tree_on_cosine_distance(self):
         data = make_fasttext_like(num_vectors=300, dim=10, seed=4).vectors
         partitioning = cover_tree_partitioning(data, num_partitions=3, distance="cosine")

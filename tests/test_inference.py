@@ -33,6 +33,7 @@ from repro.inference import (
     write_benchmark_json,
 )
 from repro.inference.precision import TIER_NAMES, parse_tier, relative_deviation
+from repro.nn import Adam
 from repro.serving import EstimationService
 
 PARITY = 1e-12
@@ -182,6 +183,29 @@ class TestCompiledLifecycle:
         np.testing.assert_array_equal(fresh_kernel.predict(queries, thresholds), after)
         # the fine-tune changed the weights, so the stale kernel is provably stale
         assert not np.array_equal(before, after)
+
+    @pytest.mark.parametrize("name", ["selnet-ct", "selnet"])
+    def test_kernel_keeps_the_weights_it_was_compiled_from(self, name, tiny_cosine_split, rng):
+        """Adam steps rebind parameters to new buffers and never write into
+        the arrays a float64 kernel froze without copying."""
+        estimator = _fit(name, tiny_cosine_split)
+        queries = tiny_cosine_split.test.queries
+        thresholds = tiny_cosine_split.test.thresholds
+        optimizer = Adam(estimator.model.parameters(), learning_rate=0.05)
+
+        def step():
+            for param in estimator.model.parameters():
+                param.grad = rng.normal(size=param.shape)
+            optimizer.step()
+
+        step()
+        kernel = estimator.compiled(refresh=True)
+        before = kernel.predict(queries, thresholds)
+        step()
+        step()
+        np.testing.assert_array_equal(kernel.predict(queries, thresholds), before)
+        fresh = estimator.compiled(refresh=True).predict(queries, thresholds)
+        assert not np.array_equal(fresh, before)
 
     def test_every_tier_stays_within_budget_after_update(self, tiny_cosine_split, rng):
         """Mixed-dtype parity survives an incremental update: after the

@@ -164,6 +164,28 @@ class TestModuleProtocol:
         model.zero_grad()
         assert model.weight.grad is None
 
+    def test_shared_submodule_listed_once(self, rng):
+        shared = Linear(2, 2, rng=rng)
+
+        class Twice(Module):
+            def __init__(self):
+                super().__init__()
+                self.first = shared
+                self.branches = [Sequential(shared, ReLU()), Sequential(shared)]
+
+        model = Twice()
+        names = [name for name, _ in model.named_parameters()]
+        assert names == ["first.weight", "first.bias"]
+        assert model.parameter_aliases() == {
+            "branches.0.layers.0.weight": "first.weight",
+            "branches.0.layers.0.bias": "first.bias",
+            "branches.1.layers.0.weight": "first.weight",
+            "branches.1.layers.0.bias": "first.bias",
+        }
+        modules = list(model.modules())
+        assert len(modules) == len({id(module) for module in modules}) == 5
+        assert sorted(model.state_dict()) == ["first.bias", "first.weight"]
+
 
 class TestOptimizers:
     def _quadratic_problem(self):
@@ -211,6 +233,63 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             Adam([], learning_rate=0.1)
 
+    def test_adam_rejects_duplicate_parameters(self):
+        parameter = Tensor(np.zeros(2), requires_grad=True)
+        with pytest.raises(ValueError):
+            Adam([parameter, parameter])
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("max_grad_norm", [None, 1e9])
+    def test_flat_adam_matches_per_parameter_loop(self, rng, weight_decay, max_grad_norm):
+        """Bit-identical to the per-parameter loop whenever clipping does not
+        fire, including parameters without a gradient (DLN trains with such
+        parameters) and a parameter rebound by load_state_dict."""
+        model = feed_forward(4, [5], 3, rng=rng)
+        # More elements than one update block, so segments straddle blocks.
+        model.wide = Tensor(rng.normal(size=(201, 200)), requires_grad=True)
+        model.frozen = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+        params = model.parameters()
+        reference = ReferenceAdam(
+            [param.data.copy() for param in params], learning_rate=0.01, weight_decay=weight_decay
+        )
+        optimizer = Adam(
+            params, learning_rate=0.01, weight_decay=weight_decay, max_grad_norm=max_grad_norm
+        )
+        for step in range(6):
+            grads = [rng.normal(size=param.shape) for param in params]
+            grads[-1] = None  # ``frozen`` never receives a gradient
+            if step == 2:
+                grads[0] = None  # a parameter skipped for one step only
+            if step == 4:
+                state = {name: rng.normal(size=p.shape) for name, p in model.named_parameters()}
+                model.load_state_dict(state)
+                reference.values = [state[name].copy() for name, _ in model.named_parameters()]
+            for param, grad in zip(params, grads):
+                param.grad = grad
+            optimizer.step()
+            reference.step(grads)
+            for param, expected in zip(params, reference.values):
+                np.testing.assert_array_equal(param.data, expected)
+
+    def test_adam_step_never_writes_into_handed_out_arrays(self, rng):
+        layer = Linear(3, 2, rng=rng)
+        optimizer = Adam(layer.parameters(), learning_rate=0.1)
+        before = layer.weight.data
+        frozen = before.copy()
+        for _ in range(2):
+            layer(Tensor(rng.normal(size=(4, 3)))).sum().backward()
+            optimizer.step()
+            optimizer.zero_grad()
+        np.testing.assert_array_equal(before, frozen)
+        assert not np.array_equal(layer.weight.data, frozen)
+
+    def test_adam_clipping_scales_the_gradients(self):
+        parameter = Tensor(np.zeros(4), requires_grad=True)
+        optimizer = Adam([parameter], learning_rate=0.1, max_grad_norm=1.0)
+        parameter.grad = np.full(4, 3.0)
+        optimizer.step()
+        np.testing.assert_allclose(np.linalg.norm(parameter.grad), 1.0)
+
     def test_weight_decay_shrinks_parameters(self):
         parameter = Tensor(np.ones(3) * 10.0, requires_grad=True)
         optimizer = SGD([parameter], learning_rate=0.1, weight_decay=1.0)
@@ -218,6 +297,40 @@ class TestOptimizers:
         (parameter * 0.0).sum().backward()
         optimizer.step()
         assert np.all(np.abs(parameter.data) < 10.0)
+
+
+class ReferenceAdam:
+    """The per-parameter Adam loop the flat-buffer optimizer replaced (no
+    clipping): the bit-level reference for :class:`repro.nn.Adam`."""
+
+    def __init__(self, values, learning_rate, weight_decay=0.0, beta1=0.9, beta2=0.999):
+        self.values = values
+        self.learning_rate = learning_rate
+        self.weight_decay = weight_decay
+        self.beta1, self.beta2, self.epsilon = beta1, beta2, 1e-8
+        self.first = [np.zeros_like(value) for value in values]
+        self.second = [np.zeros_like(value) for value in values]
+        self.count = 0
+
+    def step(self, grads):
+        self.count += 1
+        bias_correction1 = 1.0 - self.beta1 ** self.count
+        bias_correction2 = 1.0 - self.beta2 ** self.count
+        for index, (grad, m, v) in enumerate(zip(grads, self.first, self.second)):
+            if grad is None:
+                continue
+            value = self.values[index]
+            if self.weight_decay:
+                grad = grad + self.weight_decay * value
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad ** 2
+            m_hat = m / bias_correction1
+            v_hat = v / bias_correction2
+            self.values[index] = value - self.learning_rate * m_hat / (
+                np.sqrt(v_hat) + self.epsilon
+            )
 
 
 class TestDataLoader:

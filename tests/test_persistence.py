@@ -4,13 +4,17 @@ estimates bit-for-bit after being persisted and reloaded in a fresh object."""
 from __future__ import annotations
 
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from repro import SelectivityEstimator, create_estimator, load_estimator, read_metadata
+from repro.autodiff import Tensor
 from repro.core import SelNetEstimator
-from repro.persistence import SIDECAR_FILE, STATE_FILE, WEIGHTS_FILE
+from repro.core.control_points import PGenerator
+from repro.nn import Linear
+from repro.persistence import FORMAT_VERSION, SIDECAR_FILE, STATE_FILE, WEIGHTS_FILE
 from repro.registry import available_estimators
 
 #: fast fitting parameters per registry name (tiny split, a couple of epochs)
@@ -160,4 +164,93 @@ class TestNetworkCheckpoints:
         state[first] = np.zeros((1, 1))  # wrong shape
         np.savez(path / WEIGHTS_FILE.replace(".npz", ""), **state)
         with pytest.raises(ValueError):
+            load_estimator(path)
+
+
+def _downgrade_to_format1(path):
+    """Rewrite a saved SelNet directory the way format 1 stored it: every
+    shared tensor under each of its paths, and one Linear(E, 1) per decoder."""
+    with open(path / STATE_FILE, "rb") as handle:
+        state = pickle.load(handle)
+    # selnet-inc keeps its network inside the pickled update state only.
+    model = state["model"] if "model" in state else state["state"].estimator.model
+    legacy = {}
+    if (path / WEIGHTS_FILE).is_file():
+        with np.load(path / WEIGHTS_FILE) as archive:
+            weights = {key: archive[key] for key in archive.files}
+        for key, array in weights.items():
+            prefix, _, kind = key.rpartition("decoder_")
+            if kind in ("weight", "bias") and prefix.endswith("p_generator."):
+                for index, slot in enumerate(array):  # weight (E, 1), bias (1,)
+                    legacy_key = f"{prefix}decoders.{index}.{kind}"
+                    legacy[legacy_key] = slot if kind == "weight" else slot[0]
+            else:
+                legacy[key] = array
+        for alias, canonical in model.parameter_aliases().items():
+            legacy[f"model::{alias}"] = weights[f"model::{canonical}"]
+        np.savez(path / WEIGHTS_FILE, **legacy)
+
+    for module in model.modules():
+        if isinstance(module, PGenerator):
+            weight = vars(module).pop("decoder_weight").data
+            bias = vars(module).pop("decoder_bias").data
+            decoders = []
+            for index in range(module.num_outputs):
+                decoder = Linear(module.embedding_dim, 1)
+                decoder.weight = Tensor(weight[index], requires_grad=True, name="weight")
+                decoder.bias = Tensor(bias[index, 0], requires_grad=True, name="bias")
+                decoders.append(decoder)
+            module.decoders = decoders
+    with open(path / STATE_FILE, "wb") as handle:
+        pickle.dump(state, handle)
+
+    metadata = json.loads((path / SIDECAR_FILE).read_text())
+    metadata["format_version"] = 1
+    (path / SIDECAR_FILE).write_text(json.dumps(metadata))
+    return legacy
+
+
+class TestFormatVersions:
+    @pytest.mark.parametrize("name", ["selnet", "selnet-ct", "selnet-inc"])
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_format1_checkpoint_loads_bit_identically(
+        self, name, mmap, tiny_cosine_split, tmp_path
+    ):
+        params = dict(FAST_PARAMS[name], seed=0)
+        if name == "selnet":
+            params["num_partitions"] = 3
+        estimator = create_estimator(name, **params).fit(tiny_cosine_split)
+        queries = tiny_cosine_split.test.queries
+        thresholds = tiny_cosine_split.test.thresholds
+        reference = estimator.estimate(queries, thresholds)
+        compiled = estimator.compiled().predict(queries, thresholds)
+
+        path = tmp_path / name
+        estimator.save(path)
+        legacy = _downgrade_to_format1(path)
+        if name != "selnet-inc":
+            assert any(".decoders.0.weight" in key for key in legacy)
+        if name == "selnet":
+            assert any(".autoencoder." in key for key in legacy)
+
+        loaded = load_estimator(path, mmap=mmap)
+        np.testing.assert_array_equal(loaded.estimate(queries, thresholds), reference)
+        np.testing.assert_array_equal(loaded.compiled().predict(queries, thresholds), compiled)
+
+        resaved = tmp_path / f"{name}-resaved"
+        loaded.save(resaved)
+        assert read_metadata(resaved)["format_version"] == FORMAT_VERSION == 2
+        if name != "selnet-inc":
+            with np.load(resaved / WEIGHTS_FILE) as archive:
+                keys = list(archive.files)
+            assert not any(".decoders." in key for key in keys)
+            assert not any(".autoencoder." in key for key in keys)
+
+    def test_unknown_format_version_rejected(self, tiny_cosine_split, tmp_path):
+        path = tmp_path / "kde"
+        create_estimator("kde", num_samples=64, seed=0).fit(tiny_cosine_split).save(path)
+        metadata = json.loads((path / SIDECAR_FILE).read_text())
+        metadata["format_version"] = FORMAT_VERSION + 1
+        (path / SIDECAR_FILE).write_text(json.dumps(metadata))
+        with pytest.raises(ValueError, match="format version"):
             load_estimator(path)
