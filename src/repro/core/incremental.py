@@ -14,7 +14,7 @@ When the database receives insertions or deletions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -90,8 +90,13 @@ class IncrementalSelNet:
         prediction = self.estimator.estimate(self.validation.queries, self.validation.thresholds)
         return float(np.mean(np.abs(prediction - self.validation.selectivities)))
 
-    def _fine_tune(self) -> int:
-        """Fine-tune the current model; return the number of epochs run."""
+    def _fine_tune(self, initial_mae: float) -> Tuple[int, float]:
+        """Fine-tune the current model; return the epochs run and its MAE.
+
+        ``initial_mae`` is the validation MAE of the current weights.  The
+        model ends on the best weights seen, and the returned MAE is the one
+        measured for them, so callers need not evaluate them again.
+        """
         model: SelNetModel = self.estimator.model  # type: ignore[assignment]
         selnet_config: SelNetConfig = self.estimator.config
         optimizer = Adam(model.parameters(), learning_rate=self.config.learning_rate)
@@ -107,7 +112,7 @@ class IncrementalSelNet:
             shuffle=True,
             rng=np.random.default_rng([selnet_config.seed, operations_applied]),
         )
-        best_mae = self._validation_mae()
+        best_mae = initial_mae
         best_state = model.state_dict()
         stall = 0
         epochs_run = 0
@@ -134,7 +139,7 @@ class IncrementalSelNet:
                 break
         model.load_state_dict(best_state)
         model.eval()
-        return epochs_run
+        return epochs_run, best_mae
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -167,23 +172,25 @@ class IncrementalSelNet:
         mae_before = self._validation_mae()
         drift = abs(mae_before - self._baseline_mae)
 
+        # The weights only change on a fine-tune, and evaluation is
+        # deterministic, so every MAE below reuses one already measured.
         retrained = False
         fine_tune_epochs = 0
+        mae_after = mae_before
         if drift > self.config.mae_drift_threshold:
             # Step 2: refresh training labels and fine-tune the current model.
             if train is not None:
                 self.train = train() if callable(train) else train
             else:
                 self.train = relabel_workload(self.train, self._delta)
-            fine_tune_epochs = self._fine_tune()
+            fine_tune_epochs, mae_after = self._fine_tune(mae_before)
             # Fine-tuning mutates the model weights in place; any cached
             # compiled inference kernel froze the pre-update weights (store-
             # loaded estimators arrive eagerly compiled) and must be rebuilt.
             self.estimator._invalidate_compiled()
             retrained = True
-            self._baseline_mae = self._validation_mae()
+            self._baseline_mae = mae_after
 
-        mae_after = self._validation_mae()
         report = UpdateStepReport(
             operation_kind=operation.kind,
             database_size=len(self.data),

@@ -17,7 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..autodiff import Tensor, no_grad, stack
-from ..index import Partitioning
+from ..index import Partitioning, distinct_rows, take_rows
 from ..nn import Autoencoder, Module
 from .config import SelNetConfig
 from .selnet import SelNetModel
@@ -109,12 +109,25 @@ class PartitionedSelNet(Module):
     # Inference helpers
     # ------------------------------------------------------------------ #
     def predict(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-        """Non-negative global selectivity estimates for numpy inputs."""
+        """Non-negative global selectivity estimates for numpy inputs.
+
+        One :func:`~repro.index.distinct_rows` grouping serves the
+        indicator and the network: the shared encoder and every local head
+        run once per distinct query, and the indicator-weighted sum of
+        :meth:`forward` combines the per-row curve values.
+        """
         queries = np.asarray(queries, dtype=np.float64)
         thresholds = np.asarray(thresholds, dtype=np.float64)
-        indicators = self.partitioning.indicator_batch(queries, thresholds)
+        distinct = distinct_rows(queries)
+        first, inverse = distinct
+        indicators = self.partitioning.indicator_batch(queries, thresholds, distinct)
         with no_grad():
-            output = self.forward(Tensor(queries), thresholds, indicators)
+            augmented = self.local_models[0].augment(Tensor(take_rows(queries, first)))
+            locals_ = [
+                model.predict_augmented(augmented, thresholds, inverse)
+                for model in self.local_models
+            ]
+            output = (stack(locals_, axis=1) * Tensor(indicators)).sum(axis=1)
         return np.clip(output.data.reshape(len(queries)), 0.0, None)
 
     def reconstruction_loss(self, queries: Tensor) -> Tensor:

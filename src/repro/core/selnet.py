@@ -23,6 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..autodiff import Tensor, concat, no_grad
+from ..index import distinct_rows, take_rows
 from ..nn import Autoencoder, Module
 from .config import SelNetConfig
 from .control_points import ControlPointHead
@@ -107,12 +108,34 @@ class SelNetModel(Module):
     # Inference helpers (numpy in, numpy out)
     # ------------------------------------------------------------------ #
     def predict(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-        """Non-negative selectivity estimates as a plain numpy array."""
+        """Non-negative selectivity estimates as a plain numpy array.
+
+        The encoder and the control-point heads run once per distinct query
+        (:func:`~repro.index.distinct_rows`); only the piecewise-linear step
+        sees every row.
+        """
         queries = np.asarray(queries, dtype=np.float64)
         thresholds = np.asarray(thresholds, dtype=np.float64)
+        first, inverse = distinct_rows(queries)
         with no_grad():
-            output = self.forward(Tensor(queries), thresholds)
+            augmented = self.augment(Tensor(take_rows(queries, first)))
+            output = self.predict_augmented(augmented, thresholds, inverse)
         return np.clip(output.data.reshape(len(queries)), 0.0, None)
+
+    def predict_augmented(
+        self, augmented: Tensor, thresholds: np.ndarray, inverse: np.ndarray
+    ) -> Tensor:
+        """Inference twin of :meth:`forward_augmented` over distinct queries.
+
+        ``augmented`` holds each distinct query's ``[x; z_x]`` once and
+        ``inverse`` maps every row to its query: (τ, p) are computed per
+        query and gathered per row just before Equation 1, so all of a
+        query's thresholds read one curve.
+        """
+        tau, p = self.head(augmented)
+        return piecewise_linear(
+            take_rows(tau.data, inverse), take_rows(p.data, inverse), thresholds
+        )
 
     def curve_for_query(self, query: np.ndarray) -> PiecewiseLinearCurve:
         """The learned piece-wise linear curve of a single query.

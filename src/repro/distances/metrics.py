@@ -39,6 +39,18 @@ def cosine_distance(x: np.ndarray, data: np.ndarray) -> np.ndarray:
 COSINE_NORM_FLOOR = 1e-12
 
 
+def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` that always takes BLAS's GEMM path.
+
+    NumPy dispatches ``(1, k) @ (k, n)`` to GEMV, whose per-element
+    summation order differs from GEMM's; padding to two rows keeps every
+    distance bit-identical regardless of how queries are blocked.
+    """
+    if a.shape[0] == 1:
+        return (np.concatenate([a, a], axis=0) @ b)[:1]
+    return a @ b
+
+
 def cosine_distance_with_norms(
     x: np.ndarray, data: np.ndarray, data_norms: np.ndarray
 ) -> np.ndarray:

@@ -44,7 +44,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..distances import DistanceFunction, get_distance
-from ..distances.metrics import COSINE_NORM_FLOOR
+from ..distances.metrics import COSINE_NORM_FLOOR, gemm
 
 #: default memory budget for one query-block x data-block distance tile
 DEFAULT_BLOCK_BYTES = 32 * 1024 * 1024
@@ -74,18 +74,6 @@ def get_default_num_workers() -> int:
         except ValueError:
             pass
     return max(min(4, os.cpu_count() or 1), 1)
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` that always takes BLAS's GEMM path.
-
-    NumPy dispatches ``(1, k) @ (k, n)`` to GEMV, whose per-element
-    summation order differs from GEMM's; padding to two rows keeps every
-    distance bit-identical regardless of how queries are blocked.
-    """
-    if a.shape[0] == 1:
-        return (np.concatenate([a, a], axis=0) @ b)[:1]
-    return a @ b
 
 
 class BlockedOracle:
@@ -174,12 +162,12 @@ class BlockedOracle:
     ) -> np.ndarray:
         """Distances from a query block to ``data[start:stop]`` (GEMM path)."""
         if self.distance.name == "euclidean":
-            gram = _matmul(queries, self._data_t[:, start:stop])
+            gram = gemm(queries, self._data_t[:, start:stop])
             q_sq = np.einsum("ij,ij->i", queries, queries)
             squared = q_sq[:, None] + self._data_sq[None, start:stop] - 2.0 * gram
             return np.sqrt(np.maximum(squared, 0.0, out=squared), out=squared)
         if self.distance.name == "cosine":
-            gram = _matmul(queries, self._data_t[:, start:stop])
+            gram = gemm(queries, self._data_t[:, start:stop])
             q_norms = np.linalg.norm(queries, axis=1)
             denom = np.maximum(
                 q_norms[:, None] * self._data_norms[None, start:stop], COSINE_NORM_FLOOR
@@ -541,7 +529,7 @@ class BlockedOracle:
         """
         centers, radii, blocks, sizes = self._regions
         center_sq = np.einsum("ij,ij->i", centers, centers)
-        gram = _matmul(queries, centers.T)
+        gram = gemm(queries, centers.T)
         q_sq = np.einsum("ij,ij->i", queries, queries)
         center_distances = np.sqrt(
             np.maximum(q_sq[:, None] + center_sq[None, :] - 2.0 * gram, 0.0)
@@ -557,7 +545,7 @@ class BlockedOracle:
                 continue
             rows = np.nonzero(scan[:, r])[0]
             sub = np.ascontiguousarray(queries[rows])
-            gram_r = _matmul(sub, block.T)
+            gram_r = gemm(sub, block.T)
             sub_sq = np.einsum("ij,ij->i", sub, sub)
             block_sq = np.einsum("ij,ij->i", block, block)
             tile = np.sqrt(np.maximum(sub_sq[:, None] + block_sq[None, :] - 2.0 * gram_r, 0.0))

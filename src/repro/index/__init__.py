@@ -6,9 +6,11 @@ from .partitioner import (
     Partitioning,
     build_partitioning,
     cover_tree_partitioning,
+    distinct_rows,
     kmeans_partitioning,
     merge_regions_balanced,
     random_partitioning,
+    take_rows,
 )
 
 __all__ = [
@@ -22,4 +24,6 @@ __all__ = [
     "random_partitioning",
     "kmeans_partitioning",
     "build_partitioning",
+    "distinct_rows",
+    "take_rows",
 ]

@@ -17,13 +17,68 @@ implemented, matching the paper's Table 10 comparison:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..distances import DistanceFunction, get_distance
-from ..distances.metrics import cosine_distance_with_norms
+from ..distances.metrics import COSINE_NORM_FLOOR, cosine_distance_with_norms, gemm
 from .cover_tree import BallRegion, CoverTree
+
+#: memory budget of one (rows, objects, dim) Euclidean difference tensor
+_EUCLIDEAN_CHUNK_BYTES = 32 * 1024 * 1024
+
+
+def distinct_rows(queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Group a batch's repeated query rows into ``(first, inverse)``.
+
+    ``first`` holds the index of the first row of every run of rows with
+    identical bytes and ``inverse[i]`` the run row ``i`` belongs to, so
+    ``queries[first][inverse]`` reproduces ``queries``.  Only *adjacent*
+    repeats are merged: every producer of repeated rows (workload rows,
+    serving curve grids, :meth:`~repro.SelectivityEstimator.selectivity_curve`)
+    lays one query's rows out together, and one linear scan costs far less
+    than sorting row bytes.  A query that reappears later in the batch just
+    starts a new run.  With no repeats, ``first`` and ``inverse`` are both
+    ``arange(len(queries))``.
+    """
+    queries = np.ascontiguousarray(queries)
+    num_rows = len(queries)
+    starts = np.ones(num_rows, dtype=bool)
+    if num_rows > 1:
+        # Compare bytes, not values: -0.0 / 0.0 and NaN payloads stay apart.
+        words = queries.reshape(num_rows, -1).view(np.dtype(f"u{queries.dtype.itemsize}"))
+        np.any(words[1:] != words[:-1], axis=1, out=starts[1:])
+    first = np.flatnonzero(starts)
+    inverse = np.cumsum(starts) - 1
+    return first, inverse
+
+
+def take_rows(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[index]`` for a ``first`` / ``inverse`` of :func:`distinct_rows`.
+
+    Both index arrays are ``arange`` exactly when their length matches
+    ``values`` (a batch without repeats), so that case returns ``values``
+    itself instead of a copy.
+    """
+    return values if len(index) == len(values) else values[index]
+
+
+class _CentreTable(NamedTuple):
+    """Every ball region of a partitioning as one array per field.
+
+    Regions are ordered by partition, so partition ``owners[j]`` owns the
+    column range starting at ``starts[j]``; ``empty`` lists the partitions
+    without regions, which are always active.
+    """
+
+    centres: np.ndarray
+    radii: np.ndarray
+    #: ``np.linalg.norm(centres, axis=1)`` for cosine, else None
+    norms: Optional[np.ndarray]
+    starts: np.ndarray
+    owners: np.ndarray
+    empty: np.ndarray
 
 
 @dataclass
@@ -70,6 +125,13 @@ class Partitioning:
         self.always_active = always_active
         self._validate()
 
+    def __getstate__(self) -> dict:
+        # The centre table is derived from the partitions: pickles leave it
+        # out, and a loaded partitioning rebuilds it on first use.
+        state = dict(self.__dict__)
+        state.pop("_centre_table_cache", None)
+        return state
+
     def _validate(self) -> None:
         counts = np.zeros(len(self.data), dtype=np.int64)
         for partition in self.partitions:
@@ -109,30 +171,113 @@ class Partitioning:
                 out[k] = 1.0
         return out
 
-    def indicator_batch(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    def indicator_batch(
+        self,
+        queries: np.ndarray,
+        thresholds: np.ndarray,
+        distinct: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> np.ndarray:
         """Vector of indicators for aligned query / threshold arrays.
 
-        Vectorised over the batch: instead of one :meth:`indicator` call per
-        row (O(rows x regions) Python iterations), the loop runs over the
-        ball regions — a handful per partition — and each region tests all
-        queries in one distance kernel call.  Both distances are symmetric,
-        so ``distance(center, queries)`` matches the per-row
-        ``distance(query, centers)`` values.
+        The distances from each distinct query (``distinct``, the
+        :func:`distinct_rows` of ``queries``, computed here when not given)
+        to every ball centre come from one vectorised call against the
+        centre table; each row then compares its query's distances with
+        ``radius + t``.  Rows of one query share one distance per ball, so
+        the indicator is non-decreasing in ``t`` across them.
         """
         queries = np.asarray(queries, dtype=np.float64)
         thresholds = np.asarray(thresholds, dtype=np.float64)
         if self.always_active:
             return np.ones((len(queries), self.num_partitions), dtype=np.float64)
-        out = np.zeros((len(queries), self.num_partitions), dtype=np.float64)
-        for k, partition in enumerate(self.partitions):
-            if not partition.regions:
-                out[:, k] = 1.0
-                continue
-            active = np.zeros(len(queries), dtype=bool)
-            for region in partition.regions:
-                distances = self.distance(region.center, queries)
-                active |= distances <= region.radius + thresholds
-            out[:, k] = active
+        distances = self._row_distances(queries, distinct)
+        return self._activate(distances <= self._centre_table().radii + thresholds[:, None])
+
+    def indicator_grid(
+        self,
+        queries: np.ndarray,
+        grid: np.ndarray,
+        distinct: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> np.ndarray:
+        """Indicators of every query at every grid threshold, ``(n, G, K)``.
+
+        Equal to :meth:`indicator_batch` over the ``(query, grid point)``
+        cross product, without materialising its repeated rows.
+        """
+        queries = np.asarray(queries, dtype=np.float64)
+        grid = np.asarray(grid, dtype=np.float64)
+        if self.always_active:
+            return np.ones((len(queries), len(grid), self.num_partitions), dtype=np.float64)
+        distances = self._row_distances(queries, distinct)
+        reach = self._centre_table().radii + grid[:, None]  # (G, R)
+        return self._activate(distances[:, None, :] <= reach)
+
+    def _centre_table(self) -> _CentreTable:
+        """The ball regions as arrays, built once per partitioning (cached)."""
+        table = getattr(self, "_centre_table_cache", None)
+        if table is None:
+            regions = [region for partition in self.partitions for region in partition.regions]
+            counts = np.asarray([len(p.regions) for p in self.partitions], dtype=np.int64)
+            centres = np.asarray([r.center for r in regions], dtype=np.float64).reshape(
+                len(regions), self.data.shape[1]
+            )
+            table = _CentreTable(
+                centres=centres,
+                radii=np.asarray([r.radius for r in regions], dtype=np.float64),
+                norms=(
+                    np.linalg.norm(centres, axis=1) if self.distance.name == "cosine" else None
+                ),
+                starts=(np.cumsum(counts) - counts)[counts > 0],
+                owners=np.flatnonzero(counts > 0),
+                empty=np.flatnonzero(counts == 0),
+            )
+            self._centre_table_cache = table
+        return table
+
+    def _row_distances(
+        self, queries: np.ndarray, distinct: Optional[Tuple[np.ndarray, np.ndarray]]
+    ) -> np.ndarray:
+        """Every row's distances to every ball centre, ``(rows, R)``.
+
+        They are computed once per distinct query and gathered per row.
+        """
+        first, inverse = distinct_rows(queries) if distinct is None else distinct
+        return take_rows(self._centre_distances(take_rows(queries, first)), inverse)
+
+    def _centre_distances(self, queries: np.ndarray) -> np.ndarray:
+        """Distances from every query to every ball centre, ``(m, R)``.
+
+        Cosine is one GEMM with both norm passes hoisted, the formula of
+        the exact oracle's distance tiles, and :func:`gemm` keeps a lone
+        query off the GEMV path so a query's distances do not depend on the
+        batch it arrives in.  Euclidean keeps the exact per-element
+        difference reduction of :func:`~repro.distances.euclidean_distance`,
+        chunked to bound the ``(rows, R, dim)`` difference tensor.  Any
+        other kernel uses its own pairwise form.
+        """
+        table = self._centre_table()
+        centres = table.centres
+        if table.norms is not None:
+            denom = np.linalg.norm(queries, axis=1)[:, None] * table.norms
+            return 1.0 - gemm(queries, centres.T) / np.maximum(denom, COSINE_NORM_FLOOR)
+        if self.distance.name != "euclidean":
+            return self.distance.pairwise(queries, centres)
+        distances = np.empty((len(queries), len(centres)), dtype=np.float64)
+        chunk = max(_EUCLIDEAN_CHUNK_BYTES // max(8 * centres.size, 1), 1)
+        for start in range(0, len(queries), chunk):
+            diff = queries[start : start + chunk, None, :] - centres[None, :, :]
+            distances[start : start + chunk] = np.sqrt(
+                np.maximum(np.einsum("qcd,qcd->qc", diff, diff), 0.0)
+            )
+        return distances
+
+    def _activate(self, hits: np.ndarray) -> np.ndarray:
+        """Reduce per-region hits ``(..., R)`` to partition indicators ``(..., K)``."""
+        table = self._centre_table()
+        out = np.empty(hits.shape[:-1] + (self.num_partitions,), dtype=np.float64)
+        out[..., table.empty] = 1.0
+        if len(table.owners):
+            out[..., table.owners] = np.logical_or.reduceat(hits, table.starts, axis=-1)
         return out
 
     def _partition_ids(self) -> np.ndarray:
@@ -153,12 +298,12 @@ class Partitioning:
         Used as local training labels: the paper's Observation 1 says the
         global selectivity is the sum of the per-partition selectivities.
 
-        Vectorised like :meth:`indicator_batch`: instead of one distance
-        call per ``(row, partition)`` pair, each distinct query is scanned
-        against the whole database once (for non-Euclidean kernels; the
-        Euclidean path batches rows) and the counts are segment-summed by
-        partition.  Per-query distance kernels are bit-stable under row
-        subsetting, so the counts are bit-identical to one scan per row.
+        Instead of one distance call per ``(row, partition)`` pair, each
+        run of identical query rows (:func:`distinct_rows`) is scanned
+        against the whole database once (for cosine; the Euclidean path
+        batches rows) and the counts are segment-summed by partition.
+        Per-query distance kernels are bit-stable under row subsetting, so
+        the counts are bit-identical to one scan per row.
         """
         queries = np.asarray(queries, dtype=np.float64)
         thresholds = np.asarray(thresholds, dtype=np.float64)
@@ -176,8 +321,7 @@ class Partitioning:
             # Fully vectorised: chunked (rows, n, dim) difference tensor —
             # the einsum reduction per (row, object) pair matches the
             # per-row kernel bit for bit.
-            budget = 32 * 1024 * 1024
-            chunk = int(max(budget // (8 * self.data.shape[0] * self.data.shape[1]), 1))
+            chunk = int(max(_EUCLIDEAN_CHUNK_BYTES // (8 * self.data.size), 1))
             for start in range(0, num_rows, chunk):
                 stop = min(start + chunk, num_rows)
                 diff = self.data[None, :, :] - queries[start:stop, None, :]
@@ -188,29 +332,22 @@ class Partitioning:
                 out[start:stop] = mask @ onehot
             return out
 
-        # Cosine (and any other kernel): one full-database scan per distinct
-        # query, with the norm pass hoisted out of the loop.  A training
-        # workload repeats each query at every one of its thresholds, and
-        # rows with the same query bytes get the same distances.
+        # Cosine (and any other kernel): one full-database scan per run of
+        # identical query rows, with the norm pass hoisted out of the loop.
+        # A training workload repeats each query at every one of its
+        # thresholds, and rows with the same query bytes get the same
+        # distances.
         data_norms = None
         if self.distance.name == "cosine":
             data_norms = np.linalg.norm(self.data, axis=1)
-        row_bytes = np.ascontiguousarray(queries).view(
-            np.dtype((np.void, queries.dtype.itemsize * queries.shape[1]))
-        ).ravel()
-        _, first, inverse = np.unique(row_bytes, return_index=True, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        start = 0
-        for group, stop in enumerate(np.cumsum(np.bincount(inverse))):
-            rows = order[start:stop]
-            start = stop
-            query = queries[first[group]]
+        first, _ = distinct_rows(queries)
+        for start, stop in zip(first, np.append(first[1:], num_rows)):
             if data_norms is not None:
-                distances = cosine_distance_with_norms(query, self.data, data_norms)
+                distances = cosine_distance_with_norms(queries[start], self.data, data_norms)
             else:
-                distances = self.distance(query, self.data)
-            mask = (distances[None, :] <= thresholds[rows, None]).astype(np.float64)
-            out[rows] = mask @ onehot
+                distances = self.distance(queries[start], self.data)
+            mask = (distances[None, :] <= thresholds[start:stop, None]).astype(np.float64)
+            out[start:stop] = mask @ onehot
         return out
 
 

@@ -25,7 +25,9 @@ All kernels share the same surface: ``predict(queries, thresholds)`` for
 aligned pairs and ``curve_values(queries, grid)`` which evaluates every
 query's selectivity curve on a common threshold grid with **one** network
 forward per query (the serving layer uses it to fill many cache misses per
-micro-batch).
+micro-batch).  The SelNet kernels run their network once per distinct
+query (:func:`repro.index.distinct_rows`), exactly as graph-mode
+``predict`` does, so the two see the same BLAS shapes.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 
 from ..autodiff import no_grad, segment_upper_indices
 from ..autodiff.functional import norm_l2_squared  # noqa: F401  (doc cross-ref)
+from ..index import distinct_rows, take_rows
 from ..nn import Linear, Module, Sequential
 from ..nn.layers import ReLU, Sigmoid, Softplus, Tanh
 from .precision import Precision, fake_quantize, resolve_precision
@@ -368,7 +371,11 @@ class CompiledSelNet(CompiledKernel):
         return np.concatenate([queries, latent], axis=1)
 
     def control_points(self, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return self.head.control_points(self._augment(queries))
+        """Per-row ``(tau, p)``, computed once per distinct query."""
+        queries = np.asarray(queries, dtype=self.compute_dtype)
+        first, inverse = distinct_rows(queries)
+        tau, p = self.head.control_points(self._augment(take_rows(queries, first)))
+        return take_rows(tau, inverse), take_rows(p, inverse)
 
     def predict(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
         thresholds = np.asarray(thresholds, dtype=self.compute_dtype)
@@ -437,8 +444,10 @@ class CompiledPartitionedSelNet(CompiledKernel):
         queries = np.asarray(queries, dtype=np.float64)
         thresholds = np.asarray(thresholds, dtype=self.compute_dtype)
         batch = len(queries)
-        indicators = self.partitioning.indicator_batch(queries, thresholds)
-        augmented = self._augment(queries)
+        distinct = distinct_rows(queries)
+        first, inverse = distinct
+        indicators = self.partitioning.indicator_batch(queries, thresholds, distinct)
+        augmented = self._augment(take_rows(queries, first))
         # Accumulating in partition order keeps the summation order — and
         # therefore the bits — of the graph-mode indicator-weighted sum.
         output = np.zeros(batch, dtype=self.compute_dtype)
@@ -451,24 +460,25 @@ class CompiledPartitionedSelNet(CompiledKernel):
                 # active rows bit-equal to graph mode.)
                 continue
             tau, p = head.control_points(augmented)
-            output += piecewise_linear_batch(tau, p, thresholds) * indicators[:, k]
+            curve = piecewise_linear_batch(
+                take_rows(tau, inverse), take_rows(p, inverse), thresholds
+            )
+            output += curve * indicators[:, k]
         return np.clip(output, 0.0, None)
 
     def curve_values(self, queries: np.ndarray, grid: np.ndarray) -> np.ndarray:
         queries = np.asarray(queries, dtype=np.float64)
         grid = np.asarray(grid, dtype=self.compute_dtype)
-        n, num_grid = len(queries), len(grid)
-        locals_ = self.local_control_points(queries)
-        # One (n, K, G) stack of per-partition curves, one indicator batch for
-        # the full (query x grid) cross product.
+        distinct = distinct_rows(queries)
+        first, inverse = distinct
+        locals_ = self.local_control_points(take_rows(queries, first))
+        # One (distinct, K, G) stack of per-partition curves, gathered per
+        # query row, and one indicator grid for the (query x grid) product.
         local_curves = np.stack(
             [piecewise_linear_grid(tau, p, grid) for tau, p in locals_], axis=1
         )
-        repeated = np.repeat(queries, num_grid, axis=0)
-        tiled = np.tile(grid, n)
-        indicators = self.partitioning.indicator_batch(repeated, tiled)
-        indicators = indicators.reshape(n, num_grid, -1).transpose(0, 2, 1)  # (n, K, G)
-        output = (local_curves * indicators).sum(axis=1)
+        indicators = self.partitioning.indicator_grid(queries, grid, distinct)
+        output = (take_rows(local_curves, inverse) * indicators.transpose(0, 2, 1)).sum(axis=1)
         return np.clip(output, 0.0, None)
 
     def describe(self) -> dict:

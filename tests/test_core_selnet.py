@@ -355,6 +355,31 @@ class TestIncrementalSelNet:
         )
         assert report.database_size == split.dataset.num_vectors + 5
 
+    @pytest.mark.parametrize("drift_threshold", [1e9, 0.0])
+    def test_drift_check_evaluates_once_per_write(self, fitted, drift_threshold):
+        """A write costs one validation pass, plus one per fine-tune epoch;
+        the MAEs it reuses equal a fresh evaluation bit for bit."""
+        estimator, split = fitted
+        incremental = IncrementalSelNet(
+            estimator=estimator,
+            data=split.dataset.vectors,
+            distance=split.distance,
+            train=split.train,
+            validation=split.validation,
+            config=IncrementalConfig(mae_drift_threshold=drift_threshold, max_epochs=2, patience=1),
+        )
+        calls = []
+        original = estimator.estimate
+        estimator.estimate = lambda q, t: (calls.append(len(t)), original(q, t))[1]
+        for operation in generate_update_stream(split.dataset.vectors, num_operations=3, seed=2):
+            calls.clear()
+            report = incremental.apply_operation(operation)
+            assert len(calls) == 1 + report.fine_tune_epochs
+            assert report.validation_mae_after == incremental._validation_mae()
+            if not report.retrained:
+                assert report.validation_mae_after == report.validation_mae_before
+        assert any(report.retrained for report in incremental.reports) == (drift_threshold == 0.0)
+
     def test_fine_tune_is_deterministic(self, tiny_cosine_split, fast_selnet_config):
         """One update stream fine-tunes the same way on every run."""
         split = tiny_cosine_split

@@ -24,6 +24,8 @@ from repro.autodiff import (
     piecewise_linear,
     segment_upper_indices,
 )
+from repro.distances import get_distance
+from repro.index import build_partitioning, distinct_rows, take_rows
 from repro.inference import (
     CompiledPartitionedSelNet,
     CompiledSelNet,
@@ -328,21 +330,115 @@ class TestSegmentLookup:
 # Vectorised partition indicator
 # ---------------------------------------------------------------------- #
 class TestIndicatorBatch:
-    def test_matches_per_row_indicator(self, tiny_face_dataset, rng):
-        from repro.distances import get_distance
-        from repro.index import build_partitioning
+    def test_matches_per_row_indicator(self, tiny_face_dataset, tiny_fasttext_dataset, rng):
+        """The centre-table indicator equals the per-region reference on
+        cover trees of over 40 regions, for both distance kernels, on
+        distinct rows and on runs of one query, at continuous thresholds."""
+        for dataset, distance in (
+            (tiny_face_dataset, "cosine"),
+            (tiny_fasttext_dataset, "euclidean"),
+        ):
+            partitioning = build_partitioning(
+                "ct", dataset.vectors, num_partitions=3,
+                distance=get_distance(distance), seed=0,
+            )
+            assert sum(len(p.regions) for p in partitioning.partitions) >= 40
+            picks = dataset.vectors[rng.integers(0, len(dataset.vectors), size=32)]
+            queries = np.concatenate([picks, np.repeat(picks[:8], 6, axis=0)])
+            reach = np.median(partitioning.distance(picks[0], dataset.vectors))
+            thresholds = rng.uniform(0.0, 0.6 * reach, size=len(queries))
+            batch = partitioning.indicator_batch(queries, thresholds)
+            assert 0.0 < batch.mean() < 1.0
+            for i in range(len(queries)):
+                np.testing.assert_array_equal(
+                    batch[i], partitioning.indicator(queries[i], thresholds[i])
+                )
 
+    def test_one_query_is_monotone_and_permutes_exactly(self, tiny_face_dataset, rng):
         partitioning = build_partitioning(
             "ct", tiny_face_dataset.vectors, num_partitions=3,
             distance=get_distance("cosine"), seed=0,
         )
-        queries = tiny_face_dataset.vectors[rng.integers(0, 600, size=32)]
-        thresholds = rng.uniform(0.0, 0.6, size=32)
+        query = tiny_face_dataset.vectors[7]
+        thresholds = np.sort(rng.uniform(0.0, 0.6, size=64))
+        queries = np.repeat(query[None, :], len(thresholds), axis=0)
         batch = partitioning.indicator_batch(queries, thresholds)
-        for i in range(len(queries)):
-            np.testing.assert_array_equal(
-                batch[i], partitioning.indicator(queries[i], thresholds[i])
+        assert 0.0 < batch.mean() < 1.0
+        assert np.all(np.diff(batch, axis=0) >= 0.0)
+        order = rng.permutation(len(thresholds))
+        np.testing.assert_array_equal(
+            partitioning.indicator_batch(queries[order], thresholds[order]), batch[order]
+        )
+        np.testing.assert_array_equal(
+            partitioning.indicator_grid(query[None, :], thresholds)[0], batch
+        )
+
+
+# ---------------------------------------------------------------------- #
+# Per-distinct-query evaluation
+# ---------------------------------------------------------------------- #
+class TestDistinctQueryEvaluation:
+    def test_distinct_rows_groups_adjacent_runs_by_bytes(self):
+        rows = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 1.0], [-0.0, 1.0], [1.0, 2.0]])
+        first, inverse = distinct_rows(rows)
+        assert first.tolist() == [0, 2, 3, 4]
+        assert inverse.tolist() == [0, 0, 1, 2, 3]
+        np.testing.assert_array_equal(rows[first][inverse], rows)
+        unique = rows[1:4]
+        first, inverse = distinct_rows(unique)
+        assert first.tolist() == inverse.tolist() == [0, 1, 2]
+        assert take_rows(unique, first) is unique and take_rows(unique, inverse) is unique
+
+    @pytest.mark.parametrize("name", ["selnet", "selnet-ct", "selnet-inc"])
+    def test_one_query_is_monotone_within_a_call(self, name, tiny_cosine_split, rng):
+        """Lemma 1 bit for bit: all of a query's thresholds in one call read
+        one (tau, p) row and one distance per ball, in graph mode and in the
+        compiled kernel, and for selnet-inc after a fine-tuning update."""
+        queries = tiny_cosine_split.test.queries
+        if name == "selnet-inc":
+            estimator = _fit(
+                name, tiny_cosine_split, update_max_epochs=1, update_mae_drift_threshold=-1.0
             )
+            reports = estimator.update(inserts=rng.standard_normal((3, queries.shape[1])))
+            assert reports[0].retrained
+        else:
+            estimator = _fit(name, tiny_cosine_split)
+        thresholds = np.sort(rng.uniform(0.0, 1.1 * tiny_cosine_split.t_max, size=200))
+        kernel = estimator.compiled()
+        for query in queries[::10]:
+            rows = np.repeat(query[None, :], len(thresholds), axis=0)
+            graph = np.asarray(estimator.estimate(rows, thresholds))
+            assert np.all(np.diff(graph) >= 0.0)
+            np.testing.assert_array_equal(kernel.predict(rows, thresholds), graph)
+
+    @pytest.mark.parametrize("name", ["selnet", "selnet-ct"])
+    def test_distinct_rows_match_the_per_row_forward(self, name, tiny_cosine_split):
+        """With no repeated rows, predict is the per-row forward bit for bit."""
+        estimator = _fit(name, tiny_cosine_split)
+        model = estimator.model
+        width = 10  # thresholds per query in the fixture's workload
+        queries = tiny_cosine_split.test.queries[::width]
+        thresholds = tiny_cosine_split.test.thresholds[width // 2 :: width]
+        assert len(distinct_rows(queries)[0]) == len(queries)
+        with no_grad():
+            if name == "selnet":
+                indicators = model.partitioning.indicator_batch(queries, thresholds)
+                output = model.forward(Tensor(queries), thresholds, indicators)
+            else:
+                output = model.forward(Tensor(queries), thresholds)
+        expected = np.clip(output.data, 0.0, None)
+        np.testing.assert_array_equal(estimator.estimate(queries, thresholds), expected)
+        np.testing.assert_array_equal(estimator.compiled().predict(queries, thresholds), expected)
+
+    @pytest.mark.parametrize("name", ["selnet", "selnet-ct"])
+    def test_curve_values_of_repeated_queries_are_gathered(self, name, tiny_cosine_split):
+        kernel = _fit(name, tiny_cosine_split).compiled()
+        queries = tiny_cosine_split.test.queries[::10]
+        grid = np.linspace(0.0, float(tiny_cosine_split.t_max), 9)
+        np.testing.assert_array_equal(
+            kernel.curve_values(np.repeat(queries, 3, axis=0), grid),
+            np.repeat(kernel.curve_values(queries, grid), 3, axis=0),
+        )
 
 
 # ---------------------------------------------------------------------- #
