@@ -2,11 +2,11 @@
 
 Every benchmark regenerates one table or figure of the paper.  The scale is
 selected with the ``REPRO_BENCH_SCALE`` environment variable (``tiny``,
-``small`` — the default — or ``medium``); see DESIGN.md for what each scale
-means.  Each benchmark runs its experiment exactly once (``rounds=1``) —
-the experiments are full train-and-evaluate loops, not micro-benchmarks —
-and writes the reproduced table to ``benchmarks/results/`` in addition to
-printing it.
+``small`` — the default — or ``medium``); see :mod:`repro.experiments.scale`
+for what each scale means.  Each benchmark runs its experiment exactly once
+(``rounds=1``) — the experiments are full train-and-evaluate loops, not
+micro-benchmarks — and writes the reproduced table to
+``benchmarks/results/`` in addition to printing it.
 """
 
 from __future__ import annotations

@@ -30,8 +30,7 @@ Serving (micro-batching + LRU selectivity-curve cache)::
     print(service.stats()["cache"]["hit_rate"])
 
 Sharded serving (consistent-hash routing, scatter–gather, admission
-control — see :mod:`repro.cluster`) with scenario-driven traffic
-(:mod:`repro.workloads`)::
+control — see :mod:`repro.cluster`)::
 
     from repro.cluster import ClusterConfig, EstimationCluster
 

@@ -4,8 +4,10 @@ Each benchmark writes its own JSON artifact (``BENCH_inference.json``,
 ``BENCH_net.json``, ``BENCH_oracle.json``, ``BENCH_pipeline.json``) with its
 own schema.  ``repro bench-report`` reads whatever subset is present and
 renders one performance-trajectory table — the quick answer to "where does
-the stack stand right now" without opening four JSON files.  The
-``benchmarks/bench_report.py`` script is a thin wrapper over this module.
+the stack stand right now" without opening four JSON files.  Each section
+shows the worst case next to the best: the slowest speedup per precision
+tier, every transport batch size, the load a knee was *not* sustained at,
+and every pipeline executor's cold time.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ def collect_bench_reports(root: PathLike = ".") -> Dict[str, Dict[str, Any]]:
     return reports
 
 
-def _fmt(value: float, digits: int = 2) -> str:
-    return f"{value:,.{digits}f}"
+def _speedup_at(row: Dict[str, Any]) -> str:
+    return f"{row['speedup']:.2f}x {row.get('estimator', '?')} @{row.get('batch_size', '?')}"
 
 
 def _inference_lines(data: Dict[str, Any]) -> List[str]:
@@ -46,7 +48,7 @@ def _inference_lines(data: Dict[str, Any]) -> List[str]:
     if not rows:
         return ["  (no rows)"]
     lines = [
-        f"  {'dtype':<8} {'best speedup':>12} {'best rows/s':>14} "
+        f"  {'dtype':<8} {'best speedup':<24} {'worst speedup':<24} {'best rows/s':>12} "
         f"{'max |dev|':>10} {'max rel dev':>12}"
     ]
     tiers: List[str] = []
@@ -56,30 +58,57 @@ def _inference_lines(data: Dict[str, Any]) -> List[str]:
             tiers.append(tier)
     for tier in tiers:
         tier_rows = [row for row in rows if row.get("dtype", "float64") == tier]
+        best = max(tier_rows, key=lambda row: row["speedup"])
+        worst = min(tier_rows, key=lambda row: row["speedup"])
         lines.append(
-            f"  {tier:<8} "
-            f"{max(row['speedup'] for row in tier_rows):>11.2f}x "
-            f"{max(row['compiled_rows_per_second'] for row in tier_rows):>14,.0f} "
+            f"  {tier:<8} {_speedup_at(best):<24} {_speedup_at(worst):<24} "
+            f"{max(row['compiled_rows_per_second'] for row in tier_rows):>12,.0f} "
             f"{max(row['max_abs_deviation'] for row in tier_rows):>10.2e} "
             f"{max(row.get('max_rel_deviation', 0.0) for row in tier_rows):>12.2e}"
         )
     return lines
 
 
+def _knee_bracket(scenario: Dict[str, Any]) -> str:
+    """The knee as the offered-load grid resolves it: sustained at one load, not the next."""
+    knee = scenario["knee_rps"]
+    points = sorted(scenario.get("points", []), key=lambda point: point["offered_rps"])
+    if not points:
+        return f"knee {knee:,.0f} rps"
+    if not any(point["offered_rps"] == knee for point in points):
+        lowest = points[0]
+        return (
+            f"knee below the grid: not {lowest['offered_rps']:,.0f} "
+            f"(achieved {lowest['achieved_rps']:,.0f})"
+        )
+    above = [point for point in points if point["offered_rps"] > knee]
+    if not above:
+        return f"knee sustained {knee:,.0f}, the top of the grid"
+    return (
+        f"knee sustained {knee:,.0f}, not {above[0]['offered_rps']:,.0f} "
+        f"(achieved {above[0]['achieved_rps']:,.0f})"
+    )
+
+
 def _net_lines(data: Dict[str, Any]) -> List[str]:
     lines: List[str] = []
     for scenario in data.get("scenarios", []):
         lines.append(
-            f"  {scenario['scenario']:<14} knee {scenario['knee_rps']:>10,.0f} rps   "
-            f"peak {scenario['peak_achieved_rps']:>10,.0f} rps   "
+            f"  {scenario['scenario']:<14} {_knee_bracket(scenario):<52} "
+            f"peak {scenario['peak_achieved_rps']:>8,.0f} rps   "
             f"final shards {scenario.get('final_shards', '?')}"
         )
     transport = data.get("transport_roundtrip")
     if transport:
-        speedups = transport.get("speedup_process_over_network", {})
-        if speedups:
-            best = max(speedups.values())
-            lines.append(f"  transport      shm beats pickling up to {best:.2f}x per round trip")
+        shm_ms = transport["network"]["median_roundtrip_ms"]
+        pickled_ms = transport["process"]["median_roundtrip_ms"]
+        speedups = transport["speedup_process_over_network"]
+        for batch in sorted(speedups, key=int):
+            winner = "shm" if speedups[batch] > 1.0 else "pickling"
+            lines.append(
+                f"  transport      batch {int(batch):>4}: shm {shm_ms[batch]:.2f} ms vs "
+                f"pickling {pickled_ms[batch]:.2f} ms, shm {speedups[batch]:.2f}x ({winner} wins)"
+            )
     density = data.get("cache_density")
     if density:
         lines.append(
@@ -123,6 +152,22 @@ def _pipeline_lines(data: Dict[str, Any]) -> List[str]:
             f"({data.get('speedup_warm_over_cold', 0.0):.1f}x, "
             f"{len(data.get('metadata', {}).get('models', []))} models)"
         )
+    backends = data.get("backends", {})
+    executors = data.get("metadata", {}).get("executors") or sorted(backends)
+    executors = [executor for executor in executors if executor in backends]
+    if executors:
+        reference = executors[0]
+        reference_cold = backends[reference]["cold"]["elapsed_seconds"]
+        for executor in executors:
+            runs = backends[executor]
+            cold = runs["cold"]["elapsed_seconds"]
+            ratio = (
+                "" if executor == reference else f"  ({reference_cold / cold:.2f}x of {reference})"
+            )
+            lines.append(
+                f"  executor {executor:<8} cold {cold:.2f}s  "
+                f"warm {runs['warm']['elapsed_seconds']:.2f}s{ratio}"
+            )
     return lines or ["  (no runs)"]
 
 

@@ -16,10 +16,8 @@ Usage::
     repro models                                # the estimator registry
     repro train selnet --setting face-cos --scale tiny --out models/selnet-faces
     repro estimate models/selnet-faces          # evaluate a saved estimator
-    repro serve-bench models/selnet-faces --requests 2000 --scenario zipfian
     repro infer-bench models/selnet-faces --output BENCH_inference.json
     repro oracle-bench --n 50000 --dim 128 --num-workers 4 --output BENCH_oracle.json
-    repro cluster-bench models/selnet-faces --shards 4    # sharded serving tier
 
     repro serve --from-store .repro-artifacts --port 8585 --autoscale
     repro saturate models/selnet-faces --output BENCH_net.json
@@ -417,49 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     estimate_parser.add_argument("--scale", default=None, help="override the recorded scale")
     estimate_parser.add_argument("--seed", type=int, default=None, help="override the recorded seed")
 
-    bench_parser = subparsers.add_parser(
-        "serve-bench",
-        help="benchmark the serving layer against a saved estimator",
-        parents=[engine(), seed0()],
-    )
-    bench_parser.add_argument("model", help="path to a saved estimator directory")
-    bench_parser.add_argument("--requests", type=int, default=2000)
-    bench_parser.add_argument("--arrival-batch", type=int, default=32)
-    bench_parser.add_argument("--cache-size", type=int, default=256)
-    bench_parser.add_argument("--curve-points", type=int, default=64)
-    bench_parser.add_argument("--max-batch-size", type=int, default=256)
-    bench_parser.add_argument(
-        "--cache-key-decimals",
-        type=int,
-        default=10,
-        help="query-coordinate rounding inside cache keys",
-    )
-    bench_parser.add_argument(
-        "--scenario",
-        default=None,
-        help="traffic scenario (see repro.workloads); default: the legacy hot-set stream",
-    )
-    bench_parser.add_argument(
-        "--pool",
-        choices=("test", "all"),
-        default="test",
-        help="request pool: the test fold or every workload fold",
-    )
-    bench_parser.add_argument("--no-cache", action="store_true", help="bypass the curve cache")
-    bench_parser.add_argument(
-        "--from-store",
-        default=None,
-        metavar="DIR",
-        help="treat MODEL as a model name inside this artifact store's train/ "
-        "namespace and rebuild its workload from the recorded pipeline spec",
-    )
-    bench_parser.add_argument(
-        "--stats-json",
-        default=None,
-        metavar="PATH",
-        help="also write the full benchmark report as JSON",
-    )
-
     infer_parser = subparsers.add_parser(
         "infer-bench",
         help="benchmark compiled (pure-NumPy) vs graph (autodiff) inference",
@@ -542,77 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--smoke",
         action="store_true",
         help="quick CI mode: small database (the exact-parity gate is always asserted)",
-    )
-
-    cluster_parser = subparsers.add_parser(
-        "cluster-bench",
-        help="benchmark the sharded estimation cluster against a saved estimator",
-        parents=[engine(), seed0()],
-    )
-    cluster_parser.add_argument("model", help="path to a saved estimator directory")
-    cluster_parser.add_argument("--shards", type=int, default=2, help="number of worker shards")
-    cluster_parser.add_argument(
-        "--backend",
-        choices=("inline", "process", "network"),
-        default="inline",
-        help="inline (in-process shards), process (one worker process per "
-        "shard) or network (process shards over shared-memory transport)",
-    )
-    cluster_parser.add_argument(
-        "--replication", type=int, default=1, help="replica set size per (model, query) key"
-    )
-    cluster_parser.add_argument("--requests", type=int, default=2000)
-    cluster_parser.add_argument("--arrival-batch", type=int, default=32)
-    cluster_parser.add_argument(
-        "--scenario", default="zipfian", help="traffic scenario (see repro.workloads)"
-    )
-    cluster_parser.add_argument(
-        "--pool",
-        choices=("test", "all"),
-        default="all",
-        help="request pool: the test fold or every workload fold",
-    )
-    cluster_parser.add_argument(
-        "--cache-size", type=int, default=16, help="curve-cache capacity per shard"
-    )
-    cluster_parser.add_argument("--curve-points", type=int, default=64)
-    cluster_parser.add_argument("--max-batch-size", type=int, default=256)
-    cluster_parser.add_argument(
-        "--cache-key-decimals",
-        type=int,
-        default=10,
-        help="query-coordinate rounding for routing and cache keys",
-    )
-    cluster_parser.add_argument(
-        "--queue-capacity", type=int, default=8, help="bounded per-shard queue size"
-    )
-    cluster_parser.add_argument(
-        "--policy",
-        choices=("block", "shed"),
-        default="block",
-        help="admission control when a shard queue is full",
-    )
-    cluster_parser.add_argument(
-        "--pipeline-depth", type=int, default=4, help="outstanding arrival batches"
-    )
-    cluster_parser.add_argument("--no-cache", action="store_true", help="bypass the curve caches")
-    cluster_parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="skip the single-process serve-bench comparison run",
-    )
-    cluster_parser.add_argument(
-        "--from-store",
-        default=None,
-        metavar="DIR",
-        help="treat MODEL as a model name inside this artifact store's train/ "
-        "namespace and rebuild its workload from the recorded pipeline spec",
-    )
-    cluster_parser.add_argument(
-        "--stats-json",
-        default=None,
-        metavar="PATH",
-        help="also write the full benchmark report as JSON",
     )
 
     serve_parser = subparsers.add_parser(
@@ -1374,38 +1258,6 @@ def _write_stats_json(path: str, payload) -> None:
     print(f"wrote {target}")
 
 
-def _cmd_serve_bench(args) -> int:
-    from .serving import EstimationService, run_serving_benchmark
-
-    model_path, split = _resolve_bench_model(args)
-    queries, thresholds = _bench_pool(split, args.pool)
-
-    service = EstimationService(
-        model_path.parent,
-        cache_capacity=args.cache_size,
-        curve_resolution=args.curve_points,
-        max_batch_size=args.max_batch_size,
-        cache_key_decimals=args.cache_key_decimals,
-    )
-    report = run_serving_benchmark(
-        service,
-        model_path.name,
-        queries,
-        thresholds,
-        num_requests=args.requests,
-        arrival_batch=args.arrival_batch,
-        use_cache=not args.no_cache,
-        seed=args.seed,
-        scenario=args.scenario,
-    )
-    print(report.text)
-    if args.stats_json:
-        import dataclasses
-
-        _write_stats_json(args.stats_json, dataclasses.asdict(report))
-    return 0
-
-
 def _cmd_infer_bench(args) -> int:
     from .estimator import SelectivityEstimator
     from .inference import (
@@ -1530,81 +1382,6 @@ def _cmd_oracle_bench(args) -> int:
                 f"speedup regression: workload-generation {speedup:.2f}x "
                 f"< required {args.min_speedup:.2f}x"
             )
-    return 0
-
-
-def _cmd_cluster_bench(args) -> int:
-    from .cluster import ClusterConfig, EstimationCluster, run_cluster_benchmark
-    from .serving import EstimationService, run_serving_benchmark
-
-    model_path, split = _resolve_bench_model(args)
-    queries, thresholds = _bench_pool(split, args.pool)
-
-    config = ClusterConfig(
-        num_shards=args.shards,
-        model_dir=model_path.parent,
-        backend=args.backend,
-        replication_factor=args.replication,
-        queue_capacity=args.queue_capacity,
-        overload_policy=args.policy,
-        cache_capacity=args.cache_size,
-        curve_resolution=args.curve_points,
-        max_batch_size=args.max_batch_size,
-        cache_key_decimals=args.cache_key_decimals,
-    )
-    with EstimationCluster(config) as cluster:
-        report = run_cluster_benchmark(
-            cluster,
-            model_path.name,
-            queries,
-            thresholds,
-            num_requests=args.requests,
-            arrival_batch=args.arrival_batch,
-            scenario=args.scenario,
-            use_cache=not args.no_cache,
-            pipeline_depth=args.pipeline_depth,
-            seed=args.seed,
-        )
-    print(report.text)
-
-    baseline = None
-    if not args.no_baseline:
-        # The same stream against one process with one shard's resources:
-        # the honest single-node comparison for the per-shard settings above.
-        service = EstimationService(
-            model_path.parent,
-            cache_capacity=args.cache_size,
-            curve_resolution=args.curve_points,
-            max_batch_size=args.max_batch_size,
-            cache_key_decimals=args.cache_key_decimals,
-        )
-        baseline = run_serving_benchmark(
-            service,
-            model_path.name,
-            queries,
-            thresholds,
-            num_requests=args.requests,
-            arrival_batch=args.arrival_batch,
-            use_cache=not args.no_cache,
-            seed=args.seed,
-            scenario=args.scenario,
-        )
-        speedup = report.requests_per_second / max(baseline.requests_per_second, 1e-12)
-        print(
-            f"  baseline (1 proc) : {baseline.requests_per_second:>10.1f} requests/s "
-            f"(cache hit rate {100.0 * baseline.cache_hit_rate:.1f} %)"
-        )
-        print(f"  cluster speedup   : {speedup:>10.2f} x over single-process serve-bench")
-    if args.stats_json:
-        import dataclasses
-
-        _write_stats_json(
-            args.stats_json,
-            {
-                "cluster": dataclasses.asdict(report),
-                "baseline": None if baseline is None else dataclasses.asdict(baseline),
-            },
-        )
     return 0
 
 
@@ -1914,14 +1691,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_train(args)
     if args.command == "estimate":
         return _cmd_estimate(args)
-    if args.command == "serve-bench":
-        return _cmd_serve_bench(args)
     if args.command == "infer-bench":
         return _cmd_infer_bench(args)
     if args.command == "oracle-bench":
         return _cmd_oracle_bench(args)
-    if args.command == "cluster-bench":
-        return _cmd_cluster_bench(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "saturate":

@@ -8,9 +8,6 @@ See :class:`EstimationCluster` for the entry point::
                                          backend="process")) as cluster:
         cluster.estimate("selnet-faces", queries, thresholds)
         print(cluster.stats()["per_shard"])
-
-``repro cluster-bench`` drives :func:`run_cluster_benchmark` against this
-tier with the scenarios of :mod:`repro.workloads`.
 """
 
 from .backends import (
@@ -20,7 +17,6 @@ from .backends import (
     ShardFuture,
     register_backend,
 )
-from .bench import ClusterBenchmarkReport, run_cluster_benchmark
 from .cluster import (
     OVERLOAD_POLICIES,
     ClusterClosedError,
@@ -44,6 +40,4 @@ __all__ = [
     "ProcessShardBackend",
     "BACKENDS",
     "register_backend",
-    "ClusterBenchmarkReport",
-    "run_cluster_benchmark",
 ]

@@ -117,8 +117,8 @@ def geometric_selectivity_targets(
     synthetic datasets of this reproduction the same fraction would cap
     selectivity at a few dozen, flattening the very dynamic range the
     estimators are supposed to cope with — so experiment scales may raise the
-    fraction to preserve the multi-order-of-magnitude span (documented in
-    DESIGN.md as a scale substitution).
+    fraction to preserve the multi-order-of-magnitude span (each scale's
+    ``max_selectivity_fraction`` is set in :mod:`repro.experiments.scale`).
     """
     upper = max(num_objects * max_selectivity_fraction, 2.0)
     return np.geomspace(1.0, upper, num=num_thresholds)

@@ -37,7 +37,8 @@ class ExperimentScale:
     thresholds_per_query: int
     #: upper end of the geometric selectivity targets as a fraction of |D|;
     #: larger than the paper's 1/100 so the small synthetic datasets keep a
-    #: multi-order-of-magnitude selectivity range (see DESIGN.md)
+    #: multi-order-of-magnitude selectivity range (see
+    #: :func:`repro.data.workload.geometric_selectivity_targets`)
     max_selectivity_fraction: float
     selnet_epochs: int
     selnet_pretrain_epochs: int

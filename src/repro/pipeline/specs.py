@@ -518,7 +518,7 @@ def spec_from_canonical(payload: Any) -> Any:
     (``pipeline_spec`` in the metadata) — so a saved model is enough to
     reconstruct the exact :class:`WorkloadSpec` it was fitted on and
     regenerate (or cache-hit) its workload, which is what
-    ``repro serve-bench --from-store`` / ``cluster-bench --from-store`` do.
+    ``repro saturate --from-store`` does.
     Lists become tuples (specs are frozen/hashable); non-spec values pass
     through unchanged.
     """

@@ -8,24 +8,16 @@ See :class:`EstimationService` for the entry point::
     service.estimate("selnet-faces", queries, thresholds)
 """
 
-from .batching import MicroBatch, MicroBatcher, iter_microbatches
+from .batching import MicroBatch, iter_microbatches
 from .cache import CachedCurve, CurveCache, query_cache_key
-from .service import (
-    EstimationService,
-    ModelStats,
-    ServingBenchmarkReport,
-    run_serving_benchmark,
-)
+from .service import EstimationService, ModelStats
 
 __all__ = [
     "EstimationService",
     "ModelStats",
-    "ServingBenchmarkReport",
-    "run_serving_benchmark",
     "CurveCache",
     "CachedCurve",
     "query_cache_key",
     "MicroBatch",
-    "MicroBatcher",
     "iter_microbatches",
 ]

@@ -10,7 +10,7 @@ latency while keeping the throughput of batched evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Tuple
+from typing import Iterator
 
 import numpy as np
 
@@ -37,7 +37,7 @@ def iter_microbatches(
     An empty request batch (zero queries and zero thresholds — whether the
     queries arrive as ``(0,)`` or ``(0, dim)``) yields no micro-batches
     instead of tripping the shape validation: serving layers route whatever
-    the traffic generator hands them, and an idle tick is not an error.
+    a client sends, and an empty request is not an error.
     """
     queries = np.asarray(queries, dtype=np.float64)
     thresholds = np.asarray(thresholds, dtype=np.float64)
@@ -60,54 +60,3 @@ def iter_microbatches(
             positions=np.arange(start, stop),
         )
 
-
-class MicroBatcher:
-    """Accumulates single requests and flushes them as one batched call.
-
-    Synchronous analogue of a request-queue batcher: callers ``submit``
-    individual (query, threshold) pairs and receive a ticket; ``flush``
-    evaluates everything in one vectorised call (split into micro-batches)
-    and returns the results in submission order.  The batcher auto-flushes
-    into ``results`` whenever ``max_batch_size`` requests are pending.
-    """
-
-    def __init__(
-        self,
-        estimate_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        max_batch_size: int = 256,
-    ) -> None:
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be at least 1")
-        self._estimate_fn = estimate_fn
-        self.max_batch_size = max_batch_size
-        self._pending: List[Tuple[np.ndarray, float]] = []
-        self._results: List[float] = []
-        self.batches_flushed = 0
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def submit(self, query: np.ndarray, threshold: float) -> int:
-        """Queue one request; returns its ticket (position in the results)."""
-        ticket = len(self._results) + len(self._pending)
-        self._pending.append((np.asarray(query, dtype=np.float64), float(threshold)))
-        if len(self._pending) >= self.max_batch_size:
-            self._flush_pending()
-        return ticket
-
-    def _flush_pending(self) -> None:
-        if not self._pending:
-            return
-        queries = np.stack([query for query, _ in self._pending])
-        thresholds = np.asarray([threshold for _, threshold in self._pending])
-        values = np.asarray(self._estimate_fn(queries, thresholds), dtype=np.float64)
-        self._results.extend(float(v) for v in values)
-        self._pending.clear()
-        self.batches_flushed += 1
-
-    def flush(self) -> np.ndarray:
-        """Evaluate any pending requests and return all results so far."""
-        self._flush_pending()
-        out = np.asarray(self._results, dtype=np.float64)
-        self._results = []
-        return out

@@ -18,15 +18,11 @@
   statistics are tracked for observability;
 * data updates are routed to estimators that support them, invalidating the
   model's cached curves and recompiling the model's kernel.
-
-The ``repro serve-bench`` CLI subcommand drives
-:func:`run_serving_benchmark` against this facade.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -36,7 +32,6 @@ from ..estimator import SelectivityEstimator
 from ..obs import MetricsRegistry
 from ..obs import trace as obstrace
 from ..persistence import SIDECAR_FILE, load_estimator, read_metadata
-from ..workloads import EstimateEvent, Scenario, TrafficGenerator, UpdateEvent
 from .batching import iter_microbatches
 from .cache import DEFAULT_KEY_DECIMALS, CachedCurve, CurveCache
 
@@ -609,201 +604,3 @@ class EstimationService:
             "metrics": self.metrics.snapshot().as_dict(),
         }
 
-
-# ---------------------------------------------------------------------- #
-# Serving benchmark (the `repro serve-bench` subcommand)
-# ---------------------------------------------------------------------- #
-@dataclass
-class ServingBenchmarkReport:
-    """Results of one serving benchmark run against one model."""
-
-    model: str
-    num_requests: int
-    arrival_batch: int
-    use_cache: bool
-    elapsed_seconds: float
-    requests_per_second: float
-    mean_batch_latency_ms: float
-    p50_batch_latency_ms: float
-    p95_batch_latency_ms: float
-    cache_hit_rate: float
-    max_interpolation_error: float
-    stats: Dict[str, Any] = field(default_factory=dict)
-    scenario: Optional[str] = None
-    updates_applied: int = 0
-    updates_skipped: int = 0
-
-    @property
-    def text(self) -> str:
-        scenario = f" scenario={self.scenario}" if self.scenario else ""
-        lines = [
-            f"serve-bench: model={self.model} requests={self.num_requests} "
-            f"arrival_batch={self.arrival_batch} cache={'on' if self.use_cache else 'off'}"
-            f"{scenario}",
-            f"  throughput        : {self.requests_per_second:>10.1f} requests/s "
-            f"({self.elapsed_seconds:.3f} s total)",
-            f"  batch latency (ms): mean {self.mean_batch_latency_ms:.2f}  "
-            f"p50 {self.p50_batch_latency_ms:.2f}  p95 {self.p95_batch_latency_ms:.2f}",
-            f"  cache hit rate    : {100.0 * self.cache_hit_rate:>6.1f} %",
-            (
-                "  max curve error   :    n/a (model changed by mid-stream updates)"
-                if np.isnan(self.max_interpolation_error)
-                else f"  max curve error   : {100.0 * self.max_interpolation_error:>6.2f} % "
-                "(cached-curve vs direct estimate)"
-            ),
-        ]
-        if self.updates_applied or self.updates_skipped:
-            lines.append(
-                f"  data updates      : {self.updates_applied} applied, "
-                f"{self.updates_skipped} skipped (model lacks update support)"
-            )
-        return "\n".join(lines)
-
-
-def run_serving_benchmark(
-    service: EstimationService,
-    model: str,
-    queries: np.ndarray,
-    thresholds: np.ndarray,
-    num_requests: int = 2000,
-    arrival_batch: int = 32,
-    hot_fraction: float = 0.1,
-    hot_probability: float = 0.7,
-    use_cache: bool = True,
-    seed: int = 0,
-    scenario: Optional[Union[str, "Scenario"]] = None,
-) -> ServingBenchmarkReport:
-    """Replay a request stream against the service and measure it.
-
-    With ``scenario=None`` requests are sampled from the provided
-    (query, threshold) pool with a hot set: ``hot_probability`` of the
-    traffic goes to the ``hot_fraction`` most popular rows — the reuse
-    pattern that makes the selectivity-curve cache pay off.
-
-    Alternatively ``scenario`` names a :mod:`repro.workloads.traffic`
-    scenario (``uniform``, ``zipfian``, ``bursty``, ``update-heavy``,
-    ``drifting``); the seeded :class:`~repro.workloads.TrafficGenerator`
-    then shapes arrivals, popularity and interleaved data updates, and the
-    exact same event stream can be replayed against a sharded cluster for
-    apples-to-apples throughput comparisons.
-    """
-    queries = np.asarray(queries, dtype=np.float64)
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    pool_size = len(thresholds)
-
-    # Counters are cumulative per service; remember where this run starts so
-    # the report describes exactly this benchmark's traffic even when several
-    # benchmarks share one service (e.g. cache-on vs cache-off comparisons).
-    counters_before = dict(service.stats()["per_model"].get(model, {}))
-
-    scenario_name: Optional[str] = None
-    if scenario is None:
-        # Legacy hot-set stream, kept inline (not expressed as a "hotset"
-        # Scenario) so the exact per-seed RNG draw order — and therefore
-        # every recorded pre-scenario benchmark number — stays bit-stable.
-        rng = np.random.default_rng(seed)
-        hot_size = max(int(hot_fraction * pool_size), 1)
-        choices = np.where(
-            rng.random(num_requests) < hot_probability,
-            rng.integers(0, hot_size, size=num_requests),
-            rng.integers(0, pool_size, size=num_requests),
-        )
-        events: List[Any] = [
-            EstimateEvent(indices=choices[begin : begin + arrival_batch])
-            for begin in range(0, num_requests, arrival_batch)
-        ]
-    else:
-        generator = TrafficGenerator(
-            scenario, pool_size=pool_size, seed=seed, insert_dim=queries.shape[1]
-        )
-        scenario_name = generator.scenario.name
-        events = generator.materialize(num_requests, arrival_batch)
-
-    supports_updates = service.get(model).supports_updates
-    updates_applied = 0
-    updates_skipped = 0
-    latencies: List[float] = []
-    served = np.empty(num_requests, dtype=np.float64)
-    choice_chunks: List[np.ndarray] = []
-    cursor = 0
-    start = time.perf_counter()
-    for event in events:
-        if isinstance(event, UpdateEvent):
-            if supports_updates:
-                service.update(model, inserts=event.inserts, deletes=event.deletes)
-                updates_applied += 1
-            else:
-                updates_skipped += 1
-            continue
-        index = event.indices
-        if len(index) == 0:
-            continue
-        choice_chunks.append(index)
-        tick = time.perf_counter()
-        served[cursor : cursor + len(index)] = service.estimate(
-            model, queries[index], thresholds[index], use_cache=use_cache
-        )
-        latencies.append(1000.0 * (time.perf_counter() - tick))
-        cursor += len(index)
-    elapsed = time.perf_counter() - start
-    choices = (
-        np.concatenate(choice_chunks) if choice_chunks else np.empty(0, dtype=np.int64)
-    )
-    # Snapshot before the verification pass and subtract the pre-run counters
-    # so the embedded stats describe exactly this benchmark's traffic.
-    stats_snapshot = service.stats()
-    model_stats = dict(stats_snapshot["per_model"].get(model, {}))
-    for key in (
-        "requests",
-        "batches",
-        "cache_hits",
-        "cache_misses",
-        "curve_builds",
-        "updates",
-        "total_estimate_seconds",
-    ):
-        model_stats[key] = model_stats.get(key, 0) - counters_before.get(key, 0)
-    run_cache_total = model_stats["cache_hits"] + model_stats["cache_misses"]
-    model_stats["cache_hit_rate"] = (
-        model_stats["cache_hits"] / run_cache_total if run_cache_total else 0.0
-    )
-    model_stats["mean_latency_ms_per_request"] = (
-        1000.0 * model_stats["total_estimate_seconds"] / model_stats["requests"]
-        if model_stats["requests"]
-        else 0.0
-    )
-    stats_snapshot["per_model"][model] = model_stats
-
-    # Accuracy of the cached-curve interpolation against direct evaluation,
-    # checked on a sample of the stream (straight through the estimator, so
-    # the verification traffic does not pollute the service stats).  Once
-    # mid-stream updates changed the model, early served values reflect the
-    # pre-update state and the comparison would conflate model drift with
-    # interpolation error — reported as NaN ("n/a") instead.
-    sample = choices[: min(256, num_requests)]
-    if updates_applied or not len(sample):
-        max_error = float("nan") if updates_applied else 0.0
-    else:
-        direct = service.get(model).estimate(queries[sample], thresholds[sample])
-        sampled_served = served[: len(sample)]
-        scale = np.maximum(np.abs(direct), 1.0)
-        max_error = float(np.max(np.abs(sampled_served - direct) / scale))
-
-    latencies_array = np.asarray(latencies) if latencies else np.zeros(1)
-    return ServingBenchmarkReport(
-        model=model,
-        num_requests=num_requests,
-        arrival_batch=arrival_batch,
-        use_cache=use_cache,
-        elapsed_seconds=elapsed,
-        requests_per_second=num_requests / elapsed if elapsed > 0 else float("inf"),
-        mean_batch_latency_ms=float(latencies_array.mean()),
-        p50_batch_latency_ms=float(np.percentile(latencies_array, 50)),
-        p95_batch_latency_ms=float(np.percentile(latencies_array, 95)),
-        cache_hit_rate=float(model_stats.get("cache_hit_rate", 0.0)),
-        max_interpolation_error=max_error,
-        stats=stats_snapshot,
-        scenario=scenario_name,
-        updates_applied=updates_applied,
-        updates_skipped=updates_skipped,
-    )

@@ -1,18 +1,18 @@
-"""Tests for the sharded estimation cluster (router, backends, facade, CLI)."""
+"""Tests for the sharded estimation cluster (router, backends, facade)."""
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
 
 from repro import create_estimator
-from repro.cli import main
 from repro.cluster import (
     ClusterConfig,
     ClusterOverloadedError,
     EstimationCluster,
     ShardRouter,
-    run_cluster_benchmark,
 )
 from repro.estimator import UpdateNotSupportedError
 
@@ -94,6 +94,17 @@ class TestShardRouter:
             ShardRouter(num_shards=2, virtual_nodes=0)
 
 
+def _zipf_index_batches(pool_size, num_rows, batch_size, exponent=1.2, seed=1):
+    """Seeded Zipf row indices over a permuted pool, in fixed-size batches."""
+    rng = np.random.default_rng(seed)
+    permutation = rng.permutation(pool_size)
+    weights = np.arange(1, pool_size + 1, dtype=np.float64) ** -exponent
+    cdf = np.cumsum(weights / weights.sum())
+    draws = np.minimum(np.searchsorted(cdf, rng.random(num_rows)), pool_size - 1)
+    indices = permutation[draws]
+    return [indices[start : start + batch_size] for start in range(0, num_rows, batch_size)]
+
+
 class TestEstimationCluster:
     def test_scatter_gather_matches_direct_estimates(self, tiny_cosine_split, fitted_kde):
         queries = tiny_cosine_split.test.queries
@@ -123,6 +134,44 @@ class TestEstimationCluster:
             for entry in active:
                 assert entry["cache"]["hit_rate"] > 0.0
                 assert {"p50_ms", "p95_ms", "p99_ms"} <= set(entry["latency"])
+
+    def test_partitioned_caches_beat_one_process(self, kde_model_dir, tiny_cosine_split):
+        """Sharding multiplies the aggregate curve cache on a zipfian stream.
+
+        Each cache holds fewer curves than the stream's working set, so 4
+        shards with one service's capacity each hit more often than that one
+        service does (deterministic for the seeded stream), and the saved
+        curve rebuilds show up as throughput.
+        """
+        from repro.serving import EstimationService
+
+        queries = tiny_cosine_split.test.queries
+        thresholds = tiny_cosine_split.test.thresholds
+        batches = _zipf_index_batches(len(thresholds), num_rows=800, batch_size=32)
+        capacity = 2
+
+        service = EstimationService(kde_model_dir, cache_capacity=capacity)
+        start = time.perf_counter()
+        for index in batches:
+            service.estimate("kde", queries[index], thresholds[index])
+        service_seconds = time.perf_counter() - start
+        counters = service.stats()["per_model"]["kde"]
+        service_hit_rate = counters["cache_hits"] / (
+            counters["cache_hits"] + counters["cache_misses"]
+        )
+
+        with EstimationCluster(
+            ClusterConfig(num_shards=4, model_dir=kde_model_dir, cache_capacity=capacity)
+        ) as cluster:
+            start = time.perf_counter()
+            for index in batches:
+                cluster.estimate("kde", queries[index], thresholds[index])
+            cluster_seconds = time.perf_counter() - start
+            per_shard = cluster.stats()["per_shard"]
+        hits = sum(entry["cache"]["hits"] for entry in per_shard)
+        misses = sum(entry["cache"]["misses"] for entry in per_shard)
+        assert hits / (hits + misses) > service_hit_rate
+        assert cluster_seconds < service_seconds
 
     def test_disk_backed_shards_load_models_lazily(self, kde_model_dir, tiny_cosine_split):
         queries = tiny_cosine_split.test.queries[:8]
@@ -258,139 +307,3 @@ class TestProcessBackend:
             stats = cluster.stats()
             assert stats["backend"] == "process"
             assert stats["total_requests"] == 12
-
-
-class TestClusterBenchmark:
-    def test_benchmark_reports_required_metrics(self, kde_model_dir, tiny_cosine_split):
-        queries = tiny_cosine_split.test.queries
-        thresholds = tiny_cosine_split.test.thresholds
-        with EstimationCluster(
-            ClusterConfig(num_shards=2, model_dir=kde_model_dir, cache_capacity=8)
-        ) as cluster:
-            report = run_cluster_benchmark(
-                cluster,
-                "kde",
-                queries,
-                thresholds,
-                num_requests=300,
-                arrival_batch=16,
-                scenario="zipfian",
-                seed=1,
-            )
-        assert report.num_requests == 300
-        assert report.requests_per_second > 0
-        assert report.p50_batch_latency_ms <= report.p95_batch_latency_ms
-        assert report.p95_batch_latency_ms <= report.p99_batch_latency_ms
-        for entry in report.stats["per_shard"]:
-            assert "hit_rate" in entry["cache"]
-            assert "max_queue_depth" in entry
-        text = report.text
-        assert "hit rate" in text and "queue max" in text and "p99 ms" in text
-
-    def test_partitioned_caches_beat_one_process(self, kde_model_dir, tiny_cosine_split):
-        """Acceptance: ≥2 shards outperform single-process serve-bench on zipfian.
-
-        The per-worker cache is sized below the zipfian working set, so the
-        sharded tier's aggregate (partitioned) cache yields a strictly higher
-        hit rate — deterministic for a seeded stream — and the saved curve
-        rebuilds show up as throughput.
-        """
-        from repro.serving import EstimationService, run_serving_benchmark
-
-        queries = tiny_cosine_split.test.queries
-        thresholds = tiny_cosine_split.test.thresholds
-        capacity = 2
-        service = EstimationService(kde_model_dir, cache_capacity=capacity)
-        baseline = run_serving_benchmark(
-            service,
-            "kde",
-            queries,
-            thresholds,
-            num_requests=800,
-            arrival_batch=32,
-            scenario="zipfian",
-            seed=1,
-        )
-        with EstimationCluster(
-            ClusterConfig(num_shards=4, model_dir=kde_model_dir, cache_capacity=capacity)
-        ) as cluster:
-            report = run_cluster_benchmark(
-                cluster,
-                "kde",
-                queries,
-                thresholds,
-                num_requests=800,
-                arrival_batch=32,
-                scenario="zipfian",
-                seed=1,
-            )
-        hits = sum(entry["cache"]["hits"] for entry in report.stats["per_shard"])
-        misses = sum(entry["cache"]["misses"] for entry in report.stats["per_shard"])
-        cluster_hit_rate = hits / (hits + misses)
-        assert cluster_hit_rate > baseline.cache_hit_rate
-        assert report.requests_per_second > baseline.requests_per_second
-
-    def test_update_heavy_scenario_applies_updates(
-        self, tiny_cosine_split, fast_selnet_config
-    ):
-        from dataclasses import asdict
-
-        params = asdict(fast_selnet_config)
-        params.update(epochs=2, update_max_epochs=1, update_mae_drift_threshold=1e9)
-        incremental = create_estimator("selnet-inc", **params).fit(tiny_cosine_split)
-        with EstimationCluster(ClusterConfig(num_shards=2)) as cluster:
-            cluster.add_model("inc", incremental)
-            report = run_cluster_benchmark(
-                cluster,
-                "inc",
-                tiny_cosine_split.test.queries,
-                tiny_cosine_split.test.thresholds,
-                num_requests=200,
-                arrival_batch=16,
-                scenario="update-heavy",
-                seed=0,
-            )
-        assert report.updates_applied > 0
-        assert report.updates_skipped == 0
-
-
-class TestClusterCLI:
-    def test_cluster_bench_command(self, tmp_path, capsys):
-        out_dir = tmp_path / "kde-tiny"
-        assert (
-            main(
-                [
-                    "train",
-                    "kde",
-                    "--setting",
-                    "face-cos",
-                    "--scale",
-                    "tiny",
-                    "--out",
-                    str(out_dir),
-                    "--param",
-                    "num_samples=64",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        exit_code = main(
-            [
-                "cluster-bench",
-                str(out_dir),
-                "--shards",
-                "2",
-                "--requests",
-                "200",
-                "--cache-size",
-                "4",
-                "--seed",
-                "1",
-            ]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "cluster-bench" in out and "shards=2" in out
-        assert "hit rate" in out and "queue max" in out and "p99 ms" in out
-        assert "cluster speedup" in out and "baseline (1 proc)" in out

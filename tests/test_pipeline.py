@@ -640,9 +640,7 @@ class TestPipelineCLI:
             ["run", "smoke"],
             ["train", "kde", "--out", "x"],
             ["oracle-bench"],
-            ["serve-bench", "m"],
             ["infer-bench", "m"],
-            ["cluster-bench", "m"],
         ):
             args = parser.parse_args(argv)
             assert hasattr(args, "num_workers")

@@ -11,9 +11,7 @@ from repro.serving import (
     CachedCurve,
     CurveCache,
     EstimationService,
-    MicroBatcher,
     iter_microbatches,
-    run_serving_benchmark,
 )
 from repro.serving.cache import QuantizedCurve
 
@@ -172,21 +170,6 @@ class TestMicroBatching:
     def test_iter_microbatches_accepts_empty_batches(self, queries):
         assert list(iter_microbatches(queries, np.empty(0), 4)) == []
 
-    def test_microbatcher_flushes_in_submission_order(self):
-        calls = []
-
-        def estimate(queries, thresholds):
-            calls.append(len(thresholds))
-            return thresholds * 10.0
-
-        batcher = MicroBatcher(estimate, max_batch_size=3)
-        for i in range(7):
-            batcher.submit(np.zeros(2), float(i))
-        results = batcher.flush()
-        np.testing.assert_allclose(results, np.arange(7) * 10.0)
-        assert calls == [3, 3, 1]
-        assert batcher.batches_flushed == 3
-
 
 class TestEstimationService:
     def test_lists_and_lazily_loads_models(self, model_dir):
@@ -336,22 +319,6 @@ class TestEstimationService:
         assert service.stats()["per_model"]["inc"]["updates"] == 1
         assert len(service.cache) == 0  # the update invalidated the cached curves
 
-    def test_benchmark_report(self, model_dir, tiny_cosine_split):
-        service = EstimationService(model_dir, cache_capacity=128)
-        report = run_serving_benchmark(
-            service,
-            "kde",
-            tiny_cosine_split.test.queries,
-            tiny_cosine_split.test.thresholds,
-            num_requests=200,
-            arrival_batch=16,
-            seed=1,
-        )
-        assert report.num_requests == 200
-        assert report.requests_per_second > 0
-        assert 0.0 <= report.cache_hit_rate <= 1.0
-        assert "throughput" in report.text and "cache hit rate" in report.text
-
 
 class TestLifecycleCLI:
     def test_models_command(self, capsys):
@@ -367,7 +334,7 @@ class TestLifecycleCLI:
         names = {entry["name"] for entry in payload["registry"]}
         assert "selnet" in names and "lsh" in names
 
-    def test_train_estimate_serve_bench_roundtrip(self, capsys, tmp_path):
+    def test_train_estimate_roundtrip(self, capsys, tmp_path):
         out = tmp_path / "kde-tiny"
         assert (
             main(
@@ -393,10 +360,6 @@ class TestLifecycleCLI:
         assert main(["estimate", str(out)]) == 0
         estimate_output = capsys.readouterr().out
         assert "KDE on face-cos" in estimate_output and "test:" in estimate_output
-
-        assert main(["serve-bench", str(out), "--requests", "100"]) == 0
-        bench_output = capsys.readouterr().out
-        assert "serve-bench" in bench_output and "throughput" in bench_output
 
         assert main(["models", "--dir", str(tmp_path)]) == 0
         assert "kde-tiny" in capsys.readouterr().out
