@@ -189,10 +189,10 @@ def _engine_parent(num_workers_default: Optional[int] = None) -> argparse.Argume
     )
     group.add_argument(
         "--executor",
-        choices=("thread", "process", "cluster"),
+        choices=("thread", "process"),
         default=None,
-        help="pipeline execution backend (default: thread; process/cluster "
-        "run stages in worker processes and need an artifact store)",
+        help="pipeline execution backend (default: thread; process runs "
+        "stages in worker processes and needs an artifact store)",
     )
     return parent
 
@@ -449,16 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     infer_parser.add_argument(
         "--dtype",
         default="float64",
-        help="comma-separated precision tiers to benchmark "
-        "(float64, float32, float16, int8); each is gated on its own budget",
-    )
-    infer_parser.add_argument(
-        "--max-deviation",
-        type=float,
-        default=None,
-        help="override every tier's deviation budget (float64: absolute "
-        "|compiled - graph|; other tiers: relative to the graph answer). "
-        "Default: each tier's committed budget from repro.inference.precision",
+        help="comma-separated precision tiers to benchmark (float64, float32); "
+        "each is gated on its committed budget from repro.inference.precision",
     )
 
     oracle_parser = subparsers.add_parser(
@@ -546,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--kernel-dtype",
-        choices=("float64", "float32", "float16", "int8"),
+        choices=("float64", "float32"),
         default=None,
         help="compiled-kernel precision tier inside every shard (default: float64)",
     )
@@ -563,12 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(8, 16),
         default=None,
         help="store cached curves quantized to this many bits per control point",
-    )
-    serve_parser.add_argument(
-        "--shm-dtype",
-        choices=("float64", "float32"),
-        default="float64",
-        help="wire dtype for shared-memory batch payloads (float32 halves them)",
     )
     serve_parser.add_argument("--min-shards", type=int, default=1)
     serve_parser.add_argument("--max-shards", type=int, default=4)
@@ -741,7 +727,7 @@ def _execute_experiment(runner: Callable, args):
     scale = get_scale(args.scale)
     store = _store_from(args)
     executor = getattr(args, "executor", None)
-    if executor in ("process", "cluster") and store is None:
+    if executor == "process" and store is None:
         raise SystemExit(
             f"error: --executor {executor} coordinates stages through the "
             "artifact store; drop --no-store"
@@ -1262,7 +1248,6 @@ def _cmd_infer_bench(args) -> int:
     from .estimator import SelectivityEstimator
     from .inference import (
         InferenceBenchmarkReport,
-        error_budget,
         parse_tier,
         run_inference_benchmark,
         write_benchmark_json,
@@ -1280,11 +1265,12 @@ def _cmd_infer_bench(args) -> int:
 
     tier_tokens = [token.strip() for token in args.dtype.split(",") if token.strip()]
     try:
-        tiers = [parse_tier(token).name for token in tier_tokens]
+        precisions = [parse_tier(token) for token in tier_tokens]
     except ValueError as error:
         raise SystemExit(str(error))
-    if not tiers:
+    if not precisions:
         raise SystemExit("--dtype names no precision tier")
+    tiers = [precision.name for precision in precisions]
 
     report = InferenceBenchmarkReport(
         metadata={
@@ -1321,16 +1307,16 @@ def _cmd_infer_bench(args) -> int:
         path = write_benchmark_json(report, args.output)
         print(f"wrote {path}")
     # The per-tier budget gate: float64 answers must match the graph to the
-    # absolute bit-parity bound, narrower tiers to their relative budgets.
+    # absolute bit-parity bound, float32 to its relative budget.
     failures = []
-    for tier in tiers:
-        budget = args.max_deviation if args.max_deviation is not None else error_budget(tier)
-        if tier == "float64":
-            deviation = report.max_deviation("float64")
-            line = f"parity: max |compiled - graph| = {deviation:.3e} (<= {budget:.1e})"
-        else:
+    for precision in precisions:
+        tier, budget = precision.name, precision.budget
+        if precision.relative:
             deviation = report.max_relative_deviation(tier)
             line = f"parity[{tier}]: max relative deviation = {deviation:.3e} (<= {budget:.1e})"
+        else:
+            deviation = report.max_deviation(tier)
+            line = f"parity: max |compiled - graph| = {deviation:.3e} (<= {budget:.1e})"
         if deviation > budget:
             failures.append(
                 f"{tier}: deviation {deviation:.3e} exceeds budget {budget:.1e}"
@@ -1428,7 +1414,6 @@ def _cmd_serve(args) -> int:
         kernel_dtype=args.kernel_dtype,
         cache_max_bytes=args.cache_max_bytes,
         cache_quantize_bits=args.cache_quantize_bits,
-        shm_dtype=args.shm_dtype,
     )
     with server:
         host, port = server.http_address
@@ -1439,15 +1424,9 @@ def _cmd_serve(args) -> int:
             print(f"  binary protocol   : {bhost}:{bport}", flush=True)
         print(f"  backend / shards  : {args.backend} x {args.shards}"
               + (f" (autoscale {args.min_shards}-{args.max_shards})" if args.autoscale else ""))
-        if (
-            args.kernel_dtype
-            or args.cache_max_bytes
-            or args.cache_quantize_bits
-            or args.shm_dtype != "float64"
-        ):
+        if args.kernel_dtype or args.cache_max_bytes or args.cache_quantize_bits:
             print(
                 f"  precision         : kernel={args.kernel_dtype or 'float64'} "
-                f"shm={args.shm_dtype} "
                 f"cache_max_bytes={args.cache_max_bytes or 'unbounded'}"
                 + (
                     f" cache_quantize_bits={args.cache_quantize_bits}"

@@ -103,7 +103,6 @@ def _service_config_kwargs(config: "ClusterConfig") -> Dict[str, Any]:
         "curve_resolution": config.curve_resolution,
         "max_batch_size": config.max_batch_size,
         "cache_key_decimals": config.cache_key_decimals,
-        "use_compiled": config.use_compiled,
         "kernel_dtype": config.kernel_dtype,
         "cache_max_bytes": config.cache_max_bytes,
         "cache_quantize_bits": config.cache_quantize_bits,

@@ -79,9 +79,11 @@ class ClusterConfig:
     """Everything needed to stand up an estimation cluster.
 
     ``cache_capacity`` / ``curve_resolution`` / ``max_batch_size`` /
-    ``cache_key_decimals`` configure each shard's private
-    :class:`~repro.serving.EstimationService`; the rest shape routing and
-    admission control.
+    ``cache_key_decimals`` / ``kernel_dtype`` / ``cache_max_bytes`` /
+    ``cache_quantize_bits`` configure each shard's private
+    :class:`~repro.serving.EstimationService`, which answers through its
+    models' compiled kernels; the rest shape routing, admission control and
+    the ``network`` backend's transport (float64 shared-memory slots).
     """
 
     num_shards: int = 2
@@ -95,9 +97,7 @@ class ClusterConfig:
     curve_resolution: int = 64
     max_batch_size: int = 256
     cache_key_decimals: int = DEFAULT_KEY_DECIMALS
-    #: serve through compiled inference kernels inside every shard's service
-    use_compiled: bool = True
-    #: compiled-kernel precision tier per shard (float64/float32/float16/int8;
+    #: compiled-kernel precision tier per shard (float64 or float32;
     #: None = float64) — see :mod:`repro.inference.precision`
     kernel_dtype: Optional[str] = None
     #: byte budget for each shard's curve cache (None = unbounded)
@@ -106,19 +106,12 @@ class ClusterConfig:
     cache_quantize_bits: Optional[int] = None
     #: ``network`` backend: bytes per shared-memory transport slot
     shm_slot_bytes: int = 1 << 20
-    #: ``network`` backend: wire dtype for query/threshold batch payloads
-    #: ("float64" or "float32"; results always come back float64)
-    shm_dtype: str = "float64"
     #: ``network`` backend: preload disk-backed models at shard spawn
     warm_models: bool = True
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        if self.shm_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"shm_dtype must be 'float64' or 'float32', got {self.shm_dtype!r}"
-            )
         if self.kernel_dtype is not None:
             # Fail here, in the coordinating process, rather than inside a
             # spawned shard worker where the traceback is much less helpful.

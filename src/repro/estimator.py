@@ -106,27 +106,22 @@ class SelectivityEstimator(abc.ABC):
     # ------------------------------------------------------------------ #
     # Compiled inference
     # ------------------------------------------------------------------ #
-    def compiled(self, dtype=np.float64, quantize=None, refresh: bool = False):
+    def compiled(self, dtype=np.float64, refresh: bool = False):
         """The frozen pure-NumPy inference kernel for this estimator.
 
         Compiles lazily on first use and caches the kernel; ``refresh=True``
         (or an intervening :meth:`fit` / :meth:`update` / persistence
         ``load``, which call :meth:`_invalidate_compiled`) rebuilds it from
         the current weights.  With the default ``float64`` the kernel's
-        ``predict`` is bit-equal to :meth:`estimate`; ``float32`` /
-        ``float16`` / ``quantize="int8"`` trade that for smaller working
-        sets under an enforced error budget.  See :mod:`repro.inference`.
+        ``predict`` is bit-equal to :meth:`estimate`; ``float32`` trades
+        that for batch throughput under an enforced error budget.  See
+        :mod:`repro.inference`.
         """
         kernel = self.__dict__.get("_compiled_kernel")
-        # quantize pins the storage dtype itself (int8 tiers store float32
-        # fake-quantized weights), so the dtype check only applies without it.
-        stale = kernel is None or getattr(kernel, "quantize", None) != quantize
-        if not stale and quantize is None:
-            stale = kernel.dtype != np.dtype(dtype)
-        if refresh or stale:
+        if refresh or kernel is None or kernel.dtype != np.dtype(dtype):
             from .inference import compile_estimator
 
-            kernel = compile_estimator(self, dtype=dtype, quantize=quantize)
+            kernel = compile_estimator(self, dtype=dtype)
             self._compiled_kernel = kernel
         return kernel
 

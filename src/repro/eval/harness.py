@@ -258,9 +258,9 @@ def run_setting(
         Labeling-engine tuning for the workload stage (``num_workers`` /
         ``block_bytes`` / ``progress``).
     executor:
-        Pipeline execution backend (``"thread"`` / ``"process"`` /
-        ``"cluster"``); the process-backed executors need a persistent
-        store.  See :mod:`repro.pipeline.runner`.
+        Pipeline execution backend (``"thread"`` or ``"process"``); the
+        process executor needs a persistent store.  See
+        :mod:`repro.pipeline.runner`.
     """
     if split is not None or factories is not None:
         return _run_setting_direct(

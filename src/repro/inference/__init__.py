@@ -5,7 +5,8 @@ for differentiability; serving optimises for answer latency.  This package
 separates the two: :func:`compile_estimator` freezes any fitted estimator
 into a :class:`CompiledKernel` — flat contiguous weights, in-place NumPy
 forward, batched piecewise-linear evaluation, zero autograd overhead — and
-the serving / cluster tiers use those kernels by default.
+the serving / cluster tiers answer every request through those kernels, at
+the float64 or float32 precision tier (:mod:`repro.inference.precision`).
 
 Quick start::
 
@@ -41,7 +42,6 @@ from .kernels import (
 from .precision import (
     DEFAULT_ERROR_BUDGETS,
     Precision,
-    error_budget,
     parse_tier,
     quantize_values,
     dequantize_values,
@@ -64,7 +64,6 @@ __all__ = [
     "write_benchmark_json",
     "DEFAULT_ERROR_BUDGETS",
     "Precision",
-    "error_budget",
     "parse_tier",
     "quantize_values",
     "dequantize_values",

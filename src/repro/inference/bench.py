@@ -212,7 +212,7 @@ def run_inference_benchmark(
     ``queries`` / ``thresholds`` form the request pool; each batch is drawn
     from it with a seeded generator (wrapping around when the pool is
     smaller than the batch).  ``dtypes`` names the precision tiers to
-    compile (``float64``/``float32``/``float16``/``int8`` — see
+    compile (``float64``/``float32`` — see
     :mod:`repro.inference.precision`); the graph arm is timed once per
     batch and shared across tiers, and every tier's deviations are measured
     against the same float64 graph answers.
@@ -238,15 +238,7 @@ def run_inference_benchmark(
     for name, estimator in estimators.items():
         # Compiled directly (not through estimator.compiled()) so the
         # estimator's single-slot kernel cache is not thrashed per tier.
-        kernels = [
-            (
-                tier,
-                compile_estimator(
-                    estimator, dtype=tier.storage_dtype, quantize=tier.quantize
-                ),
-            )
-            for tier in tiers
-        ]
+        kernels = [(tier, compile_estimator(estimator, dtype=tier.dtype)) for tier in tiers]
         for batch_size in batch_sizes:
             index = rng.integers(0, len(thresholds), size=int(batch_size))
             batch_queries = np.ascontiguousarray(queries[index])

@@ -44,7 +44,7 @@ def inner_selnet_model(estimator):
     return None
 
 
-def compile_estimator(estimator, dtype=np.float64, quantize=None) -> CompiledKernel:
+def compile_estimator(estimator, dtype=np.float64) -> CompiledKernel:
     """Freeze ``estimator`` into a pure-NumPy inference kernel.
 
     Parameters
@@ -54,13 +54,9 @@ def compile_estimator(estimator, dtype=np.float64, quantize=None) -> CompiledKer
         estimators compile to the generic fallback (which surfaces the
         usual "must be fitted" error on first use).
     dtype:
-        Storage precision of the frozen weights: ``np.float64`` (default —
-        bit-equal to graph mode), ``np.float32`` (BLAS sgemm on half the
-        bytes) or ``np.float16`` (halved storage, float32 arithmetic).
-    quantize:
-        ``"int8"`` fake-quantizes the weights per output channel at freeze
-        time (float32 compute over exactly the values int8 storage
-        retains).  Overrides ``dtype``.
+        Precision tier of the frozen weights and the forward arithmetic:
+        ``np.float64`` (default — bit-equal to graph mode) or
+        ``np.float32`` (BLAS sgemm on half the bytes).
 
     Each tier carries an error budget (see
     :mod:`repro.inference.precision`) that ``repro infer-bench --dtype``
@@ -74,11 +70,11 @@ def compile_estimator(estimator, dtype=np.float64, quantize=None) -> CompiledKer
     model = inner_selnet_model(estimator)
     try:
         if isinstance(model, SelNetModel):
-            return CompiledSelNet(model, dtype=dtype, quantize=quantize)
+            return CompiledSelNet(model, dtype=dtype)
         if isinstance(model, PartitionedSelNet):
-            return CompiledPartitionedSelNet(model, dtype=dtype, quantize=quantize)
+            return CompiledPartitionedSelNet(model, dtype=dtype)
     except KernelCompilationError:
         # An exotic architecture (e.g. a customised Sequential) that the
         # fused extractor cannot freeze still serves through the fallback.
         pass
-    return GraphFallbackKernel(estimator, dtype=dtype, quantize=quantize)
+    return GraphFallbackKernel(estimator, dtype=dtype)

@@ -41,7 +41,7 @@ from ..autodiff.functional import norm_l2_squared  # noqa: F401  (doc cross-ref)
 from ..index import distinct_rows, take_rows
 from ..nn import Linear, Module, Sequential
 from ..nn.layers import ReLU, Sigmoid, Softplus, Tanh
-from .precision import Precision, fake_quantize, resolve_precision
+from .precision import resolve_precision
 
 #: epsilon of the Norm_l2 squared-normalisation (matches
 #: :func:`repro.autodiff.norm_l2_squared`'s default, which SelNet uses)
@@ -71,40 +71,32 @@ class FusedFeedForward:
     the tape overhead.
     """
 
-    __slots__ = ("layers", "dtype", "compute_dtype", "quantize")
+    __slots__ = ("layers", "dtype")
 
     def __init__(
         self,
         layers: List[Tuple[np.ndarray, Optional[np.ndarray], Optional[str]]],
         dtype,
-        compute_dtype=None,
-        quantize: Optional[str] = None,
     ) -> None:
         self.layers = layers
         self.dtype = np.dtype(dtype)
-        self.compute_dtype = np.dtype(compute_dtype) if compute_dtype is not None else self.dtype
-        self.quantize = quantize
 
     @classmethod
-    def from_sequential(
-        cls, network: Sequential, dtype=np.float64, quantize: Optional[str] = None
-    ) -> "FusedFeedForward":
+    def from_sequential(cls, network: Sequential, dtype=np.float64) -> "FusedFeedForward":
         """Extract ``(weight, bias, activation)`` triples from a Sequential.
 
-        ``dtype`` is the *storage* precision of the frozen weights; the
-        compute precision follows the tier (float16 weights promote to
-        float32 inside matmuls).  ``quantize="int8"`` fake-quantizes each
-        weight per output channel at freeze time.
+        ``dtype`` is the precision tier's dtype: the frozen weights are
+        stored in it and the forward arithmetic runs in it.
         """
-        spec = resolve_precision(dtype=dtype, quantize=quantize)
+        dtype = resolve_precision(dtype).dtype
         layers: List[Tuple[np.ndarray, Optional[np.ndarray], Optional[str]]] = []
         for module in network:
             if isinstance(module, Linear):
-                weight = np.ascontiguousarray(module.weight.data, dtype=spec.storage_dtype)
+                weight = np.ascontiguousarray(module.weight.data, dtype=dtype)
                 bias = (
                     None
                     if module.bias is None
-                    else np.ascontiguousarray(module.bias.data, dtype=spec.storage_dtype)
+                    else np.ascontiguousarray(module.bias.data, dtype=dtype)
                 )
                 layers.append((weight, bias, None))
             elif type(module) in _ACTIVATIONS:
@@ -122,24 +114,7 @@ class FusedFeedForward:
                 )
         if not layers:
             raise KernelCompilationError("cannot freeze an empty network")
-        if spec.quantize is not None:
-            # Standard int8 deployment practice: hidden layers (the
-            # parameter bulk) carry the quantized codes, the *last* linear
-            # stays full precision — its outputs are the network's answer,
-            # so its rounding error would reach the estimate unamplified.
-            layers = [
-                (
-                    fake_quantize(weight, spec.quantize, dtype=spec.storage_dtype)
-                    if index < len(layers) - 1
-                    else weight,
-                    bias,
-                    activation,
-                )
-                for index, (weight, bias, activation) in enumerate(layers)
-            ]
-        return cls(
-            layers, spec.storage_dtype, compute_dtype=spec.compute_dtype, quantize=spec.quantize
-        )
+        return cls(layers, dtype)
 
     @property
     def num_parameters(self) -> int:
@@ -148,10 +123,8 @@ class FusedFeedForward:
         )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if x.dtype != self.compute_dtype:
-            # Mixed-precision entry: inputs run at compute precision and
-            # narrower stored weights promote inside the matmul.
-            x = x.astype(self.compute_dtype)
+        if x.dtype != self.dtype:
+            x = x.astype(self.dtype)
         for weight, bias, activation in self.layers:
             x = x @ weight
             if bias is not None:
@@ -223,40 +196,23 @@ def piecewise_linear_grid(tau: np.ndarray, p: np.ndarray, grid: np.ndarray) -> n
 class CompiledControlPointHead:
     """Frozen τ- and p-generators of one :class:`~repro.core.SelNetModel`."""
 
-    def __init__(self, model, dtype=np.float64, quantize: Optional[str] = None) -> None:
-        spec = resolve_precision(dtype=dtype, quantize=quantize)
+    def __init__(self, model, dtype=np.float64) -> None:
         head = model.head
         tau_generator = head.tau_generator
         p_generator = head.p_generator
-        self.dtype = spec.storage_dtype
-        self.compute_dtype = spec.compute_dtype
-        self.quantize = spec.quantize
+        self.dtype = resolve_precision(dtype).dtype
         self.t_max = float(tau_generator.t_max)
         self.query_dependent_tau = bool(tau_generator.query_dependent)
-        # The τ-generator defines the curve's segment boundaries through a
-        # squared-normalisation + prefix sum, so weight rounding there is
-        # amplified by curve steepness — and it holds few parameters.  It
-        # stays full precision under int8; the byte savings live in the
-        # p-encoder and autoencoder hidden layers.
-        self.tau_network = FusedFeedForward.from_sequential(
-            tau_generator.network, spec.storage_dtype, quantize=None
-        )
-        self.p_encoder = FusedFeedForward.from_sequential(
-            p_generator.encoder, spec.storage_dtype, quantize=spec.quantize
-        )
+        self.tau_network = FusedFeedForward.from_sequential(tau_generator.network, self.dtype)
+        self.p_encoder = FusedFeedForward.from_sequential(p_generator.encoder, self.dtype)
         self.embedding_dim = int(p_generator.embedding_dim)
         self.num_outputs = int(p_generator.num_outputs)
-        # The stacked per-point decoders are the head's final layer (emb x 1
-        # each: a negligible share of the bytes, all of the output
-        # sensitivity), so like every last linear they stay unquantized
-        # under int8.  They are already the (L+2, emb, 1) / (L+2, 1, 1)
-        # operands of the batched matmul below.
+        # The stacked per-point decoders are already the (L+2, emb, 1) /
+        # (L+2, 1, 1) operands of the batched matmul below.
         self.decoder_weights = np.ascontiguousarray(
-            p_generator.decoder_weight.data, dtype=spec.storage_dtype
+            p_generator.decoder_weight.data, dtype=self.dtype
         )
-        self.decoder_biases = np.ascontiguousarray(
-            p_generator.decoder_bias.data, dtype=spec.storage_dtype
-        )
+        self.decoder_biases = np.ascontiguousarray(p_generator.decoder_bias.data, dtype=self.dtype)
 
     @property
     def num_parameters(self) -> int:
@@ -308,22 +264,15 @@ class CompiledKernel:
     #: fused path); False when each grid point is a full estimator row.
     fuses_curves: bool = False
 
-    #: storage precision of the frozen weights
+    #: dtype of the frozen weights and of the forward arithmetic
     dtype: np.dtype = np.dtype(np.float64)
-    #: precision the forward arithmetic runs at (float16 promotes to f32)
-    compute_dtype: np.dtype = np.dtype(np.float64)
-    #: weight-quantization mode, or None for plain floating point
-    quantize: Optional[str] = None
-    #: tier name (``float64``/``float32``/``float16``/``int8``)
+    #: tier name (``float64`` or ``float32``)
     precision: str = "float64"
 
-    def _resolve_precision(self, dtype, quantize: Optional[str]) -> Precision:
-        spec = resolve_precision(dtype=dtype, quantize=quantize)
-        self.dtype = spec.storage_dtype
-        self.compute_dtype = spec.compute_dtype
-        self.quantize = spec.quantize
+    def _resolve_precision(self, dtype) -> None:
+        spec = resolve_precision(dtype)
+        self.dtype = spec.dtype
         self.precision = spec.name
-        return spec
 
     def predict(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
         """Non-negative selectivity estimates for aligned (query, t) pairs."""
@@ -337,8 +286,6 @@ class CompiledKernel:
         return {
             "kind": self.kind,
             "dtype": str(self.dtype),
-            "compute_dtype": str(self.compute_dtype),
-            "quantize": self.quantize,
             "precision": self.precision,
             "fuses_curves": self.fuses_curves,
         }
@@ -350,13 +297,11 @@ class CompiledSelNet(CompiledKernel):
     kind = "selnet"
     fuses_curves = True
 
-    def __init__(self, model, dtype=np.float64, quantize: Optional[str] = None) -> None:
-        spec = self._resolve_precision(dtype, quantize)
+    def __init__(self, model, dtype=np.float64) -> None:
+        self._resolve_precision(dtype)
         self.input_dim = int(model.input_dim)
-        self.encoder = FusedFeedForward.from_sequential(
-            model.autoencoder.encoder, spec.storage_dtype, quantize=spec.quantize
-        )
-        self.head = CompiledControlPointHead(model, spec.storage_dtype, quantize=spec.quantize)
+        self.encoder = FusedFeedForward.from_sequential(model.autoencoder.encoder, self.dtype)
+        self.head = CompiledControlPointHead(model, self.dtype)
         self.t_max = self.head.t_max
 
     @property
@@ -364,7 +309,7 @@ class CompiledSelNet(CompiledKernel):
         return self.encoder.num_parameters + self.head.num_parameters
 
     def _augment(self, queries: np.ndarray) -> np.ndarray:
-        queries = np.ascontiguousarray(queries, dtype=self.compute_dtype)
+        queries = np.ascontiguousarray(queries, dtype=self.dtype)
         if queries.ndim != 2:
             raise ValueError(f"queries must be 2-D, got shape {queries.shape}")
         latent = self.encoder(queries)
@@ -372,13 +317,13 @@ class CompiledSelNet(CompiledKernel):
 
     def control_points(self, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-row ``(tau, p)``, computed once per distinct query."""
-        queries = np.asarray(queries, dtype=self.compute_dtype)
+        queries = np.asarray(queries, dtype=self.dtype)
         first, inverse = distinct_rows(queries)
         tau, p = self.head.control_points(self._augment(take_rows(queries, first)))
         return take_rows(tau, inverse), take_rows(p, inverse)
 
     def predict(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-        thresholds = np.asarray(thresholds, dtype=self.compute_dtype)
+        thresholds = np.asarray(thresholds, dtype=self.dtype)
         tau, p = self.control_points(queries)
         output = piecewise_linear_batch(tau, p, thresholds)
         return np.clip(output, 0.0, None)
@@ -405,18 +350,13 @@ class CompiledPartitionedSelNet(CompiledKernel):
     kind = "selnet-partitioned"
     fuses_curves = True
 
-    def __init__(self, model, dtype=np.float64, quantize: Optional[str] = None) -> None:
-        spec = self._resolve_precision(dtype, quantize)
+    def __init__(self, model, dtype=np.float64) -> None:
+        self._resolve_precision(dtype)
         self.input_dim = int(model.input_dim)
         self.t_max = float(model.t_max)
         self.partitioning = model.partitioning
-        self.encoder = FusedFeedForward.from_sequential(
-            model.autoencoder.encoder, spec.storage_dtype, quantize=spec.quantize
-        )
-        self.heads = [
-            CompiledControlPointHead(local, spec.storage_dtype, quantize=spec.quantize)
-            for local in model.local_models
-        ]
+        self.encoder = FusedFeedForward.from_sequential(model.autoencoder.encoder, self.dtype)
+        self.heads = [CompiledControlPointHead(local, self.dtype) for local in model.local_models]
 
     @property
     def num_partitions(self) -> int:
@@ -427,7 +367,7 @@ class CompiledPartitionedSelNet(CompiledKernel):
         return self.encoder.num_parameters + sum(head.num_parameters for head in self.heads)
 
     def _augment(self, queries: np.ndarray) -> np.ndarray:
-        queries = np.ascontiguousarray(queries, dtype=self.compute_dtype)
+        queries = np.ascontiguousarray(queries, dtype=self.dtype)
         if queries.ndim != 2:
             raise ValueError(f"queries must be 2-D, got shape {queries.shape}")
         latent = self.encoder(queries)
@@ -442,7 +382,7 @@ class CompiledPartitionedSelNet(CompiledKernel):
 
     def predict(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
         queries = np.asarray(queries, dtype=np.float64)
-        thresholds = np.asarray(thresholds, dtype=self.compute_dtype)
+        thresholds = np.asarray(thresholds, dtype=self.dtype)
         batch = len(queries)
         distinct = distinct_rows(queries)
         first, inverse = distinct
@@ -450,7 +390,7 @@ class CompiledPartitionedSelNet(CompiledKernel):
         augmented = self._augment(take_rows(queries, first))
         # Accumulating in partition order keeps the summation order — and
         # therefore the bits — of the graph-mode indicator-weighted sum.
-        output = np.zeros(batch, dtype=self.compute_dtype)
+        output = np.zeros(batch, dtype=self.dtype)
         for k, head in enumerate(self.heads):
             if not np.any(indicators[:, k]):
                 # No query ball in the batch intersects this partition: its
@@ -468,7 +408,7 @@ class CompiledPartitionedSelNet(CompiledKernel):
 
     def curve_values(self, queries: np.ndarray, grid: np.ndarray) -> np.ndarray:
         queries = np.asarray(queries, dtype=np.float64)
-        grid = np.asarray(grid, dtype=self.compute_dtype)
+        grid = np.asarray(grid, dtype=self.dtype)
         distinct = distinct_rows(queries)
         first, inverse = distinct
         locals_ = self.local_control_points(take_rows(queries, first))
@@ -499,10 +439,10 @@ class GraphFallbackKernel(CompiledKernel):
     kind = "graph-fallback"
     fuses_curves = False
 
-    def __init__(self, estimator, dtype=np.float64, quantize: Optional[str] = None) -> None:
+    def __init__(self, estimator, dtype=np.float64) -> None:
         # The fallback records the requested tier but always computes at the
         # estimator's own (float64) precision — its deviation is zero.
-        self._resolve_precision(dtype, quantize)
+        self._resolve_precision(dtype)
         self._estimator = estimator
 
     def predict(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:

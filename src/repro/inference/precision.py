@@ -1,7 +1,8 @@
 """Precision tiers for compiled inference kernels.
 
-A *precision tier* names one (storage dtype, compute dtype, quantization)
-combination together with the error budget the parity gate enforces for it:
+A *precision tier* names the one dtype a compiled kernel stores its weights
+in and computes at, together with the error budget the parity gate enforces
+for it:
 
 ``float64``
     Weights and arithmetic in double precision — bit-equal to the autodiff
@@ -10,59 +11,39 @@ combination together with the error budget the parity gate enforces for it:
     Weights and arithmetic in single precision.  Matmuls dispatch to BLAS
     ``sgemm`` on half the bytes, which is where the batch-throughput win
     comes from; estimates agree with graph mode to single precision.
-``float16``
-    Weights *stored* in half precision (half the resident model bytes) with
-    float32 arithmetic — NumPy has no BLAS half-precision matmul, so the
-    weights promote to float32 inside the kernel.  The budget covers the
-    storage rounding.
-``int8``
-    Hidden-layer weights fake-quantized at freeze time: per-output-channel
-    symmetric int8 codes, dequantized back to float32 once for compute
-    (the standard way to measure the accuracy an int8 deployment would
-    serve at — arithmetic stays float32, the values are exactly what int8
-    storage retains).  Following standard int8 practice each network's
-    *last* linear layer stays full precision: it holds a negligible share
-    of the parameters and all of the unamplified output sensitivity.
 
-The budgets are *relative* deviations against the float64 graph forward,
-``|compiled - graph| / max(|graph|, 1)`` — except float64 itself, which is
-gated on the absolute bit-parity bound.  ``repro infer-bench --dtype ...``
-fails beyond them, so a tier's accuracy claim is enforced, not aspirational.
+The float32 budget is a *relative* deviation against the float64 graph
+forward, ``|compiled - graph| / max(|graph|, 1)``; float64 is gated on the
+absolute bit-parity bound.  ``repro infer-bench --dtype ...`` fails beyond
+them, so a tier's accuracy claim is enforced, not aspirational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-#: supported weight-quantization modes (``compile_estimator(quantize=...)``)
-QUANTIZE_MODES = ("int8",)
-
 #: per-tier deviation budgets enforced by the infer-bench parity gate.
-#: float64 is absolute (bit parity); the rest are relative to the graph
-#: forward with scale ``max(|reference|, 1)``.  Chosen with ~10x headroom
+#: float64 is absolute (bit parity); float32 is relative to the graph
+#: forward with scale ``max(|reference|, 1)``, chosen with ~10x headroom
 #: over deviations observed on trained SelNet models.
 DEFAULT_ERROR_BUDGETS = {
     "float64": 1e-12,
     "float32": 1e-3,
-    "float16": 2e-2,
-    "int8": 5e-2,
 }
 
 #: tier order used by reports (widest to narrowest)
-TIER_NAMES = ("float64", "float32", "float16", "int8")
+TIER_NAMES = tuple(DEFAULT_ERROR_BUDGETS)
 
 
 @dataclass(frozen=True)
 class Precision:
-    """One resolved precision tier."""
+    """One resolved precision tier: its name and its weight/compute dtype."""
 
     name: str
-    storage_dtype: np.dtype
-    compute_dtype: np.dtype
-    quantize: Optional[str] = None
+    dtype: np.dtype
 
     @property
     def budget(self) -> float:
@@ -70,96 +51,25 @@ class Precision:
 
     @property
     def relative(self) -> bool:
-        """Whether the budget is a relative bound (all tiers but float64)."""
+        """Whether the budget is a relative bound (float32, not float64)."""
         return self.name != "float64"
 
 
-def resolve_precision(dtype=np.float64, quantize: Optional[str] = None) -> Precision:
-    """The :class:`Precision` tier for a ``(dtype, quantize)`` request.
+#: each tier, keyed by its dtype
+_TIERS = {np.dtype(name): Precision(name, np.dtype(name)) for name in TIER_NAMES}
 
-    ``quantize`` overrides the storage story entirely: int8 codes are
-    dequantized to float32 for compute, whatever ``dtype`` was passed.
-    """
-    if quantize is not None:
-        if quantize not in QUANTIZE_MODES:
-            raise ValueError(
-                f"unknown quantize mode {quantize!r}; available: {QUANTIZE_MODES}"
-            )
-        return Precision(
-            name=quantize,
-            storage_dtype=np.dtype(np.float32),
-            compute_dtype=np.dtype(np.float32),
-            quantize=quantize,
-        )
-    dtype = np.dtype(dtype)
-    if dtype == np.dtype(np.float64):
-        return Precision("float64", dtype, dtype)
-    if dtype == np.dtype(np.float32):
-        return Precision("float32", dtype, dtype)
-    if dtype == np.dtype(np.float16):
-        # No BLAS path for half precision: store halved, compute in f32.
-        return Precision("float16", dtype, np.dtype(np.float32))
-    raise ValueError(f"unsupported kernel dtype {dtype!r}; use float64/float32/float16")
+
+def resolve_precision(dtype=np.float64) -> Precision:
+    """The :class:`Precision` tier for a kernel dtype (float64 or float32)."""
+    try:
+        return _TIERS[np.dtype(dtype)]
+    except (TypeError, KeyError):
+        raise ValueError(f"unknown precision tier {dtype!r}; available: {TIER_NAMES}") from None
 
 
 def parse_tier(token: str) -> Precision:
-    """Resolve a CLI/config tier token (``float64``/``float32``/``float16``/``int8``)."""
-    token = str(token).strip().lower()
-    if token in QUANTIZE_MODES:
-        return resolve_precision(quantize=token)
-    try:
-        return resolve_precision(dtype=np.dtype(token))
-    except TypeError:
-        raise ValueError(
-            f"unknown precision tier {token!r}; available: {TIER_NAMES}"
-        ) from None
-
-
-def error_budget(tier: str) -> float:
-    """The enforced deviation budget for a tier name."""
-    try:
-        return DEFAULT_ERROR_BUDGETS[str(tier)]
-    except KeyError:
-        raise ValueError(
-            f"no error budget for tier {tier!r}; available: {TIER_NAMES}"
-        ) from None
-
-
-# ---------------------------------------------------------------------- #
-# Weight quantization (kernels)
-# ---------------------------------------------------------------------- #
-def quantize_symmetric(weights: np.ndarray, bits: int = 8) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-output-channel symmetric quantization of a weight array.
-
-    Channels are the last axis (a Linear's output features); each gets one
-    scale ``max|w| / (2**(bits-1) - 1)`` so zero stays exactly zero.
-    Returns ``(codes, scale)`` with int8 codes and float32 scales
-    broadcastable back over ``weights``.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    levels = float(2 ** (bits - 1) - 1)
-    magnitude = np.abs(weights).max(axis=tuple(range(weights.ndim - 1)), keepdims=True)
-    scale = np.where(magnitude > 0.0, magnitude / levels, 1.0)
-    codes = np.clip(np.rint(weights / scale), -levels, levels).astype(np.int8)
-    return codes, scale.astype(np.float32)
-
-
-def dequantize_symmetric(codes: np.ndarray, scale: np.ndarray, dtype=np.float32) -> np.ndarray:
-    """Reconstruct real-valued weights from symmetric int codes."""
-    return (codes.astype(np.float32) * scale).astype(dtype)
-
-
-def fake_quantize(weights: np.ndarray, mode: str = "int8", dtype=np.float32) -> np.ndarray:
-    """Round-trip ``weights`` through the quantizer (quantize-dequantize).
-
-    The returned array holds exactly the values int8 storage retains, in a
-    compute-friendly dtype — the kernel then serves the accuracy of the
-    quantized deployment at full matmul speed.
-    """
-    if mode not in QUANTIZE_MODES:
-        raise ValueError(f"unknown quantize mode {mode!r}; available: {QUANTIZE_MODES}")
-    codes, scale = quantize_symmetric(weights, bits=8)
-    return np.ascontiguousarray(dequantize_symmetric(codes, scale, dtype=dtype))
+    """Resolve a CLI/config tier token (``float64`` or ``float32``)."""
+    return resolve_precision(str(token).strip().lower())
 
 
 # ---------------------------------------------------------------------- #

@@ -114,7 +114,6 @@ class NetworkShardBackend:
         self._service_kwargs = dict(_service_config_kwargs(config))
         if self._service_kwargs["model_dir"] is not None:
             self._service_kwargs["model_dir"] = str(self._service_kwargs["model_dir"])
-        self._shm_dtype = np.dtype(getattr(config, "shm_dtype", "float64"))
         slot_bytes = int(getattr(config, "shm_slot_bytes", DEFAULT_SLOT_BYTES))
         # Slots only carry estimate batches, whose concurrency the cluster
         # bounds at queue_capacity; the margin covers direct backend users.
@@ -237,18 +236,15 @@ class NetworkShardBackend:
     def estimate(
         self, model: str, queries: np.ndarray, thresholds: np.ndarray, use_cache: bool
     ) -> _NetFuture:
-        # The configured wire dtype shapes the slot payload; float32 halves
-        # the bytes each batch moves through shared memory (the worker's
-        # service recasts to float64, results always come back float64).
-        wire = self._shm_dtype
-        queries = np.ascontiguousarray(queries, dtype=wire)
-        thresholds = np.ascontiguousarray(thresholds, dtype=wire)
+        # Slots carry float64 payloads (the results come back in place).
+        queries = np.ascontiguousarray(queries, dtype=np.float64)
+        thresholds = np.ascontiguousarray(thresholds, dtype=np.float64)
         n, dim = queries.shape
         trace = obstrace.current_trace_id()
-        if self._ring.fits(n, dim, wire.itemsize):
+        if self._ring.fits(n, dim):
             slot = self._slots.acquire()
             with obstrace.span("transport.shm", rows=n):
-                self._ring.write_batch(slot, queries, thresholds, dtype=wire)
+                self._ring.write_batch(slot, queries, thresholds)
             self._shm_batches.inc()
             self._shm_bytes.inc(queries.nbytes + thresholds.nbytes)
 
@@ -263,7 +259,6 @@ class NetworkShardBackend:
                 "slot": slot,
                 "n": n,
                 "dim": dim,
-                "dtype": wire.name,
                 "use_cache": bool(use_cache),
                 "trace": trace,
             }

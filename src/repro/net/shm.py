@@ -19,12 +19,10 @@ copying the results out.  A batch too large for one slot falls back to
 pickling through the control pipe — counted, so the transport stats make the
 fallback visible.
 
-Layout of one slot holding an ``(n, dim)`` batch (``w`` = request dtype
-width, 8 for float64 and 4 for float32; results are always float64, and for
-any ``dim >= 1`` the request footprint ``n*(dim+1)*w`` covers the ``n*8``
-result bytes even at ``w=4``)::
+Layout of one slot holding an ``(n, dim)`` float64 batch (the request
+footprint ``n*(dim+1)*8`` always covers the ``n*8`` result bytes)::
 
-    [ queries: n*dim*w bytes | thresholds: n*w bytes ]   request
+    [ queries: n*dim*8 bytes | thresholds: n*8 bytes ]   request
     [ results: n*8 bytes     | ...stale...           ]   response (in place)
 """
 
@@ -44,9 +42,9 @@ _FLOAT = np.float64
 _ITEM = 8
 
 
-def batch_nbytes(num_rows: int, dim: int, itemsize: int = _ITEM) -> int:
+def batch_nbytes(num_rows: int, dim: int) -> int:
     """Bytes one ``(num_rows, dim)`` query batch plus thresholds occupies."""
-    return num_rows * dim * itemsize + num_rows * itemsize
+    return num_rows * dim * _ITEM + num_rows * _ITEM
 
 
 class ShmRing:
@@ -108,15 +106,9 @@ class ShmRing:
         return self._segment.name
 
     # ------------------------------------------------------------------ #
-    def fits(self, num_rows: int, dim: int, itemsize: int = _ITEM) -> bool:
-        """Whether an ``(num_rows, dim)`` batch fits in one slot.
-
-        The response (``num_rows`` float64 results, written in place) must
-        fit too — narrower request dtypes only shrink the payload while
-        ``dim >= 1``, which ``write_batch`` shapes guarantee.
-        """
-        request = batch_nbytes(num_rows, dim, itemsize)
-        return max(request, num_rows * _ITEM) <= self.slot_bytes
+    def fits(self, num_rows: int, dim: int) -> bool:
+        """Whether an ``(num_rows, dim)`` batch (and so its response) fits in one slot."""
+        return batch_nbytes(num_rows, dim) <= self.slot_bytes
 
     def _slot(self, index: int) -> memoryview:
         if not 0 <= index < self.num_slots:
@@ -124,45 +116,33 @@ class ShmRing:
         start = index * self.slot_bytes
         return self._segment.buf[start : start + self.slot_bytes]
 
-    def write_batch(
-        self,
-        index: int,
-        queries: np.ndarray,
-        thresholds: np.ndarray,
-        dtype: np.dtype = _FLOAT,
-    ) -> None:
+    def write_batch(self, index: int, queries: np.ndarray, thresholds: np.ndarray) -> None:
         """Copy one request batch into a slot (the transport's only copy-in)."""
-        dtype = np.dtype(dtype)
         n, dim = queries.shape
-        if not self.fits(n, dim, dtype.itemsize):
+        if not self.fits(n, dim):
             raise ValueError(
-                f"batch of {batch_nbytes(n, dim, dtype.itemsize)} bytes exceeds "
-                f"slot size {self.slot_bytes}"
+                f"batch of {batch_nbytes(n, dim)} bytes exceeds slot size {self.slot_bytes}"
             )
         view = self._slot(index)
-        item = dtype.itemsize
-        q_bytes = n * dim * item
-        q_dst = np.ndarray((n, dim), dtype=dtype, buffer=view[:q_bytes])
-        t_dst = np.ndarray((n,), dtype=dtype, buffer=view[q_bytes : q_bytes + n * item])
+        q_bytes = n * dim * _ITEM
+        q_dst = np.ndarray((n, dim), dtype=_FLOAT, buffer=view[:q_bytes])
+        t_dst = np.ndarray((n,), dtype=_FLOAT, buffer=view[q_bytes : q_bytes + n * _ITEM])
         np.copyto(q_dst, queries)
         np.copyto(t_dst, thresholds)
 
     def read_batch(
-        self, index: int, num_rows: int, dim: int, dtype: np.dtype = _FLOAT
+        self, index: int, num_rows: int, dim: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Zero-copy views of a slot's request batch (worker side).
 
         The views stay valid while the slot is in flight: the router never
-        reuses a slot before the worker's reply for it arrives.  ``dtype``
-        must match what the router's ``write_batch`` used for this slot.
+        reuses a slot before the worker's reply for it arrives.
         """
-        dtype = np.dtype(dtype)
         view = self._slot(index)
-        item = dtype.itemsize
-        q_bytes = num_rows * dim * item
-        queries = np.ndarray((num_rows, dim), dtype=dtype, buffer=view[:q_bytes])
+        q_bytes = num_rows * dim * _ITEM
+        queries = np.ndarray((num_rows, dim), dtype=_FLOAT, buffer=view[:q_bytes])
         thresholds = np.ndarray(
-            (num_rows,), dtype=dtype, buffer=view[q_bytes : q_bytes + num_rows * item]
+            (num_rows,), dtype=_FLOAT, buffer=view[q_bytes : q_bytes + num_rows * _ITEM]
         )
         return queries, thresholds
 

@@ -79,13 +79,8 @@ def shard_main(
                         queries = message["queries"]
                         thresholds = message["thresholds"]
                     else:
-                        # Routers predating the dtype field always wrote
-                        # float64 slots, so the default keeps them working.
                         queries, thresholds = ring.read_batch(
-                            slot,
-                            message["n"],
-                            message["dim"],
-                            dtype=message.get("dtype", "float64"),
+                            slot, message["n"], message["dim"]
                         )
                     trace = message.get("trace")
                     with obstrace.trace_context(trace), obstrace.span(

@@ -15,7 +15,8 @@ Where that pool lives is the **executor backend** (``executor=``):
     exactly the historical behavior; training branches share the GIL.
 
 ``"process"``
-    Stages run in dedicated worker processes (one fresh pool per ``run``),
+    Stages run in dedicated worker processes (one fresh pool per ``run``,
+    shut down before ``run`` returns, so no worker outlives it),
     following the same spawn idiom as the cluster tier's
     :class:`~repro.cluster.backends.ProcessShardBackend` — a lazily built
     module-global slot in each worker survives both fork and spawn start
@@ -26,12 +27,6 @@ Where that pool lives is the **executor backend** (``executor=``):
     across the process boundary, and training branches use all cores
     without sharing a GIL.  Requires a persistent store (the store *is*
     the data plane); results are bit-identical to the thread backend.
-
-``"cluster"``
-    Same worker machinery, but the process pool is **persistent across
-    runs** of this runner (closed by :meth:`PipelineRunner.close` or the
-    context manager), so repeated sweeps amortize worker spawn and the
-    workers' warm in-memory artifact caches.
 
 Stages never wait inside workers: the scheduler submits a stage only once
 all of its dependencies completed, so a pool of any width cannot deadlock.
@@ -81,7 +76,7 @@ from .store import ArtifactStore, BuildInfo, MANIFEST_FILE
 ENGINE_OPTION_KEYS = ("num_workers", "block_bytes", "progress")
 
 #: recognised executor backends
-EXECUTORS = ("thread", "process", "cluster")
+EXECUTORS = ("thread", "process")
 
 
 @dataclass
@@ -281,9 +276,8 @@ class PipelineRunner:
         (``num_workers`` / ``block_bytes`` / ``progress``); never part of
         any spec hash.
     executor:
-        ``"thread"`` (default), ``"process"`` or ``"cluster"`` — see the
-        module docstring.  The process-backed executors require a
-        persistent store.
+        ``"thread"`` (default) or ``"process"`` — see the module
+        docstring.  The process executor requires a persistent store.
     """
 
     def __init__(
@@ -311,42 +305,12 @@ class PipelineRunner:
             for key, value in (engine_options or {}).items()
             if key in ENGINE_OPTION_KEYS and value is not None
         }
-        self._cluster_pool: Optional[ProcessPoolExecutor] = None
-        self._cluster_width = 0
 
-    # ------------------------------------------------------------------ #
-    # Pool lifecycle
-    # ------------------------------------------------------------------ #
     def _make_pool(self, max_workers: int):
-        """(pool, owned) — ``owned`` pools are shut down when the run ends."""
-        if self.executor == "thread":
-            return (
-                ThreadPoolExecutor(
-                    max_workers=max_workers, thread_name_prefix="repro-pipeline"
-                ),
-                True,
-            )
+        """A fresh stage pool for one run (shut down when the run ends)."""
         if self.executor == "process":
-            return ProcessPoolExecutor(max_workers=max_workers), True
-        if self._cluster_pool is None or self._cluster_width < max_workers:
-            if self._cluster_pool is not None:
-                self._cluster_pool.shutdown(wait=True)
-            self._cluster_pool = ProcessPoolExecutor(max_workers=max_workers)
-            self._cluster_width = max_workers
-        return self._cluster_pool, False
-
-    def close(self) -> None:
-        """Shut down a persistent ``cluster`` pool (no-op otherwise)."""
-        if self._cluster_pool is not None:
-            self._cluster_pool.shutdown(wait=True)
-            self._cluster_pool = None
-            self._cluster_width = 0
-
-    def __enter__(self) -> "PipelineRunner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+            return ProcessPoolExecutor(max_workers=max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers, thread_name_prefix="repro-pipeline")
 
     # ------------------------------------------------------------------ #
     def run(self, experiment: ExperimentSpec) -> PipelineOutcome:
@@ -435,7 +399,7 @@ class PipelineRunner:
                 key = ready.pop(index)
                 in_flight[submit(pool, nodes[key])] = key
 
-        pool, owned = self._make_pool(max_workers)
+        pool = self._make_pool(max_workers)
         try:
             while ready or in_flight:
                 submit_ready(pool)
@@ -471,8 +435,7 @@ class PipelineRunner:
                             ready.append(dependent)
                     ready.sort(key=order_index.__getitem__)
         finally:
-            if owned:
-                pool.shutdown(wait=True)
+            pool.shutdown(wait=True)
 
         if failure is None and remote:
             # Workers persisted every artifact but shipped no values; load

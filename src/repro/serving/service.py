@@ -3,9 +3,9 @@
 :class:`EstimationService` turns a directory of saved estimators (see
 :mod:`repro.persistence`) into a queryable model store:
 
-* models are loaded lazily by name, kept in memory and (by default) served
-  through their **compiled** pure-NumPy inference kernels
-  (:mod:`repro.inference`) — answers stay equal to the estimator's own
+* models are loaded lazily by name, kept in memory and served through
+  their **compiled** pure-NumPy inference kernels (:mod:`repro.inference`)
+  — at the default float64 tier answers stay equal to the estimator's own
   ``estimate`` while skipping the autodiff graph entirely;
 * batched ``(query, threshold)`` requests are routed through bounded
   micro-batches (:mod:`repro.serving.batching`);
@@ -130,16 +130,14 @@ class EstimationService:
         Rounding of query coordinates inside cache keys (see
         :func:`repro.serving.cache.query_cache_key`); lower values let
         near-duplicate queries share one cached curve.
-    use_compiled:
-        Serve through each model's compiled inference kernel
-        (:meth:`repro.SelectivityEstimator.compiled`, the default) instead
-        of graph-mode ``estimate`` calls.  Estimates are equal either way;
-        the compiled path skips the autodiff machinery.
     kernel_dtype:
-        Precision tier for the compiled kernels (``"float64"``, ``"float32"``,
-        ``"float16"`` or ``"int8"`` — see :mod:`repro.inference.precision`).
-        Non-float64 tiers trade bit-parity for throughput / memory under an
-        enforced error budget.  Ignored when ``use_compiled=False``.
+        Precision tier of the compiled kernels every answer comes from
+        (:meth:`repro.SelectivityEstimator.compiled`): ``"float64"`` (the
+        default, bit-equal to ``estimate``) or ``"float32"``, which trades
+        bit-parity for batch throughput under an enforced error budget (see
+        :mod:`repro.inference.precision`).  Estimators without a fused
+        kernel serve through :class:`~repro.inference.GraphFallbackKernel`,
+        which is ``estimate`` under ``no_grad``.
     cache_max_bytes:
         Byte budget for the curve cache (None = unbounded; the entry
         ``cache_capacity`` still applies either way).
@@ -155,7 +153,6 @@ class EstimationService:
         curve_resolution: int = 64,
         max_batch_size: int = 256,
         cache_key_decimals: int = DEFAULT_KEY_DECIMALS,
-        use_compiled: bool = True,
         kernel_dtype: Optional[str] = None,
         cache_max_bytes: Optional[int] = None,
         cache_quantize_bits: Optional[int] = None,
@@ -167,7 +164,6 @@ class EstimationService:
         self.model_dir = None if model_dir is None else Path(model_dir)
         self.curve_resolution = int(curve_resolution)
         self.max_batch_size = int(max_batch_size)
-        self.use_compiled = bool(use_compiled)
         self._precision = parse_tier(kernel_dtype or "float64")
         self.kernel_dtype = self._precision.name
         self.cache = CurveCache(
@@ -372,14 +368,9 @@ class EstimationService:
         result = self.estimate(name, query[None, :], np.asarray([threshold]), use_cache=use_cache)
         return float(result[0])
 
-    def _kernel(self, name: str):
-        """The model's compiled inference kernel (None in graph mode)."""
-        if not self.use_compiled:
-            return None
-        tier = self._precision
-        kernel = self.get(name).compiled(
-            dtype=tier.storage_dtype, quantize=tier.quantize
-        )
+    def _kernel(self, name: str, estimator: SelectivityEstimator):
+        """The model's compiled inference kernel at the service's tier."""
+        kernel = estimator.compiled(dtype=self._precision.dtype)
         self._kernel_dtype_gauge.labels(model=name, dtype=kernel.precision).set(1.0)
         return kernel
 
@@ -391,14 +382,11 @@ class EstimationService:
         thresholds: np.ndarray,
         stats: ModelStats,
     ) -> np.ndarray:
-        kernel = self._kernel(name)
+        kernel = self._kernel(name, estimator)
         results = np.empty(len(thresholds), dtype=np.float64)
         with obstrace.span("service.kernel_execute", model=name, rows=len(thresholds)):
             for batch in iter_microbatches(queries, thresholds, self.max_batch_size):
-                if kernel is not None:
-                    results[batch.positions] = kernel.predict(batch.queries, batch.thresholds)
-                else:
-                    results[batch.positions] = estimator.estimate(batch.queries, batch.thresholds)
+                results[batch.positions] = kernel.predict(batch.queries, batch.thresholds)
                 stats.batches.inc()
         return results
 
@@ -452,11 +440,11 @@ class EstimationService:
         (query, threshold) rows and is chunked so one call never exceeds
         ``max_batch_size`` rows.
         """
-        kernel = self._kernel(name)
+        kernel = self._kernel(name, estimator)
         num_grid = len(grid)
         values = np.empty((len(unique_queries), num_grid), dtype=np.float64)
         with obstrace.span("service.kernel_execute", model=name, rows=len(unique_queries)):
-            if kernel is not None and kernel.fuses_curves:
+            if kernel.fuses_curves:
                 for start in range(0, len(unique_queries), self.max_batch_size):
                     stop = min(start + self.max_batch_size, len(unique_queries))
                     values[start:stop] = kernel.curve_values(unique_queries[start:stop], grid)
@@ -468,10 +456,7 @@ class EstimationService:
                 tiled = np.tile(grid, len(unique_queries))
                 flat = values.reshape(-1)
                 for batch in iter_microbatches(repeated, tiled, self.max_batch_size):
-                    if kernel is not None:
-                        flat[batch.positions] = kernel.predict(batch.queries, batch.thresholds)
-                    else:
-                        flat[batch.positions] = estimator.estimate(batch.queries, batch.thresholds)
+                    flat[batch.positions] = kernel.predict(batch.queries, batch.thresholds)
                     stats.batches.inc()
         return values
 
@@ -594,7 +579,6 @@ class EstimationService:
         }
         return {
             "models_loaded": sorted(self._estimators),
-            "use_compiled": self.use_compiled,
             "kernel_dtype": self.kernel_dtype,
             "kernels": kernels,
             "cache": self.cache.stats(),

@@ -189,17 +189,17 @@ class TestProcessExecutor:
         ).run(experiment)
         assert warm.report.all_cached
 
-    def test_cluster_executor_reuses_pool_across_runs(self, tmp_path):
+    def test_process_runs_leave_no_worker_processes(self, tmp_path):
+        """Each run shuts its stage pool down before returning, so no worker
+        process outlives a run, cold or warm."""
         experiment, _ = _smoke_experiment_spec()
-        with PipelineRunner(
-            store=ArtifactStore(tmp_path / "store"), executor="cluster", num_workers=2
-        ) as runner:
-            cold = runner.run(experiment)
-            assert runner._cluster_pool is not None
-            pool = runner._cluster_pool
-            warm = runner.run(experiment)
-            assert runner._cluster_pool is pool
-        assert runner._cluster_pool is None
+        runner = PipelineRunner(
+            store=ArtifactStore(tmp_path / "store"), executor="process", num_workers=2
+        )
+        cold = runner.run(experiment)
+        assert multiprocessing.active_children() == []
+        warm = runner.run(experiment)
+        assert multiprocessing.active_children() == []
         assert cold.report.cache_misses > 0
         assert warm.report.all_cached
 
@@ -208,6 +208,8 @@ class TestProcessExecutor:
             PipelineRunner(executor="process")
         with pytest.raises(ValueError, match="unknown executor"):
             PipelineRunner(executor="fiber")
+        with pytest.raises(ValueError, match="unknown executor"):
+            PipelineRunner(executor="cluster")
 
     def test_cli_smoke_process_digests_match_thread(self, tmp_path, capsys):
         thread_store = tmp_path / "store-thread"

@@ -120,6 +120,16 @@ class TestCompiledParity:
         scale = np.maximum(np.abs(reference), 1.0)
         assert np.max(np.abs(out - reference) / scale) < 1e-3
 
+    def test_float64_and_float32_are_the_only_tiers(self):
+        assert [parse_tier(name).dtype for name in TIER_NAMES] == [
+            np.dtype(np.float64),
+            np.dtype(np.float32),
+        ]
+        for narrower in (np.half, np.byte):
+            token = np.dtype(narrower).name
+            with pytest.raises(ValueError, match=f"unknown precision tier '{token}'"):
+                parse_tier(token)
+
     def test_curve_values_match_selectivity_curve(self, tiny_cosine_split):
         grid = np.linspace(0.0, float(tiny_cosine_split.t_max), 17)
         for name in ("selnet-ct", "selnet", "kde"):
@@ -227,7 +237,7 @@ class TestCompiledLifecycle:
         reference = np.asarray(estimator.estimate(queries, thresholds))
         for name in TIER_NAMES:
             tier = parse_tier(name)
-            kernel = estimator.compiled(dtype=tier.storage_dtype, quantize=tier.quantize)
+            kernel = estimator.compiled(dtype=tier.dtype)
             assert kernel.precision == name
             out = kernel.predict(queries, thresholds)
             if tier.relative:
@@ -393,7 +403,9 @@ class TestDistinctQueryEvaluation:
     def test_one_query_is_monotone_within_a_call(self, name, tiny_cosine_split, rng):
         """Lemma 1 bit for bit: all of a query's thresholds in one call read
         one (tau, p) row and one distance per ball, in graph mode and in the
-        compiled kernel, and for selnet-inc after a fine-tuning update."""
+        compiled kernel, and for selnet-inc after a fine-tuning update.  The
+        float32 kernel's answers are monotone too, with zero tolerance, and
+        lie within the float32 budget of graph mode."""
         queries = tiny_cosine_split.test.queries
         if name == "selnet-inc":
             estimator = _fit(
@@ -405,11 +417,16 @@ class TestDistinctQueryEvaluation:
             estimator = _fit(name, tiny_cosine_split)
         thresholds = np.sort(rng.uniform(0.0, 1.1 * tiny_cosine_split.t_max, size=200))
         kernel = estimator.compiled()
+        kernel32 = compile_estimator(estimator, dtype=np.float32)
+        budget = parse_tier("float32").budget
         for query in queries[::10]:
             rows = np.repeat(query[None, :], len(thresholds), axis=0)
             graph = np.asarray(estimator.estimate(rows, thresholds))
             assert np.all(np.diff(graph) >= 0.0)
             np.testing.assert_array_equal(kernel.predict(rows, thresholds), graph)
+            single = kernel32.predict(rows, thresholds)
+            assert np.all(np.diff(single) >= 0.0)
+            assert relative_deviation(single, graph) <= budget
 
     @pytest.mark.parametrize("name", ["selnet", "selnet-ct"])
     def test_distinct_rows_match_the_per_row_forward(self, name, tiny_cosine_split):
@@ -459,7 +476,6 @@ class TestServingUsesCompiledKernels:
         served = service.estimate("selnet", queries, thresholds, use_cache=False)
         np.testing.assert_array_equal(served, np.asarray(estimator.estimate(queries, thresholds)))
         assert service.stats()["kernels"]["selnet"]["kind"] == "selnet"
-        assert service.stats()["use_compiled"] is True
 
     def test_cached_path_fills_misses_through_fused_curves(
         self, service_with_selnet, tiny_cosine_split
@@ -502,19 +518,6 @@ class TestServingUsesCompiledKernels:
         service.add_model("kde", _fit("kde", tiny_cosine_split))
         with pytest.raises(ValueError, match="dimensions"):
             service.curve("kde", np.zeros(3))
-
-    def test_graph_mode_service_matches_compiled_service(self, tiny_cosine_split):
-        compiled_service = EstimationService(use_compiled=True)
-        graph_service = EstimationService(use_compiled=False)
-        estimator = _fit("selnet-ct", tiny_cosine_split)
-        compiled_service.add_model("m", estimator)
-        graph_service.add_model("m", estimator)
-        queries = tiny_cosine_split.test.queries
-        thresholds = tiny_cosine_split.test.thresholds
-        np.testing.assert_array_equal(
-            compiled_service.estimate("m", queries, thresholds, use_cache=False),
-            graph_service.estimate("m", queries, thresholds, use_cache=False),
-        )
 
 
 # ---------------------------------------------------------------------- #
@@ -566,3 +569,5 @@ class TestInferenceBenchmark:
         assert {row["estimator"] for row in payload["rows"]} == {"kde-model"}
         captured = capsys.readouterr()
         assert "parity: max |compiled - graph|" in captured.out
+        with pytest.raises(SystemExit, match="unknown precision tier 'bogus'"):
+            main(["infer-bench", str(model_path), "--smoke", "--dtype", "float64,bogus"])

@@ -37,7 +37,6 @@ from repro.net import (
     report_as_dict,
     SaturationScenario,
 )
-from repro.inference.precision import DEFAULT_ERROR_BUDGETS, relative_deviation
 from repro.net.shm import batch_nbytes
 
 
@@ -173,29 +172,6 @@ class TestShmRing:
         finally:
             ring.close()
 
-    def test_float32_batch_roundtrip_in_half_the_slot_bytes(self, rng):
-        """A float32 batch occupies half the slot bytes and round-trips
-        bit-identically; result slots stay float64 regardless."""
-        queries = rng.standard_normal((6, 4)).astype(np.float32)
-        thresholds = rng.standard_normal(6).astype(np.float32)
-        slot = batch_nbytes(6, 4, itemsize=4)
-        assert slot == batch_nbytes(6, 4) // 2
-        ring = ShmRing.create(num_slots=1, slot_bytes=slot)
-        try:
-            assert ring.fits(6, 4, itemsize=4)
-            assert not ring.fits(6, 4)  # the same batch in f64 would not fit
-            ring.write_batch(0, queries, thresholds, dtype=np.float32)
-            got_q, got_t = ring.read_batch(0, 6, 4, dtype=np.float32)
-            assert got_q.dtype == np.float32 and got_t.dtype == np.float32
-            np.testing.assert_array_equal(got_q, queries)
-            np.testing.assert_array_equal(got_t, thresholds)
-            results = rng.standard_normal(6)
-            del got_q, got_t  # views pin the mapping; drop before close
-            ring.write_results(0, results)
-            np.testing.assert_array_equal(ring.read_results(0, 6), results)
-        finally:
-            ring.close()
-
     def test_oversized_batch_is_refused(self, rng):
         ring = ShmRing.create(num_slots=1, slot_bytes=64)
         try:
@@ -242,24 +218,6 @@ class TestNetworkBackend:
         assert transport["shm_batches"] >= 1
         assert transport["fallback_batches"] >= 1
         assert transport["shm_bytes"] == batch_nbytes(8, queries.shape[1])
-
-    def test_float32_shm_transport_stays_within_budget(self, tiny_cosine_split, fitted_kde):
-        """With ``shm_dtype="float32"`` the batch crosses the process
-        boundary in half the bytes; the answers are not bit-identical to
-        the in-process float64 path (the inputs were rounded) but must stay
-        within the float32 tier's error budget."""
-        queries = tiny_cosine_split.test.queries
-        thresholds = tiny_cosine_split.test.thresholds
-        config = ClusterConfig(num_shards=1, backend="network", shm_dtype="float32")
-        with EstimationCluster(config) as cluster:
-            cluster.add_model("kde", fitted_kde)
-            served = cluster.estimate("kde", queries, thresholds, use_cache=False)
-            transport = cluster.stats()["per_shard"][0]["worker"]["transport"]
-        assert transport["shm_batches"] == 1
-        # the wire carried float32 payloads: half the bytes of the f64 layout
-        assert transport["shm_bytes"] == batch_nbytes(len(thresholds), queries.shape[1], 4)
-        direct = fitted_kde.estimate(queries, thresholds)
-        assert relative_deviation(served, direct) <= DEFAULT_ERROR_BUDGETS["float32"]
 
     def test_typed_errors_cross_the_process_boundary(self, fitted_kde):
         with EstimationCluster(ClusterConfig(num_shards=1, backend="network")) as cluster:
