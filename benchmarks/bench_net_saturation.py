@@ -1,4 +1,4 @@
-"""Network serving tier — saturation knees and shm-vs-pickling transport.
+"""Network serving tier — saturation knees and shm-vs-pipe transport.
 
 Not a paper table: this benchmark measures the repo's own network tier
 (`repro.net`).  Each scenario stands up a real loopback TCP server over
@@ -6,9 +6,8 @@ shared-memory worker shards and sweeps *offered* load (open loop: batches
 are sent on a fixed wall-clock schedule regardless of server progress); the
 knee of a scenario is the highest offered rate the tier still sustains.  A
 transport micro-benchmark rides along, comparing single-batch round trips
-through the ``network`` backend's shared-memory slots against the
-``process`` backend's pickled executor arguments — the zero-copy data plane
-must win.
+through the ``network`` backend's shared-memory slots against its pickled
+control-pipe fallback — the zero-copy data plane must win.
 """
 
 from __future__ import annotations
@@ -72,13 +71,13 @@ def _format(reports, compare) -> str:
     for report in reports:
         lines.append(report.text)
     lines.append("Transport round trip (1 worker shard, median ms/batch):")
-    network = compare["network"]["median_roundtrip_ms"]
-    process = compare["process"]["median_roundtrip_ms"]
-    for key in network:
-        speedup = compare["speedup_process_over_network"][key]
+    shm = compare["shm"]["median_roundtrip_ms"]
+    pipe = compare["pipe"]["median_roundtrip_ms"]
+    for key in shm:
+        speedup = compare["speedup_shm_over_pipe"][key]
         lines.append(
-            f"  batch {key:>4}: shm {network[key]:7.3f} ms  "
-            f"pickling {process[key]:7.3f} ms  ({speedup:.2f}x)"
+            f"  batch {key:>4}: shm {shm[key]:7.3f} ms  "
+            f"pipe {pipe[key]:7.3f} ms  ({speedup:.2f}x)"
         )
     return "\n".join(lines)
 
@@ -93,7 +92,7 @@ def test_net_saturation(tiny_scale, save_result, benchmark):
     assert by_name["fixed-2shard"].final_shards == 2
     autoscaled = by_name["autoscale-1to4"]
     assert autoscaled.final_shards >= 1
-    # The zero-copy shm data plane must beat pickling for at least one (and
-    # in practice every) batch size.
-    speedups = compare["speedup_process_over_network"]
+    # The zero-copy shm data plane must beat the pickled pipe for at least
+    # one batch size.
+    speedups = compare["speedup_shm_over_pipe"]
     assert max(speedups.values()) > 1.0

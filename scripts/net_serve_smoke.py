@@ -10,8 +10,9 @@ models of an artifact store, then — using nothing but :mod:`urllib` —
 4. hot-reloads via ``POST /models/reload``,
 5. hammers ``/estimate`` from several threads until the autoscaler grows the
    cluster past one shard (one scale-up event),
-6. scrapes ``GET /metrics`` mid-burst and asserts the Prometheus text carries
-   per-shard latency histograms plus the recorded autoscaler decision,
+6. re-sends the step-2 batch through the curve cache, then scrapes
+   ``GET /metrics`` and asserts the Prometheus text carries per-shard
+   latency histograms, cache bytes and the recorded autoscaler decision,
 7. sends SIGINT, asserts the server exits cleanly with status 0, and checks
    the ``--trace-out`` JSONL holds spans from both the frontend (``main``)
    and shard-worker processes sharing a trace ID.
@@ -53,7 +54,12 @@ def _scrape_metrics(base: str, timeout: float = 30.0) -> str:
 
 
 def _fail(proc: subprocess.Popen, message: str) -> "NoReturn":  # noqa: F821
-    proc.kill()
+    # Kill the whole process group: shard workers inherit the server's
+    # stdout, so reading it would block for as long as any of them lives.
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
     output = proc.stdout.read() if proc.stdout else ""
     sys.exit(f"net smoke FAILED: {message}\n--- server output ---\n{output}")
 
@@ -88,6 +94,7 @@ def main() -> None:
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        start_new_session=True,
     )
     base = None
     while base is None:
@@ -178,7 +185,14 @@ def main() -> None:
             _fail(proc, "autoscaler never scaled past one shard under load")
         print("autoscale-up event observed")
 
-        # 6. /metrics carries the burst: per-shard histograms + the decision
+        # 6. /metrics carries the burst: per-shard histograms + the decision.
+        # The reload dropped every cached curve and the burst bypasses the
+        # cache, so re-send the step-2 batch with the cache on: the scrape
+        # must then count its curves in repro_cache_bytes.
+        _call(
+            base, "/estimate",
+            {"model": model, "queries": queries, "thresholds": thresholds},
+        )
         metrics = _scrape_metrics(base)
         if "# TYPE repro_cluster_sub_batch_latency_seconds histogram" not in metrics:
             _fail(proc, "per-shard latency histogram missing from /metrics")

@@ -100,14 +100,14 @@ def _net_lines(data: Dict[str, Any]) -> List[str]:
         )
     transport = data.get("transport_roundtrip")
     if transport:
-        shm_ms = transport["network"]["median_roundtrip_ms"]
-        pickled_ms = transport["process"]["median_roundtrip_ms"]
-        speedups = transport["speedup_process_over_network"]
+        shm_ms = transport["shm"]["median_roundtrip_ms"]
+        pipe_ms = transport["pipe"]["median_roundtrip_ms"]
+        speedups = transport["speedup_shm_over_pipe"]
         for batch in sorted(speedups, key=int):
-            winner = "shm" if speedups[batch] > 1.0 else "pickling"
+            winner = "shm" if speedups[batch] > 1.0 else "pipe"
             lines.append(
                 f"  transport      batch {int(batch):>4}: shm {shm_ms[batch]:.2f} ms vs "
-                f"pickling {pickled_ms[batch]:.2f} ms, shm {speedups[batch]:.2f}x ({winner} wins)"
+                f"pipe {pipe_ms[batch]:.2f} ms, shm {speedups[batch]:.2f}x ({winner} wins)"
             )
     density = data.get("cache_density")
     if density:

@@ -518,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--shards", type=int, default=1, help="initial worker shards")
     serve_parser.add_argument(
         "--backend",
-        choices=("inline", "process", "network"),
+        choices=("inline", "network"),
         default="network",
         help="shard backend (default: network, shared-memory process shards)",
     )
@@ -637,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     saturate_parser.add_argument(
         "--no-transport-compare",
         action="store_true",
-        help="skip the shm-vs-pickle transport micro-benchmark",
+        help="skip the shm-vs-pickled-pipe transport micro-benchmark",
     )
     saturate_parser.add_argument(
         "--no-cache-density",
@@ -1579,13 +1579,13 @@ def _cmd_saturate(args) -> int:
             repeats=compare_repeats,
         )
         payload["transport_roundtrip"] = compare
-        print("transport round trip (median ms, shm network vs pickling process):")
-        for key in compare["network"]["median_roundtrip_ms"]:
-            net_ms = compare["network"]["median_roundtrip_ms"][key]
-            proc_ms = compare["process"]["median_roundtrip_ms"][key]
-            ratio = compare["speedup_process_over_network"][key]
+        print("transport round trip (median ms, shm slots vs pickled pipe):")
+        for key in compare["shm"]["median_roundtrip_ms"]:
+            shm_ms = compare["shm"]["median_roundtrip_ms"][key]
+            pipe_ms = compare["pipe"]["median_roundtrip_ms"][key]
+            ratio = compare["speedup_shm_over_pipe"][key]
             print(
-                f"  batch {key:>4}: network {net_ms:7.3f} ms  process {proc_ms:7.3f} ms  "
+                f"  batch {key:>4}: shm {shm_ms:7.3f} ms  pipe {pipe_ms:7.3f} ms  "
                 f"({ratio:.2f}x)"
             )
     if args.output:

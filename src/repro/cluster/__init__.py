@@ -5,18 +5,16 @@ See :class:`EstimationCluster` for the entry point::
     from repro.cluster import ClusterConfig, EstimationCluster
 
     with EstimationCluster(ClusterConfig(num_shards=4, model_dir="models/",
-                                         backend="process")) as cluster:
+                                         backend="network")) as cluster:
         cluster.estimate("selnet-faces", queries, thresholds)
         print(cluster.stats()["per_shard"])
+
+Shards run ``inline`` (in the calling process; tests and in-process runs)
+or on the ``network`` backend (one worker process per shard behind a
+shared-memory transport, :mod:`repro.net`).
 """
 
-from .backends import (
-    BACKENDS,
-    InlineShardBackend,
-    ProcessShardBackend,
-    ShardFuture,
-    register_backend,
-)
+from .backends import BACKENDS, InlineShardBackend, ShardFuture
 from .cluster import (
     OVERLOAD_POLICIES,
     ClusterClosedError,
@@ -37,7 +35,5 @@ __all__ = [
     "ShardRouter",
     "ShardFuture",
     "InlineShardBackend",
-    "ProcessShardBackend",
     "BACKENDS",
-    "register_backend",
 ]

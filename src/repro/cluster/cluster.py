@@ -40,8 +40,7 @@ import numpy as np
 from ..estimator import SelectivityEstimator
 from ..obs import MetricsRegistry, MetricsSnapshot
 from ..obs import trace as obstrace
-from ..serving.cache import DEFAULT_KEY_DECIMALS
-from .backends import BACKENDS, ShardFuture
+from .backends import BACKENDS, ShardFuture, _resolve_backend
 from .router import ShardRouter
 
 PathLike = Union[str, Path]
@@ -62,41 +61,27 @@ class ClusterClosedError(RuntimeError):
     """Raised by in-flight calls that a cluster shutdown had to abandon."""
 
 
-def _resolve_backend(name: str):
-    """The registered backend class, importing :mod:`repro.net` on demand.
-
-    The ``network`` backend lives outside this package and registers itself
-    on import; resolving it here means ``ClusterConfig(backend="network")``
-    works without the caller ever importing ``repro.net``.
-    """
-    if name not in BACKENDS and name == "network":
-        from .. import net  # noqa: F401  (import side effect: registration)
-    return BACKENDS.get(name)
-
-
 @dataclass(frozen=True)
 class ClusterConfig:
     """Everything needed to stand up an estimation cluster.
 
     ``cache_capacity`` / ``curve_resolution`` / ``max_batch_size`` /
-    ``cache_key_decimals`` / ``kernel_dtype`` / ``cache_max_bytes`` /
-    ``cache_quantize_bits`` configure each shard's private
-    :class:`~repro.serving.EstimationService`, which answers through its
-    models' compiled kernels; the rest shape routing, admission control and
-    the ``network`` backend's transport (float64 shared-memory slots).
+    ``kernel_dtype`` / ``cache_max_bytes`` / ``cache_quantize_bits``
+    configure each shard's private :class:`~repro.serving.EstimationService`,
+    which answers through its models' compiled kernels; the rest shape
+    admission control and the ``network`` backend's transport (float64
+    shared-memory slots).  ``network`` shards preload every disk-backed
+    model at spawn.
     """
 
     num_shards: int = 2
     model_dir: Optional[PathLike] = None
     backend: str = "inline"
-    replication_factor: int = 1
-    virtual_nodes: int = 64
     queue_capacity: int = 8
     overload_policy: str = "block"
     cache_capacity: int = 256
     curve_resolution: int = 64
     max_batch_size: int = 256
-    cache_key_decimals: int = DEFAULT_KEY_DECIMALS
     #: compiled-kernel precision tier per shard (float64 or float32;
     #: None = float64) — see :mod:`repro.inference.precision`
     kernel_dtype: Optional[str] = None
@@ -106,8 +91,6 @@ class ClusterConfig:
     cache_quantize_bits: Optional[int] = None
     #: ``network`` backend: bytes per shared-memory transport slot
     shm_slot_bytes: int = 1 << 20
-    #: ``network`` backend: preload disk-backed models at shard spawn
-    warm_models: bool = True
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -123,7 +106,7 @@ class ClusterConfig:
                 f"cache_quantize_bits must be None, 8 or 16, got {self.cache_quantize_bits!r}"
             )
         if _resolve_backend(self.backend) is None:
-            raise ValueError(f"unknown backend {self.backend!r}; available: {sorted(BACKENDS)}")
+            raise ValueError(f"unknown backend {self.backend!r}; available: {BACKENDS}")
         if self.overload_policy not in OVERLOAD_POLICIES:
             raise ValueError(
                 f"unknown overload_policy {self.overload_policy!r}; "
@@ -325,7 +308,7 @@ class EstimationCluster:
             "Cluster resizes, labeled by direction",
             ("direction",),
         )
-        self.router = self._make_router(config.num_shards)
+        self.router = ShardRouter(config.num_shards)
         self._shards = [
             _Shard(i, self._backend_cls(config), self.metrics)
             for i in range(config.num_shards)
@@ -334,14 +317,6 @@ class EstimationCluster:
         self._model_payloads: Dict[str, bytes] = {}
         self._scale_events: List[Dict[str, Any]] = []
         self._closed = False
-
-    def _make_router(self, num_shards: int) -> ShardRouter:
-        return ShardRouter(
-            num_shards=num_shards,
-            replication_factor=min(self.config.replication_factor, num_shards),
-            virtual_nodes=self.config.virtual_nodes,
-            decimals=self.config.cache_key_decimals,
-        )
 
     # ------------------------------------------------------------------ #
     def __enter__(self) -> "EstimationCluster":
@@ -420,7 +395,7 @@ class EstimationCluster:
                 del self._shards[num_shards:]
             # Swap the ring before draining: no new work can reach a
             # retiring shard once the router stops naming it.
-            self.router = self._make_router(num_shards)
+            self.router = ShardRouter(num_shards)
             direction = "up" if num_shards > current else "down"
             self._scale_counter.labels(direction=direction).inc()
             self.metrics.gauge(
@@ -479,8 +454,9 @@ class EstimationCluster:
         """Attach an in-memory estimator to *every* shard.
 
         Each shard receives its own unpickled replica, so per-shard state
-        (update fine-tuning, caches) never aliases across shards — exactly
-        the semantics of the process backend, on every backend.
+        (update fine-tuning, caches) never aliases across shards — on the
+        inline backend exactly as across the ``network`` backend's process
+        boundary.
         """
         payload = pickle.dumps(estimator, protocol=pickle.HIGHEST_PROTOCOL)
         with self._lock:
@@ -502,9 +478,8 @@ class EstimationCluster:
     ) -> ClusterEstimateFuture:
         """Scatter one batch by shard; returns a gatherable future.
 
-        Routing is per row on ``(model, query)`` with replica-aware load
-        balancing (current queue depths feed the router), then each shard
-        receives its rows as one backend call.
+        Routing is per row on ``(model, query)``, then each shard receives
+        its rows as one backend call.
         """
         if self._closed:
             raise RuntimeError("cluster is closed")
@@ -524,7 +499,7 @@ class EstimationCluster:
         with self._lock:
             if self._closed:
                 raise RuntimeError("cluster is closed")
-            shard_ids = self.router.route_batch(model, queries, loads=self.queue_depths())
+            shard_ids = self.router.route_batch(model, queries)
             groups: List[Tuple[_Shard, np.ndarray]] = [
                 (self._shards[int(shard_id)], np.flatnonzero(shard_ids == shard_id))
                 for shard_id in np.unique(shard_ids)

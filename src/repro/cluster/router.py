@@ -4,29 +4,27 @@ Routing keys on the *query* (not the request) so that all thresholds of a
 repeated query land on the same shard — which is what keeps that shard's
 :class:`~repro.serving.cache.CurveCache` hot.  The key is built by
 :func:`repro.serving.cache.query_cache_key`, so the router and the per-shard
-caches agree bit-for-bit on which queries are "the same" (including the
-configurable coordinate rounding).
+caches agree bit-for-bit on which queries are "the same" (both round query
+coordinates to :data:`~repro.serving.cache.KEY_DECIMALS` decimals).
 
-The ring hashes ``virtual_nodes`` points per shard with BLAKE2b, making
+The ring hashes :data:`VIRTUAL_NODES` points per shard with BLAKE2b, making
 placement deterministic across processes and Python invocations (no
 ``PYTHONHASHSEED`` dependence) and keeping the remap fraction near
-``1 / (num_shards + 1)`` when a shard is added.
-
-Replica awareness: every key owns an ordered set of ``replication_factor``
-distinct shards (successors on the ring).  :meth:`ShardRouter.route` picks
-the primary by default; given current shard loads it picks the least-loaded
-replica instead (ties break in ring order), trading a little cache locality
-for queue headroom.
+``1 / (num_shards + 1)`` when a shard is added.  A key belongs to the first
+ring point at or after its hash, wrapping past the end of the ring.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict
 
 import numpy as np
 
-from ..serving.cache import DEFAULT_KEY_DECIMALS, query_cache_key
+from ..serving.cache import query_cache_key
+
+#: ring points per shard; more points smooth the key distribution
+VIRTUAL_NODES = 64
 
 
 def _hash64(data: bytes) -> int:
@@ -35,108 +33,46 @@ def _hash64(data: bytes) -> int:
 
 
 class ShardRouter:
-    """Maps ``(model, query)`` keys to shard ids via a consistent-hash ring.
+    """Maps ``(model, query)`` keys to shard ids via a consistent-hash ring."""
 
-    Parameters
-    ----------
-    num_shards:
-        Number of worker shards in the cluster.
-    replication_factor:
-        Size of each key's replica set (distinct shards, primary first).
-    virtual_nodes:
-        Ring points per shard; more points smooth the key distribution.
-    decimals:
-        Query-coordinate rounding inside keys — must match the per-shard
-        cache configuration so routing and caching agree on query identity.
-    """
-
-    def __init__(
-        self,
-        num_shards: int,
-        replication_factor: int = 1,
-        virtual_nodes: int = 64,
-        decimals: int = DEFAULT_KEY_DECIMALS,
-    ) -> None:
+    def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        if not 1 <= replication_factor <= num_shards:
-            raise ValueError(
-                f"replication_factor must be in [1, num_shards], got "
-                f"{replication_factor} with {num_shards} shards"
-            )
-        if virtual_nodes < 1:
-            raise ValueError("virtual_nodes must be at least 1")
         self.num_shards = int(num_shards)
-        self.replication_factor = int(replication_factor)
-        self.virtual_nodes = int(virtual_nodes)
-        self.decimals = int(decimals)
-
-        points: List[Tuple[int, int]] = []
-        for shard in range(self.num_shards):
-            for vnode in range(self.virtual_nodes):
-                points.append((_hash64(f"shard-{shard}:vnode-{vnode}".encode()), shard))
-        points.sort()
+        points = sorted(
+            (_hash64(f"shard-{shard}:vnode-{vnode}".encode()), shard)
+            for shard in range(self.num_shards)
+            for vnode in range(VIRTUAL_NODES)
+        )
         self._ring_hashes = np.asarray([point for point, _ in points], dtype=np.uint64)
         self._ring_shards = np.asarray([shard for _, shard in points], dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     def key_for(self, model: str, query: np.ndarray) -> bytes:
         """The routing key — identical to the per-shard cache key."""
-        return query_cache_key(model, query, decimals=self.decimals)
+        return query_cache_key(model, query)
 
-    def replicas(self, model: str, query: np.ndarray) -> Tuple[int, ...]:
-        """The key's ordered replica set: ``replication_factor`` distinct shards."""
-        point = _hash64(self.key_for(model, query))
-        start = int(np.searchsorted(self._ring_hashes, point, side="left"))
-        seen: List[int] = []
-        for offset in range(len(self._ring_shards)):
-            shard = int(self._ring_shards[(start + offset) % len(self._ring_shards)])
-            if shard not in seen:
-                seen.append(shard)
-                if len(seen) == self.replication_factor:
-                    break
-        return tuple(seen)
+    def route(self, model: str, query: np.ndarray) -> int:
+        """Shard id for one key."""
+        return int(self.route_batch(model, np.asarray(query)[None, :])[0])
 
-    def route(
-        self,
-        model: str,
-        query: np.ndarray,
-        loads: Optional[Sequence[float]] = None,
-    ) -> int:
-        """Shard id for one key: the primary, or the least-loaded replica.
-
-        ``loads`` is an optional per-shard load vector (e.g. current queue
-        depths); when given, the replica with the smallest load wins and
-        ties break in ring (replica-set) order, so an idle primary always
-        keeps its keys.
-        """
-        replicas = self.replicas(model, query)
-        if loads is None or len(replicas) == 1:
-            return replicas[0]
-        return min(replicas, key=lambda shard: (loads[shard], replicas.index(shard)))
-
-    def route_batch(
-        self,
-        model: str,
-        queries: np.ndarray,
-        loads: Optional[Sequence[float]] = None,
-    ) -> np.ndarray:
+    def route_batch(self, model: str, queries: np.ndarray) -> np.ndarray:
         """Shard ids for a batch of queries (one id per row)."""
         queries = np.asarray(queries, dtype=np.float64)
         if queries.size == 0:
             return np.empty(0, dtype=np.int64)
         queries = np.atleast_2d(queries)
-        return np.asarray(
-            [self.route(model, queries[i], loads=loads) for i in range(len(queries))],
-            dtype=np.int64,
+        points = np.fromiter(
+            (_hash64(self.key_for(model, row)) for row in queries),
+            dtype=np.uint64,
+            count=len(queries),
         )
+        slots = np.searchsorted(self._ring_hashes, points, side="left")
+        return self._ring_shards[slots % len(self._ring_shards)]
 
     # ------------------------------------------------------------------ #
     def describe(self) -> Dict[str, int]:
         return {
             "num_shards": self.num_shards,
-            "replication_factor": self.replication_factor,
-            "virtual_nodes": self.virtual_nodes,
-            "decimals": self.decimals,
             "ring_points": len(self._ring_shards),
         }

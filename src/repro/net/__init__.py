@@ -6,8 +6,7 @@ into a real service:
 * :mod:`repro.net.shm` / :mod:`repro.net.worker` / :mod:`repro.net.backend`
   — the ``network`` shard backend: one worker process per shard, control
   messages over a pipe, batch data through a shared-memory slot ring
-  (zero-copy NumPy views; importing this package registers the backend, so
-  ``ClusterConfig(backend="network")`` just works);
+  (zero-copy NumPy views), selected with ``ClusterConfig(backend="network")``;
 * :mod:`repro.net.protocol` / :mod:`repro.net.server` /
   :mod:`repro.net.client` — length-prefixed binary frames and JSON/HTTP
   endpoints (``/estimate``, ``/update``, ``/models``, ``/models/reload``,

@@ -1,6 +1,6 @@
 """The ``network`` shard backend: process shards over shared-memory transport.
 
-Registered with the cluster tier as ``backend="network"``.  Each shard is a
+Selected with ``ClusterConfig(backend="network")``.  Each shard is a
 dedicated worker process (:mod:`repro.net.worker`) connected by
 
 * a **control pipe** carrying small pickled dicts (operation, model name,
@@ -26,11 +26,11 @@ from typing import Any, Callable, Deque, Dict, Optional, Sequence, Type
 
 import numpy as np
 
-from ..cluster.backends import _service_config_kwargs, register_backend
+from ..cluster.backends import _service_config_kwargs
 from ..estimator import UpdateNotSupportedError
 from ..obs import MetricsRegistry, MetricsSnapshot
 from ..obs import trace as obstrace
-from .shm import DEFAULT_SLOT_BYTES, ShmRing, SlotPool
+from .shm import ShmRing, SlotPool
 from .worker import shard_main
 
 #: seconds between liveness probes while waiting for a reply
@@ -108,13 +108,11 @@ def _error_from_reply(message: Dict[str, Any]) -> BaseException:
 class NetworkShardBackend:
     """A shard in its own process, reached through shared-memory transport."""
 
-    name = "network"
-
     def __init__(self, config: "ClusterConfig") -> None:
         self._service_kwargs = dict(_service_config_kwargs(config))
         if self._service_kwargs["model_dir"] is not None:
             self._service_kwargs["model_dir"] = str(self._service_kwargs["model_dir"])
-        slot_bytes = int(getattr(config, "shm_slot_bytes", DEFAULT_SLOT_BYTES))
+        slot_bytes = int(config.shm_slot_bytes)
         # Slots only carry estimate batches, whose concurrency the cluster
         # bounds at queue_capacity; the margin covers direct backend users.
         num_slots = max(int(config.queue_capacity) + 2, 4)
@@ -130,7 +128,6 @@ class NetworkShardBackend:
                 num_slots,
                 slot_bytes,
                 self._service_kwargs,
-                bool(getattr(config, "warm_models", True)),
                 # The frontend's trace sink config rides along at spawn, so
                 # autoscaled shards created mid-run trace like the originals.
                 obstrace.trace_config(),
@@ -344,6 +341,3 @@ class NetworkShardBackend:
             pass
         self._slots.close()
         self._ring.close()
-
-
-register_backend(NetworkShardBackend.name, NetworkShardBackend)

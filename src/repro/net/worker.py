@@ -44,7 +44,6 @@ def shard_main(
     num_slots: int,
     slot_bytes: int,
     service_kwargs: Dict[str, Any],
-    warm_models: bool = True,
     trace_config: Optional[Dict[str, Any]] = None,
 ) -> None:
     """Run one shard worker until ``shutdown`` or the control pipe closes."""
@@ -59,7 +58,7 @@ def shard_main(
             trace_config["path"], trace_config.get("sample", 1.0), role="shard"
         )
     service = EstimationService(**service_kwargs)
-    warmed = service.preload() if warm_models else []
+    warmed = service.preload()
     ring = ShmRing.attach(ring_name, num_slots, slot_bytes)
     _safe_reply(connection, {"ok": True, "op": "ready", "pid": os.getpid(), "warmed": warmed})
 

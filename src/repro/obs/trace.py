@@ -13,7 +13,9 @@ One served request produces spans named by the layer that timed it:
     Time from submit until a sub-batch was accepted by a shard's bounded
     queue (blocking admission waits show up here).
 ``cluster.queue_wait``
-    Time a sub-batch sat in the shard queue before the worker picked it up.
+    Time the cluster spent claiming one sub-batch's result: the whole shard
+    round trip after submission (transport, queueing in the worker and the
+    worker's service call), not only the wait before the worker picked it up.
 ``transport.shm`` / ``transport.pipe``
     Serialization + shared-memory (or pickled-pipe fallback) transfer of
     one batch into a worker process.

@@ -16,16 +16,14 @@ Where that pool lives is the **executor backend** (``executor=``):
 
 ``"process"``
     Stages run in dedicated worker processes (one fresh pool per ``run``,
-    shut down before ``run`` returns, so no worker outlives it),
-    following the same spawn idiom as the cluster tier's
-    :class:`~repro.cluster.backends.ProcessShardBackend` — a lazily built
-    module-global slot in each worker survives both fork and spawn start
-    methods without initializer plumbing.  A stage ships as its canonical
-    **spec plus dependency hashes** only: the worker rebuilds the value
-    through its own :class:`~repro.pipeline.store.ArtifactStore` over the
-    shared on-disk root, so no dataset, workload or model is ever pickled
-    across the process boundary, and training branches use all cores
-    without sharing a GIL.  Requires a persistent store (the store *is*
+    shut down before ``run`` returns, so no worker outlives it).  A
+    lazily built module-global slot in each worker survives both fork and
+    spawn start methods without initializer plumbing.  A stage ships as its
+    canonical **spec plus dependency hashes** only: the worker rebuilds the
+    value through its own :class:`~repro.pipeline.store.ArtifactStore` over
+    the shared on-disk root, so no dataset, workload or model is ever
+    pickled across the process boundary, and training branches use all
+    cores without sharing a GIL.  Requires a persistent store (the store *is*
     the data plane); results are bit-identical to the thread backend.
 
 Stages never wait inside workers: the scheduler submits a stage only once
@@ -193,9 +191,8 @@ def _default_stage_workers() -> int:
 # ---------------------------------------------------------------------- #
 # Process-executor worker side.
 #
-# Mirrors the cluster tier's ProcessShardBackend idiom: a module-global
-# slot built lazily from the arguments shipped with the first task, so the
-# same code survives fork and spawn start methods.  One ArtifactStore per
+# A module-global slot built lazily from the arguments shipped with the
+# first task, so the same code survives fork and spawn start methods.  One ArtifactStore per
 # root keeps a worker's disk-replayed artifacts warm across the stages it
 # executes — the workload split loaded for one training stage is reused by
 # the next model trained in the same worker, without any cross-process

@@ -127,28 +127,24 @@ class QuantizedCurve:
 Curve = Union[CachedCurve, QuantizedCurve]
 
 
-#: default rounding of query coordinates inside cache keys; overridable per
-#: cache through ``CurveCache(decimals=...)`` / the service configuration
-DEFAULT_KEY_DECIMALS = 10
+#: rounding of query coordinates inside cache and routing keys: queries that
+#: differ by less than 1e-10 per coordinate share one cached curve and shard
+KEY_DECIMALS = 10
 
 
-def _rounded_query_bytes(query: np.ndarray, decimals: int) -> bytes:
-    rounded = np.round(np.asarray(query, dtype=np.float64), decimals)
+def _rounded_query_bytes(query: np.ndarray) -> bytes:
+    rounded = np.round(np.asarray(query, dtype=np.float64), KEY_DECIMALS)
     # 0.0 and -0.0 have different byte patterns; normalise so they collide.
     rounded = rounded + 0.0
     return rounded.tobytes()
 
 
-def query_cache_key(
-    model_name: str, query: np.ndarray, decimals: int = DEFAULT_KEY_DECIMALS
-) -> bytes:
+def query_cache_key(model_name: str, query: np.ndarray) -> bytes:
     """Stable cache key: model name + the rounded query bytes."""
-    return model_name.encode("utf-8") + b"\x00" + _rounded_query_bytes(query, decimals)
+    return model_name.encode("utf-8") + b"\x00" + _rounded_query_bytes(query)
 
 
-def compact_cache_key(
-    model_name: str, query: np.ndarray, decimals: int = DEFAULT_KEY_DECIMALS
-) -> bytes:
+def compact_cache_key(model_name: str, query: np.ndarray) -> bytes:
     """The cache's *stored* key: model name + a 16-byte query digest.
 
     Same identity semantics as :func:`query_cache_key` (which the shard
@@ -156,9 +152,7 @@ def compact_cache_key(
     byte-budgeted cache spends 16 bytes per key instead of ``dim * 8``.
     The model prefix stays in the clear for per-model invalidation scans.
     """
-    digest = hashlib.blake2b(
-        _rounded_query_bytes(query, decimals), digest_size=16
-    ).digest()
+    digest = hashlib.blake2b(_rounded_query_bytes(query), digest_size=16).digest()
     return model_name.encode("utf-8") + b"\x00" + digest
 
 
@@ -192,10 +186,6 @@ class CurveCache:
         Maximum number of cached curves; the least recently used entry is
         evicted when full.  ``capacity <= 0`` disables caching entirely
         (every ``get`` misses, ``put`` is a no-op).
-    decimals:
-        Rounding applied to query coordinates when building cache keys (see
-        :func:`query_cache_key`).  Lower values make near-duplicate queries
-        share one cached curve at the cost of interpolation accuracy.
     max_bytes:
         Optional byte budget over accounted cache memory (curve payloads,
         keys, interned grids, per-entry overhead); LRU entries are evicted
@@ -209,12 +199,10 @@ class CurveCache:
     def __init__(
         self,
         capacity: int = 256,
-        decimals: int = DEFAULT_KEY_DECIMALS,
         max_bytes: Optional[int] = None,
         quantize_bits: Optional[int] = None,
     ) -> None:
         self.capacity = int(capacity)
-        self.decimals = int(decimals)
         self.max_bytes = None if max_bytes is None else int(max_bytes)
         if quantize_bits is not None and quantize_bits not in (8, 16):
             raise ValueError(f"quantize_bits must be 8, 16 or None, got {quantize_bits!r}")
@@ -254,7 +242,7 @@ class CurveCache:
         silently return a wrong estimate, so the caller must rebuild the
         curve over a wider range instead.
         """
-        key = compact_cache_key(model_name, query, decimals=self.decimals)
+        key = compact_cache_key(model_name, query)
         entry = self._entries.get(key)
         if entry is None or (
             threshold is not None and threshold > entry.curve.thresholds[-1]
@@ -268,7 +256,7 @@ class CurveCache:
     def put(self, model_name: str, query: np.ndarray, curve: Curve) -> None:
         if self.capacity <= 0:
             return
-        key = compact_cache_key(model_name, query, decimals=self.decimals)
+        key = compact_cache_key(model_name, query)
         if self.quantize_bits is not None and isinstance(curve, CachedCurve):
             curve = QuantizedCurve.encode(
                 curve.thresholds, curve.values, bits=self.quantize_bits
@@ -353,7 +341,6 @@ class CurveCache:
         return {
             "size": len(self._entries),
             "capacity": self.capacity,
-            "decimals": self.decimals,
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": self.hit_rate,

@@ -33,9 +33,20 @@ from ..obs import MetricsRegistry
 from ..obs import trace as obstrace
 from ..persistence import SIDECAR_FILE, load_estimator, read_metadata
 from .batching import iter_microbatches
-from .cache import DEFAULT_KEY_DECIMALS, CachedCurve, CurveCache
+from .cache import CachedCurve, CurveCache
 
 PathLike = Union[str, Path]
+
+
+def _require_finite(queries: np.ndarray, thresholds: np.ndarray) -> None:
+    """Reject NaN/inf inputs before they reach a kernel or the curve cache.
+
+    An infinite threshold would stretch a curve grid to ``linspace(0, inf)``
+    (all NaN), and that curve would then answer every later request for the
+    same query from the cache.
+    """
+    if not (np.isfinite(queries).all() and np.isfinite(thresholds).all()):
+        raise ValueError("queries and thresholds must be finite (no NaN or inf)")
 
 
 class ModelStats:
@@ -126,10 +137,6 @@ class EstimationService:
         Number of grid points per cached curve.
     max_batch_size:
         Upper bound on the rows per estimator call (micro-batching).
-    cache_key_decimals:
-        Rounding of query coordinates inside cache keys (see
-        :func:`repro.serving.cache.query_cache_key`); lower values let
-        near-duplicate queries share one cached curve.
     kernel_dtype:
         Precision tier of the compiled kernels every answer comes from
         (:meth:`repro.SelectivityEstimator.compiled`): ``"float64"`` (the
@@ -152,7 +159,6 @@ class EstimationService:
         cache_capacity: int = 256,
         curve_resolution: int = 64,
         max_batch_size: int = 256,
-        cache_key_decimals: int = DEFAULT_KEY_DECIMALS,
         kernel_dtype: Optional[str] = None,
         cache_max_bytes: Optional[int] = None,
         cache_quantize_bits: Optional[int] = None,
@@ -168,7 +174,6 @@ class EstimationService:
         self.kernel_dtype = self._precision.name
         self.cache = CurveCache(
             capacity=cache_capacity,
-            decimals=cache_key_decimals,
             max_bytes=cache_max_bytes,
             quantize_bits=cache_quantize_bits,
         )
@@ -349,6 +354,7 @@ class EstimationService:
                 f"expected aligned (n, dim) queries and (n,) thresholds, got "
                 f"{queries.shape} and {thresholds.shape}"
             )
+        _require_finite(queries, thresholds)
         stats = self._model_stats(name)
         start = time.perf_counter()
         if use_cache and self.cache.capacity > 0:
@@ -512,6 +518,7 @@ class EstimationService:
             grid = self._curve_grid(estimator, t_hi=0.0)
         else:
             grid = np.asarray(thresholds, dtype=np.float64)
+        _require_finite(queries, grid)
         stats = self._model_stats(name)
         values = self._build_curve_values(name, estimator, queries, grid, stats)
         curves: List[CachedCurve] = []

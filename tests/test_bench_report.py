@@ -53,9 +53,9 @@ def _synthetic_reports():
                 {"scenario": "empty", "points": [], "knee_rps": 0.0, "peak_achieved_rps": 0.0},
             ],
             "transport_roundtrip": {
-                "network": {"median_roundtrip_ms": {"32": 1.0, "256": 8.0}},
-                "process": {"median_roundtrip_ms": {"32": 2.0, "256": 4.0}},
-                "speedup_process_over_network": {"32": 2.0, "256": 0.5},
+                "shm": {"median_roundtrip_ms": {"32": 1.0, "256": 8.0}},
+                "pipe": {"median_roundtrip_ms": {"32": 2.0, "256": 4.0}},
+                "speedup_shm_over_pipe": {"32": 2.0, "256": 0.5},
             },
         },
         "BENCH_pipeline.json": {
@@ -81,8 +81,8 @@ class TestFormatTrajectory:
 
     def test_every_transport_batch_size_is_printed(self):
         text = format_trajectory(_synthetic_reports())
-        assert "batch   32: shm 1.00 ms vs pickling 2.00 ms, shm 2.00x (shm wins)" in text
-        assert "batch  256: shm 8.00 ms vs pickling 4.00 ms, shm 0.50x (pickling wins)" in text
+        assert "batch   32: shm 1.00 ms vs pipe 2.00 ms, shm 2.00x (shm wins)" in text
+        assert "batch  256: shm 8.00 ms vs pipe 4.00 ms, shm 0.50x (pipe wins)" in text
 
     def test_knee_is_printed_as_the_bracket_the_grid_resolves(self):
         text = format_trajectory(_synthetic_reports())

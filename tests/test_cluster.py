@@ -15,6 +15,7 @@ from repro.cluster import (
     ShardRouter,
 )
 from repro.estimator import UpdateNotSupportedError
+from repro.serving import query_cache_key
 
 
 @pytest.fixture(scope="module")
@@ -63,35 +64,33 @@ class TestShardRouter:
         # Consistent hashing moves ~1/5 of the keys; mod-N would move ~4/5.
         assert moved < 0.5
 
-    def test_replica_sets_are_distinct_and_ordered(self, rng):
-        router = ShardRouter(num_shards=4, replication_factor=3)
-        for query in rng.standard_normal((32, 4)):
-            replicas = router.replicas("m", query)
-            assert len(replicas) == 3 and len(set(replicas)) == 3
-            assert router.route("m", query) == replicas[0]
-
-    def test_load_aware_routing_prefers_idle_replicas(self, rng):
-        router = ShardRouter(num_shards=3, replication_factor=2)
-        query = rng.standard_normal(4)
-        primary, secondary = router.replicas("m", query)
-        loads = [0.0, 0.0, 0.0]
-        assert router.route("m", query, loads=loads) == primary
-        loads[primary] = 10.0
-        assert router.route("m", query, loads=loads) == secondary
+    def test_placement_is_pinned(self):
+        """Placement is part of the cache contract: a ring change remaps keys."""
+        queries = np.random.default_rng(2024).standard_normal((40, 6))
+        expected = {
+            2: [1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0,
+                0, 1, 0, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 0, 0, 1],
+            5: [1, 3, 4, 3, 2, 3, 2, 2, 2, 4, 3, 2, 0, 0, 2, 0, 2, 0, 3, 0,
+                0, 4, 4, 0, 3, 4, 1, 2, 3, 2, 2, 2, 4, 0, 2, 3, 1, 0, 4, 2],
+        }
+        for num_shards, shards in expected.items():
+            router = ShardRouter(num_shards)
+            assert router.route_batch("m", queries).tolist() == shards
+            assert [router.route("m", query) for query in queries] == shards
 
     def test_router_matches_cache_key_rounding(self, rng):
-        router = ShardRouter(num_shards=4, decimals=2)
-        query = rng.standard_normal(5)
-        nearby = query + 1e-6
-        assert router.route("m", query) == router.route("m", nearby)
+        router = ShardRouter(num_shards=4)
+        query = np.round(rng.standard_normal(5), 10)
+        below = query + 1e-12  # under the fixed 1e-10 key quantum
+        assert router.key_for("m", below) == query_cache_key("m", query)
+        assert router.route("m", query) == router.route("m", below)
+        assert router.key_for("m", query + 1e-6) != router.key_for("m", query)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ShardRouter(num_shards=0)
-        with pytest.raises(ValueError):
-            ShardRouter(num_shards=2, replication_factor=3)
-        with pytest.raises(ValueError):
-            ShardRouter(num_shards=2, virtual_nodes=0)
+        with pytest.raises(TypeError):
+            ShardRouter(4, replication_factor=2)
 
 
 def _zipf_index_batches(pool_size, num_rows, batch_size, exponent=1.2, seed=1):
@@ -287,6 +286,16 @@ class TestEstimationCluster:
         with pytest.raises(ValueError):
             ClusterConfig(backend="thread")
         with pytest.raises(ValueError):
+            ClusterConfig(backend="process")
+        for removed in (
+            {"replication_factor": 2},
+            {"virtual_nodes": 8},
+            {"cache_key_decimals": 2},
+            {"warm_models": False},
+        ):
+            with pytest.raises(TypeError):
+                ClusterConfig(**removed)
+        with pytest.raises(ValueError):
             ClusterConfig(overload_policy="drop")
         with pytest.raises(ValueError):
             ClusterConfig(queue_capacity=0)
@@ -300,10 +309,10 @@ class TestProcessBackend:
         thresholds = tiny_cosine_split.test.thresholds[:12]
         direct = create_estimator("kde", num_samples=64, seed=0).fit(tiny_cosine_split)
         with EstimationCluster(
-            ClusterConfig(num_shards=2, model_dir=kde_model_dir, backend="process")
+            ClusterConfig(num_shards=2, model_dir=kde_model_dir, backend="network")
         ) as cluster:
             served = cluster.estimate("kde", queries, thresholds, use_cache=False)
             np.testing.assert_array_equal(served, direct.estimate(queries, thresholds))
             stats = cluster.stats()
-            assert stats["backend"] == "process"
+            assert stats["backend"] == "network"
             assert stats["total_requests"] == 12

@@ -73,15 +73,15 @@ class TestCurveCache:
         assert cache.stats()["evictions"] == 2
 
     def test_configurable_key_decimals(self):
+        """Keys round at a fixed 10 decimals; the rounding is not a knob."""
+        with pytest.raises(TypeError):
+            CurveCache(capacity=8, decimals=2)
         curve = CachedCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        coarse = CurveCache(capacity=8, decimals=2)
-        coarse.put("m", np.array([0.12345, 1.0]), curve)
-        assert coarse.get("m", np.array([0.12001, 1.0])) is not None  # rounds to 0.12
-        assert coarse.get("m", np.array([0.13, 1.0])) is None
-        precise = CurveCache(capacity=8)  # default 10 decimals keeps them apart
-        precise.put("m", np.array([0.12345, 1.0]), curve)
-        assert precise.get("m", np.array([0.12001, 1.0])) is None
-        assert coarse.stats()["decimals"] == 2
+        cache = CurveCache(capacity=8)
+        cache.put("m", np.array([0.12345, 1.0]), curve)
+        assert cache.get("m", np.array([0.12345 + 1e-12, 1.0])) is not None
+        assert cache.get("m", np.array([0.12346, 1.0])) is None
+        assert "decimals" not in cache.stats()
 
     def test_invalidate_per_model(self):
         cache = CurveCache(capacity=8)
@@ -229,15 +229,44 @@ class TestEstimationService:
         assert service.stats()["per_model"]["kde"]["requests"] == 0
 
     def test_service_cache_key_decimals_config(self, model_dir, tiny_cosine_split):
-        service = EstimationService(model_dir, cache_key_decimals=2)
-        assert service.cache.decimals == 2
-        query = tiny_cosine_split.test.queries[:1]
+        with pytest.raises(TypeError):
+            EstimationService(model_dir, cache_key_decimals=2)
+        service = EstimationService(model_dir)
+        query = np.round(tiny_cosine_split.test.queries[:1], 10)
         threshold = tiny_cosine_split.test.thresholds[:1]
         service.estimate("kde", query, threshold)
-        # A perturbation below the rounding quantum reuses the cached curve.
-        service.estimate("kde", query + 1e-6, threshold)
+        # A perturbation below the fixed 1e-10 key quantum reuses the cached
+        # curve; one above it builds a new curve.
+        service.estimate("kde", query + 1e-12, threshold)
         stats = service.stats()["per_model"]["kde"]
         assert stats["curve_builds"] == 1 and stats["cache_hits"] == 1
+        service.estimate("kde", query + 1e-6, threshold)
+        assert service.stats()["per_model"]["kde"]["curve_builds"] == 2
+
+    def test_non_finite_inputs_are_rejected_before_the_cache(
+        self, model_dir, tiny_cosine_split
+    ):
+        """An inf threshold must not plant an all-NaN curve in the cache."""
+        service = EstimationService(model_dir)
+        queries = tiny_cosine_split.test.queries[:2]
+        threshold = tiny_cosine_split.test.thresholds[:1]
+        uncached = service.estimate("kde", queries[:1], threshold, use_cache=False)
+        with pytest.raises(ValueError, match="finite"):
+            service.estimate("kde", queries, np.array([threshold[0], np.inf]))
+        served = service.estimate("kde", queries[:1], threshold)
+        # Exactly what a service that never saw the bad call answers, and the
+        # uncached value up to curve interpolation.
+        fresh = EstimationService(model_dir).estimate("kde", queries[:1], threshold)
+        np.testing.assert_array_equal(served, fresh)
+        np.testing.assert_allclose(served, uncached, rtol=0.25)
+        bad = queries[:1].copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            service.estimate("kde", bad, threshold, use_cache=False)
+        with pytest.raises(ValueError, match="finite"):
+            service.curves_for_queries("kde", bad)
+        with pytest.raises(ValueError, match="finite"):
+            service.curves_for_queries("kde", queries, np.array([0.0, np.inf]))
 
     def test_precision_and_cache_budget_knobs(self, model_dir, tiny_cosine_split):
         service = EstimationService(
