@@ -19,7 +19,8 @@ each sub-batch is one backend call (micro-batched again inside the worker
 via ``iter_microbatches``), and the results are reassembled in request
 order.  Data updates fan out to *every* shard — each shard owns a full
 replica of each model it serves, so an update must reach all of them, and
-each shard invalidates its own cached curves as part of applying it.
+each shard drops its own cached curves when the update changed the model's
+weights.
 
 ``stats()`` aggregates cluster-level counters with per-shard cache hit
 rate, queue depth and p50/p95/p99 sub-batch latency.
@@ -546,9 +547,11 @@ class EstimationCluster:
     ) -> List[Dict[str, Any]]:
         """Fan one data update out to every shard's replica of ``model``.
 
-        Each shard applies the update to its own copy and invalidates its
-        cached curves for the model; the per-shard summaries come back in
-        shard order.  Raises
+        Each shard applies the update to its own copy through
+        :meth:`EstimationService.update`, so it drops its cached curves
+        and compiled kernel for the model only when the update changed the
+        weights (a ``selnet-inc`` fine-tune) and keeps them otherwise; the
+        per-shard summaries come back in shard order.  Raises
         :class:`repro.estimator.UpdateNotSupportedError` (from every shard
         alike) when the model does not implement the update protocol.
         """

@@ -13,7 +13,7 @@ When the database receives insertions or deletions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -43,7 +43,6 @@ class UpdateStepReport:
     fine_tune_epochs: int = 0
 
 
-@dataclass
 class IncrementalSelNet:
     """Wraps a fitted SelNet-ct estimator with update handling.
 
@@ -55,7 +54,7 @@ class IncrementalSelNet:
         in the paper is described for this configuration; partitioned models
         would additionally require re-partitioning.
     data:
-        Current database vectors.
+        Database vectors at the start of the update stream.
     distance:
         Distance function of the workload.
     train, validation:
@@ -65,30 +64,63 @@ class IncrementalSelNet:
         Incremental-learning hyper-parameters.
     """
 
-    estimator: SelNetEstimator
-    data: np.ndarray
-    distance: DistanceFunction
-    train: Workload
-    validation: Workload
-    config: IncrementalConfig = field(default_factory=IncrementalConfig)
-    reports: List[UpdateStepReport] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.estimator.model, SelNetModel):
+    def __init__(
+        self,
+        estimator: SelNetEstimator,
+        data: np.ndarray,
+        distance: DistanceFunction,
+        train: Workload,
+        validation: Workload,
+        config: Optional[IncrementalConfig] = None,
+    ) -> None:
+        if not isinstance(estimator.model, SelNetModel):
             raise TypeError("IncrementalSelNet requires a fitted non-partitioned SelNet estimator")
-        self.data = np.asarray(self.data, dtype=np.float64)
+        self.estimator = estimator
+        self.distance = distance
+        self.train = train
+        self.validation = validation
+        self.config = IncrementalConfig() if config is None else config
+        self.reports: List[UpdateStepReport] = []
         # One incremental oracle for the whole update stream: base counts per
-        # workload are computed once and each operation only scans the rows
-        # it touched, instead of rebuilding a fresh oracle per operation.
-        self._delta = DeltaOracle(self.data, self.distance)
+        # workload are computed once and each relabel only scans the rows
+        # changed since that workload was last labeled.
+        self._delta = DeltaOracle(np.asarray(data, dtype=np.float64), distance)
+        # ``(queries, thresholds, predictions)`` of the current weights on the
+        # validation rows; only a fine-tune changes the weights.
+        self._predictions: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._baseline_mae = self._validation_mae()
+
+    def __setstate__(self, state: dict) -> None:
+        # A pickle from before the operation log holds the current rows as
+        # ``data`` and an oracle of the old layout: restart the oracle from
+        # those rows, which is all exact relabeling needs.
+        if "data" in state:
+            state = dict(state)
+            state["_delta"] = DeltaOracle(state.pop("data"), state["distance"])
+            state["_predictions"] = None
+        self.__dict__.update(state)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The current database, materialised on access."""
+        return self._delta.current_data()
 
     # ------------------------------------------------------------------ #
     # Internal helpers
     # ------------------------------------------------------------------ #
     def _validation_mae(self) -> float:
-        prediction = self.estimator.estimate(self.validation.queries, self.validation.thresholds)
-        return float(np.mean(np.abs(prediction - self.validation.selectivities)))
+        """Validation MAE of the current weights against the current labels.
+
+        A write changes the labels, not the rows: the predictions are reused
+        while the validation ``queries`` and ``thresholds`` are the arrays
+        they were made for (:func:`relabel_workload` keeps both).
+        """
+        queries, thresholds = self.validation.queries, self.validation.thresholds
+        cached = self._predictions
+        if cached is None or cached[0] is not queries or cached[1] is not thresholds:
+            cached = (queries, thresholds, self.estimator.estimate(queries, thresholds))
+            self._predictions = cached
+        return float(np.mean(np.abs(cached[2] - self.validation.selectivities)))
 
     def _fine_tune(self, initial_mae: float) -> Tuple[int, float]:
         """Fine-tune the current model; return the epochs run and its MAE.
@@ -114,6 +146,7 @@ class IncrementalSelNet:
         )
         best_mae = initial_mae
         best_state = model.state_dict()
+        best_predictions = self._predictions
         stall = 0
         epochs_run = 0
         for _ in range(self.config.max_epochs):
@@ -128,10 +161,12 @@ class IncrementalSelNet:
                 optimizer.step()
             model.eval()
             epochs_run += 1
+            self._predictions = None  # the epoch changed the weights
             mae = self._validation_mae()
             if mae < best_mae - 1e-9:
                 best_mae = mae
                 best_state = model.state_dict()
+                best_predictions = self._predictions
                 stall = 0
             else:
                 stall += 1
@@ -139,6 +174,9 @@ class IncrementalSelNet:
                 break
         model.load_state_dict(best_state)
         model.eval()
+        # Evaluation is deterministic, so the restored weights keep the
+        # predictions measured for them.
+        self._predictions = best_predictions
         return epochs_run, best_mae
 
     # ------------------------------------------------------------------ #
@@ -162,7 +200,6 @@ class IncrementalSelNet:
         for any oracle over the same data and operation history.
         """
         self._delta.apply(operation)
-        self.data = self._delta.current_data()
 
         # Step 1: refresh validation labels and re-check accuracy.
         if validation is not None:
@@ -173,7 +210,7 @@ class IncrementalSelNet:
         drift = abs(mae_before - self._baseline_mae)
 
         # The weights only change on a fine-tune, and evaluation is
-        # deterministic, so every MAE below reuses one already measured.
+        # deterministic, so every MAE below reuses predictions already made.
         retrained = False
         fine_tune_epochs = 0
         mae_after = mae_before
@@ -193,7 +230,7 @@ class IncrementalSelNet:
 
         report = UpdateStepReport(
             operation_kind=operation.kind,
-            database_size=len(self.data),
+            database_size=self._delta.num_objects,
             validation_mae_before=mae_before,
             validation_mae_after=mae_after,
             retrained=retrained,
@@ -303,12 +340,19 @@ class IncrementalSelNetEstimator(SelectivityEstimator):
         inserts: Optional[np.ndarray] = None,
         deletes: Optional[np.ndarray] = None,
     ) -> List[UpdateStepReport]:
+        """Apply the batch; fine-tune only if the validation MAE drifted.
+
+        Only a fine-tune changes the weights, so only a report with
+        ``retrained`` drops the compiled kernel (and bumps
+        :attr:`generation`, which tells a serving cache its curves are
+        stale).  A write that fine-tunes nothing keeps both.
+        """
         if self.state is None:
             raise RuntimeError("estimator must be fitted before calling update()")
         reports = self.state.update(inserts=inserts, deletes=deletes)
-        # The update may have fine-tuned the model in place; any cached
-        # compiled kernel froze the pre-update weights and must be rebuilt.
-        self._invalidate_compiled()
+        if any(report.retrained for report in reports):
+            # The kernel froze the pre-update weights and must be rebuilt.
+            self._invalidate_compiled()
         return reports
 
     @property

@@ -63,6 +63,11 @@ class SelectivityEstimator(abc.ABC):
     #: None so unpickled / freshly constructed instances start without one
     _compiled_kernel = None
 
+    #: bumped by every weight change (:meth:`_invalidate_compiled`), so a
+    #: cache of answers can tell whether the estimator it filled from is
+    #: still the one serving
+    generation: int = 0
+
     @abc.abstractmethod
     def fit(self, split: WorkloadSplit) -> "SelectivityEstimator":
         """Train / build the estimator from a workload split.
@@ -110,15 +115,20 @@ class SelectivityEstimator(abc.ABC):
         """The frozen pure-NumPy inference kernel for this estimator.
 
         Compiles lazily on first use and caches the kernel; ``refresh=True``
-        (or an intervening :meth:`fit` / :meth:`update` / persistence
-        ``load``, which call :meth:`_invalidate_compiled`) rebuilds it from
-        the current weights.  With the default ``float64`` the kernel's
+        (or an intervening :meth:`fit`, persistence ``load`` or an
+        :meth:`update` that changed the weights, which call
+        :meth:`_invalidate_compiled` and so bump :attr:`generation`)
+        rebuilds it from the current weights.  An :meth:`update` that left
+        the weights alone (``selnet-inc`` without a fine-tune) keeps the
+        kernel.  With the default ``float64`` the kernel's
         ``predict`` is bit-equal to :meth:`estimate`; ``float32`` trades
         that for batch throughput under an enforced error budget.  See
         :mod:`repro.inference`.
         """
+        if refresh:
+            self._invalidate_compiled()
         kernel = self.__dict__.get("_compiled_kernel")
-        if refresh or kernel is None or kernel.dtype != np.dtype(dtype):
+        if kernel is None or kernel.dtype != np.dtype(dtype):
             from .inference import compile_estimator
 
             kernel = compile_estimator(self, dtype=dtype)
@@ -126,8 +136,9 @@ class SelectivityEstimator(abc.ABC):
         return kernel
 
     def _invalidate_compiled(self) -> None:
-        """Drop the cached kernel (weights changed: refit, update, reload)."""
+        """Drop the cached kernel (weights changed: refit, fine-tune, reload)."""
         self.__dict__.pop("_compiled_kernel", None)
+        self.generation += 1
 
     # ------------------------------------------------------------------ #
     # Convenience helpers

@@ -2,15 +2,27 @@
 
 After a :mod:`repro.data.updates` stream mutates the database, the naive
 path rebuilds a fresh oracle and rescans all ``n`` rows per relabel.
-:class:`DeltaOracle` instead answers from
+:class:`DeltaOracle` instead keeps running counts per cached
+``(queries, thresholds)`` batch:
 
-``count(D') = count(D_base) - count(dead base rows) + count(live inserts)``
+``count(D') = count(D_base) - count(deleted base rows) + count(live inserts)``
 
-where the base term is computed once per distinct ``(queries, thresholds)``
-batch (content-addressed cache) and the delta terms only scan the handful
-of rows an update stream actually touched.  Replaying the paper's
-100-operation streams therefore costs one full scan up front plus
-``O(changed rows)`` per operation instead of ``O(n)`` per operation.
+``insert`` and ``delete`` append to an operation log.  Each cached batch
+holds its current counts and the log position it has reached, and a read
+applies only the log entries after that position:
+
+* an insert adds the inserted rows' outcomes (``d <= t`` per query and
+  threshold) and keeps the batch's distances to those rows;
+* a delete of inserted rows subtracts the outcomes of the kept distances,
+  so it cancels its insert exactly (the same floats meet the same
+  thresholds);
+* a delete of base rows computes distances to the deleted rows only and
+  subtracts their outcomes.
+
+A write itself only logs its rows, and a read of a cached batch costs
+only the rows changed since its previous read.  A batch read for the first
+time (or again after LRU eviction) costs one full base scan plus one replay
+of the log.
 
 Exactness: workload thresholds are order statistics of the base data, so a
 deleted row's distance frequently *equals* a threshold, and recomputing it
@@ -29,14 +41,15 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..distances import DistanceFunction, get_distance
 from .blocked import BlockedOracle
 
-#: distinct (queries, thresholds) batches whose base counts are retained
+#: distinct (queries, thresholds) batches whose running counts are retained
 BASE_CACHE_SIZE = 8
 
 #: relative guard band for ambiguous comparisons (orders of magnitude wider
@@ -56,6 +69,43 @@ def _batch_digest(queries: np.ndarray, thresholds: np.ndarray) -> bytes:
     digest.update(str(thresholds.shape).encode())
     digest.update(np.ascontiguousarray(thresholds).tobytes())
     return digest.digest()
+
+
+def _outcome_counts(distances: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Per ``(query, threshold)`` pair, how many of the rows count.
+
+    ``distances`` is ``(Q, k)`` (query to row), ``grid`` is ``(Q, w)``.
+    """
+    return np.count_nonzero(distances[:, None, :] <= grid[:, :, None], axis=2)
+
+
+@dataclass
+class _Insert:
+    """Log entry: rows appended to the database."""
+
+    vectors: np.ndarray
+
+
+@dataclass
+class _Delete:
+    """Log entry: rows removed from the database."""
+
+    #: deleted base rows: ascending ids and their vectors
+    base_ids: np.ndarray
+    base_vectors: np.ndarray
+    #: deleted inserted rows as ``(log index of their insert, columns)``
+    inserted: List[Tuple[int, np.ndarray]]
+
+
+@dataclass
+class _Batch:
+    """Running counts of one cached ``(queries, thresholds)`` batch."""
+
+    counts: np.ndarray  # (Q, w) against the database at log position ``position``
+    boundaries: dict
+    position: int = 0
+    #: per insert log index, this batch's ``(Q, k)`` distances to its rows
+    insert_distances: Dict[int, np.ndarray] = field(default_factory=dict)
 
 
 class DeltaOracle:
@@ -81,20 +131,23 @@ class DeltaOracle:
             data, self.distance, block_bytes=block_bytes, num_workers=num_workers
         )
         self._block_bytes = block_bytes
-        self._num_workers = num_workers
         self._base_alive = np.ones(self._base.num_objects, dtype=bool)
-        self._inserted = np.empty((0, self._base.dim), dtype=np.float64)
+        self._num_objects = self._base.num_objects
+        self._log: List[Union[_Insert, _Delete]] = []
+        # Inserted rows are numbered in insertion order; the i-th insert's
+        # rows start at number ``_insert_starts[i]`` and it sits at log
+        # index ``_insert_logs[i]``.
         self._insert_alive = np.empty(0, dtype=bool)
-        self._base_cache: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
-        self._dead_oracle: Optional[BlockedOracle] = None
-        self._insert_oracle: Optional[BlockedOracle] = None
+        self._insert_starts: List[int] = []
+        self._insert_logs: List[int] = []
+        self._base_cache: "OrderedDict[bytes, _Batch]" = OrderedDict()
 
     # ------------------------------------------------------------------ #
     # Current view
     # ------------------------------------------------------------------ #
     @property
     def num_objects(self) -> int:
-        return int(np.count_nonzero(self._base_alive) + np.count_nonzero(self._insert_alive))
+        return self._num_objects
 
     @property
     def base_size(self) -> int:
@@ -102,22 +155,26 @@ class DeltaOracle:
 
     def current_data(self) -> np.ndarray:
         """Materialise the current database (matches ``apply_stream`` output)."""
-        return np.concatenate(
-            [self._base.data[self._base_alive], self._inserted[self._insert_alive]], axis=0
-        )
+        inserted = [entry.vectors for entry in self._log if isinstance(entry, _Insert)]
+        if inserted:
+            live = np.concatenate(inserted, axis=0)[self._insert_alive]
+        else:
+            live = np.empty((0, self._base.dim), dtype=np.float64)
+        return np.concatenate([self._base.data[self._base_alive], live], axis=0)
 
     # ------------------------------------------------------------------ #
     # Updates
     # ------------------------------------------------------------------ #
     def insert(self, vectors: np.ndarray) -> None:
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+        # A copy: the log keeps these rows after the caller's array changes.
+        vectors = np.array(vectors, dtype=np.float64, ndmin=2)
         if vectors.shape[1] != self._base.dim:
             raise ValueError("inserted vectors must match the database dimensionality")
-        self._inserted = np.concatenate([self._inserted, vectors], axis=0)
-        self._insert_alive = np.concatenate(
-            [self._insert_alive, np.ones(len(vectors), dtype=bool)]
-        )
-        self._insert_oracle = None
+        self._insert_starts.append(len(self._insert_alive))
+        self._insert_logs.append(len(self._log))
+        self._insert_alive = np.concatenate([self._insert_alive, np.ones(len(vectors), dtype=bool)])
+        self._log.append(_Insert(vectors=vectors))
+        self._num_objects += len(vectors)
 
     def delete(self, indices: np.ndarray) -> None:
         """Delete rows by index into the current view.
@@ -129,21 +186,27 @@ class DeltaOracle:
         indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
         size = self.num_objects
         indices = indices[indices < size]
-        indices = np.where(indices < 0, indices + size, indices)
-        if np.any(indices < 0):
-            raise IndexError("delete index out of bounds for the current database size")
+        indices = np.unique(np.where(indices < 0, indices + size, indices))
         if len(indices) == 0:
             return
+        if indices[0] < 0:
+            raise IndexError("delete index out of bounds for the current database size")
         alive_base = np.nonzero(self._base_alive)[0]
-        alive_inserts = np.nonzero(self._insert_alive)[0]
-        base_hits = indices[indices < len(alive_base)]
-        insert_hits = indices[indices >= len(alive_base)] - len(alive_base)
-        if len(base_hits):
-            self._base_alive[alive_base[base_hits]] = False
-            self._dead_oracle = None
-        if len(insert_hits):
-            self._insert_alive[alive_inserts[insert_hits]] = False
-            self._insert_oracle = None
+        split = np.searchsorted(indices, len(alive_base))
+        base_ids = alive_base[indices[:split]]
+        insert_ids = np.nonzero(self._insert_alive)[0][indices[split:] - len(alive_base)]
+        self._base_alive[base_ids] = False
+        self._insert_alive[insert_ids] = False
+        self._num_objects -= len(indices)
+        inserted = []
+        if len(insert_ids):
+            which = np.searchsorted(self._insert_starts, insert_ids, side="right") - 1
+            for index in np.unique(which):
+                columns = insert_ids[which == index] - self._insert_starts[index]
+                inserted.append((self._insert_logs[index], columns))
+        self._log.append(
+            _Delete(base_ids=base_ids, base_vectors=self._base.data[base_ids], inserted=inserted)
+        )
 
     def apply(self, operation) -> None:
         """Apply one :class:`~repro.data.updates.UpdateOperation`."""
@@ -161,61 +224,69 @@ class DeltaOracle:
     # ------------------------------------------------------------------ #
     # Counting
     # ------------------------------------------------------------------ #
-    def _base_counts(self, queries: np.ndarray, thresholds: np.ndarray):
+    def _batch(self, queries: np.ndarray, thresholds: np.ndarray) -> _Batch:
         key = _batch_digest(queries, thresholds)
-        cached = self._base_cache.get(key)
-        if cached is None:
-            cached = self._base.selectivities_with_boundaries(
+        batch = self._base_cache.get(key)
+        if batch is None:
+            counts, boundaries = self._base.selectivities_with_boundaries(
                 queries, thresholds, guard=RECORDING_GUARD
             )
-            self._base_cache[key] = cached
+            grid_shape = thresholds.shape if thresholds.ndim == 2 else (len(thresholds), 1)
+            batch = _Batch(counts=counts.reshape(grid_shape), boundaries=boundaries)
+            self._base_cache[key] = batch
             while len(self._base_cache) > BASE_CACHE_SIZE:
                 self._base_cache.popitem(last=False)
         else:
             self._base_cache.move_to_end(key)
-        return cached
+        return batch
 
-    def _subset_oracle(self, vectors: np.ndarray) -> BlockedOracle:
-        return BlockedOracle(
-            vectors,
-            self.distance,
-            block_bytes=self._block_bytes,
-            num_workers=self._num_workers,
-        )
+    def _distances(self, queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        """``(Q, k)`` distances from ``queries`` to a log entry's ``k`` rows."""
+        rows = BlockedOracle(vectors, self.distance, block_bytes=self._block_bytes, num_workers=1)
+        return rows.distances_matrix(queries)
 
-    def _dead_counts(
-        self,
-        queries: np.ndarray,
-        grid: np.ndarray,
-        boundaries: dict,
-        dead_ids: np.ndarray,
+    def _deleted_base_counts(
+        self, queries: np.ndarray, grid: np.ndarray, batch: _Batch, entry: _Delete
     ) -> np.ndarray:
-        """How many *deleted* base rows each pair counted in the base pass.
+        """How many of ``entry``'s deleted base rows each pair counted.
 
-        Distances to the deleted rows are recomputed with the blocked
-        kernel; any comparison within the guard band of the threshold is
-        resolved from the recorded base outcome instead, so the subtraction
-        cancels the base term exactly even at forced ties.
+        Distances to the deleted rows are recomputed; any comparison within
+        the guard band of the threshold is resolved from the outcome the
+        base pass recorded instead, so the subtraction cancels the base
+        term exactly even at forced ties.
         """
-        if self._dead_oracle is None:
-            self._dead_oracle = self._subset_oracle(self._base.data[dead_ids])
-        tiles = self._dead_oracle.distances_matrix(queries)
+        distances = self._distances(queries, entry.base_vectors)[:, None, :]
+        cutoffs = grid[:, :, None]
+        counted = distances <= cutoffs
+        ambiguous = np.abs(distances - cutoffs) <= COMPARISON_GUARD * (1.0 + np.abs(cutoffs))
         width = grid.shape[1]
-        counts = np.zeros(grid.shape, dtype=np.int64)
-        for j in range(width):
-            cutoff = grid[:, j : j + 1]
-            le = tiles <= cutoff
-            ambiguous = np.abs(tiles - cutoff) <= COMPARISON_GUARD * (1.0 + np.abs(cutoff))
-            for i_local, d_local in zip(*np.nonzero(ambiguous)):
-                recorded = boundaries.get(int(i_local) * width + j)
-                if recorded is None:
-                    continue
-                ids, outcomes = recorded
-                slot = np.searchsorted(ids, dead_ids[d_local])
-                if slot < len(ids) and ids[slot] == dead_ids[d_local]:
-                    le[i_local, d_local] = outcomes[slot]
-            counts[:, j] = np.count_nonzero(le, axis=1)
-        return counts
+        for i, j, k in zip(*np.nonzero(ambiguous)):
+            recorded = batch.boundaries.get(int(i) * width + int(j))
+            if recorded is None:
+                continue
+            ids, outcomes = recorded
+            row = entry.base_ids[k]
+            slot = np.searchsorted(ids, row)
+            if slot < len(ids) and ids[slot] == row:
+                counted[i, j, k] = outcomes[slot]
+        return np.count_nonzero(counted, axis=2)
+
+    def _catch_up(self, queries: np.ndarray, grid: np.ndarray, batch: _Batch) -> None:
+        """Apply the log entries ``batch`` has not seen to its counts."""
+        for index in range(batch.position, len(self._log)):
+            entry = self._log[index]
+            if isinstance(entry, _Insert):
+                distances = self._distances(queries, entry.vectors)
+                batch.insert_distances[index] = distances
+                batch.counts += _outcome_counts(distances, grid)
+                continue
+            for origin, columns in entry.inserted:
+                batch.counts -= _outcome_counts(
+                    batch.insert_distances[origin][:, columns], grid
+                )
+            if len(entry.base_ids):
+                batch.counts -= self._deleted_base_counts(queries, grid, batch, entry)
+        batch.position = len(self._log)
 
     def selectivities_batch(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
         """Exact counts against the current database state.
@@ -223,23 +294,12 @@ class DeltaOracle:
         ``thresholds`` may be 1-D (aligned) or 2-D ``(len(queries), w)``,
         exactly as for :meth:`BlockedOracle.selectivities_batch`.
         """
-        queries = np.asarray(queries, dtype=np.float64)
+        queries = np.ascontiguousarray(queries, dtype=np.float64)
         thresholds = np.asarray(thresholds, dtype=np.float64)
-        base_counts, boundaries = self._base_counts(queries, thresholds)
-        counts = base_counts.copy()
+        batch = self._batch(queries, thresholds)
         grid = thresholds if thresholds.ndim == 2 else thresholds[:, None]
-        dead = ~self._base_alive
-        if dead.any():
-            dead_ids = np.nonzero(dead)[0]
-            dead_counts = self._dead_counts(
-                np.ascontiguousarray(queries), grid, boundaries, dead_ids
-            )
-            counts -= dead_counts if thresholds.ndim == 2 else dead_counts[:, 0]
-        if self._insert_alive.any():
-            if self._insert_oracle is None:
-                self._insert_oracle = self._subset_oracle(self._inserted[self._insert_alive])
-            counts += self._insert_oracle.selectivities_batch(queries, thresholds)
-        return counts
+        self._catch_up(queries, grid, batch)
+        return batch.counts.reshape(thresholds.shape).copy()
 
     batch_selectivity = selectivities_batch
 

@@ -14,8 +14,12 @@ same request stream:
   kernel the serving and cluster tiers run by default.
 
 Each arm runs ``repeats`` timed iterations (after warmup), recording p50 /
-p99 latency and mean throughput, plus the maximum absolute deviation between
-the two arms' answers — the parity number the CI smoke asserts on.  Results
+p99 latency and mean throughput, plus the maximum absolute deviation of the
+compiled answers from ``estimator.estimate`` — the parity number the CI
+smoke asserts on.  The graph arm is timed only: it runs the tape on every
+row, while ``estimate`` and the kernels evaluate each run of adjacent
+repeated rows once, so its answers can differ from both in the last bits.
+Results
 serialise to ``BENCH_inference.json`` via :func:`write_benchmark_json`,
 seeding the repo's tracked performance trajectory.
 """
@@ -215,7 +219,7 @@ def run_inference_benchmark(
     compile (``float64``/``float32`` — see
     :mod:`repro.inference.precision`); the graph arm is timed once per
     batch and shared across tiers, and every tier's deviations are measured
-    against the same float64 graph answers.
+    against the same float64 ``estimate`` answers.
     """
     from .compiler import compile_estimator
     from .precision import parse_tier, relative_deviation
@@ -244,8 +248,10 @@ def run_inference_benchmark(
             batch_queries = np.ascontiguousarray(queries[index])
             batch_thresholds = np.ascontiguousarray(thresholds[index])
 
+            reference = np.asarray(
+                estimator.estimate(batch_queries, batch_thresholds), dtype=np.float64
+            )
             graph_arm = _graph_arm(estimator, batch_queries, batch_thresholds)
-            reference = np.asarray(graph_arm(), dtype=np.float64)
             graph_latencies = _time_arm(graph_arm, repeats, warmup)
             graph_mean = float(np.mean(graph_latencies))
 

@@ -5,17 +5,19 @@ in and computes at, together with the error budget the parity gate enforces
 for it:
 
 ``float64``
-    Weights and arithmetic in double precision — bit-equal to the autodiff
-    graph forward; the budget is the seed's absolute parity bound.
+    Weights and arithmetic in double precision — bit-equal to the
+    estimator's ``estimate``; the budget is the seed's absolute parity
+    bound.
 ``float32``
     Weights and arithmetic in single precision.  Matmuls dispatch to BLAS
     ``sgemm`` on half the bytes, which is where the batch-throughput win
-    comes from; estimates agree with graph mode to single precision.
+    comes from; estimates agree with ``estimate`` to single precision.
 
-The float32 budget is a *relative* deviation against the float64 graph
-forward, ``|compiled - graph| / max(|graph|, 1)``; float64 is gated on the
-absolute bit-parity bound.  ``repro infer-bench --dtype ...`` fails beyond
-them, so a tier's accuracy claim is enforced, not aspirational.
+The float32 budget is a *relative* deviation against the float64
+``estimate``, ``|compiled - estimate| / max(|estimate|, 1)``; float64 is
+gated on the absolute bit-parity bound.  ``repro infer-bench --dtype ...``
+fails beyond them, so a tier's accuracy claim is enforced, not
+aspirational.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from typing import Tuple
 import numpy as np
 
 #: per-tier deviation budgets enforced by the infer-bench parity gate.
-#: float64 is absolute (bit parity); float32 is relative to the graph
-#: forward with scale ``max(|reference|, 1)``, chosen with ~10x headroom
+#: float64 is absolute (bit parity); float32 is relative to the float64
+#: ``estimate`` with scale ``max(|reference|, 1)``, chosen with ~10x headroom
 #: over deviations observed on trained SelNet models.
 DEFAULT_ERROR_BUDGETS = {
     "float64": 1e-12,

@@ -11,13 +11,15 @@
   micro-batches (:mod:`repro.serving.batching`);
 * an LRU selectivity-curve cache (:mod:`repro.serving.cache`) answers
   repeated queries by interpolation instead of model forward passes; cache
-  misses are filled through :meth:`EstimationService.curves_for_queries`,
-  which builds many curves per kernel call (for SelNet kernels: one network
-  forward per distinct query, whatever the grid resolution);
+  misses are filled like :meth:`EstimationService.curves_for_queries`,
+  many curves per kernel call (for SelNet kernels: one network forward per
+  distinct query, whatever the grid resolution), each on a grid covering
+  its own query's largest threshold;
 * per-model request counts, batch counts, latency and cache hit-rate
   statistics are tracked for observability;
-* data updates are routed to estimators that support them, invalidating the
-  model's cached curves and recompiling the model's kernel.
+* data updates are routed to estimators that support them; the model's
+  cached curves and compiled kernel are dropped only when the update
+  changed its weights (a ``selnet-inc`` fine-tune), and kept otherwise.
 """
 
 from __future__ import annotations
@@ -422,44 +424,53 @@ class EstimationService:
             self._fill_misses(name, estimator, queries, thresholds, miss_positions, results, stats)
         return results
 
-    def _curve_grid(self, estimator: SelectivityEstimator, t_hi: float) -> np.ndarray:
-        t_max = getattr(estimator, "_t_max", None)
-        upper = max(float(t_max) if t_max else 0.0, float(t_hi) * 1.05)
-        if upper <= 0.0:
-            upper = 1.0
-        return np.linspace(0.0, upper, self.curve_resolution)
+    @staticmethod
+    def _curve_upper(kernel, t_hi: float) -> float:
+        """Upper end of a curve grid covering thresholds up to ``t_hi``.
+
+        The grid spans the model's ``t_max`` (when its kernel knows one) or
+        1.05x the threshold, whichever is larger, so every query whose
+        thresholds fit under ``t_max`` gets the same default grid.
+        """
+        upper = max(float(getattr(kernel, "t_max", None) or 0.0), float(t_hi) * 1.05)
+        return upper if upper > 0.0 else 1.0
 
     def _build_curve_values(
         self,
         name: str,
-        estimator: SelectivityEstimator,
+        kernel,
         unique_queries: np.ndarray,
-        grid: np.ndarray,
+        grids: List[np.ndarray],
         stats: ModelStats,
     ) -> np.ndarray:
-        """Curve values for distinct queries, shape ``(n, len(grid))``.
+        """Curve values for distinct queries, one row per query.
 
-        Batched per micro-batch: with a curve-fusing kernel (the SelNet
-        family) one call computes control points once per query and reads
-        the whole grid off them, so a micro-batch of ``max_batch_size``
-        queries is one forward pass; the generic fallback expands to
-        (query, threshold) rows and is chunked so one call never exceeds
+        ``grids`` holds each query's grid; queries given the same grid
+        object share kernel calls.  Batched per micro-batch: with a
+        curve-fusing kernel (the SelNet family) one call computes control
+        points once per query and reads a whole grid off them, so a
+        micro-batch of up to ``max_batch_size`` queries sharing a grid is
+        one forward pass; the generic fallback expands to (query,
+        threshold) rows and is chunked so one call never exceeds
         ``max_batch_size`` rows.
         """
-        kernel = self._kernel(name, estimator)
-        num_grid = len(grid)
+        num_grid = len(grids[0]) if grids else 0
         values = np.empty((len(unique_queries), num_grid), dtype=np.float64)
         with obstrace.span("service.kernel_execute", model=name, rows=len(unique_queries)):
             if kernel.fuses_curves:
-                for start in range(0, len(unique_queries), self.max_batch_size):
-                    stop = min(start + self.max_batch_size, len(unique_queries))
-                    values[start:stop] = kernel.curve_values(unique_queries[start:stop], grid)
-                    stats.batches.inc()
+                sharing: Dict[int, List[int]] = {}
+                for row, grid in enumerate(grids):
+                    sharing.setdefault(id(grid), []).append(row)
+                for rows in sharing.values():
+                    for start in range(0, len(rows), self.max_batch_size):
+                        chunk = rows[start : start + self.max_batch_size]
+                        values[chunk] = kernel.curve_values(unique_queries[chunk], grids[chunk[0]])
+                        stats.batches.inc()
             else:
                 # Non-fusing path: expand to (query, grid point) rows and keep
                 # every estimator call within the configured micro-batch bound.
                 repeated = np.repeat(unique_queries, num_grid, axis=0)
-                tiled = np.tile(grid, len(unique_queries))
+                tiled = np.concatenate(grids) if grids else np.empty(0)
                 flat = values.reshape(-1)
                 for batch in iter_microbatches(repeated, tiled, self.max_batch_size):
                     flat[batch.positions] = kernel.predict(batch.queries, batch.thresholds)
@@ -476,17 +487,30 @@ class EstimationService:
         results: np.ndarray,
         stats: ModelStats,
     ) -> None:
-        """Build curves for unseen queries in batched calls, cache, answer."""
+        """Build curves for unseen queries in batched calls, cache, answer.
+
+        Each query's grid covers its own largest threshold: a grid stretched
+        to another row's wide threshold would cache a coarser curve for it.
+        """
         unique: Dict[bytes, List[int]] = {}
         for position in miss_positions:
             unique.setdefault(queries[position].tobytes(), []).append(position)
+        members = list(unique.values())
 
-        grid = self._curve_grid(estimator, float(thresholds[miss_positions].max()))
-        unique_rows = [positions[0] for positions in unique.values()]
-        values = self._build_curve_values(name, estimator, queries[unique_rows], grid, stats)
+        kernel = self._kernel(name, estimator)
+        listed = thresholds.tolist()
+        uppers = [
+            self._curve_upper(kernel, max(listed[position] for position in positions))
+            for positions in members
+        ]
+        grids = {upper: np.linspace(0.0, upper, self.curve_resolution) for upper in set(uppers)}
+        rows = [positions[0] for positions in members]
+        values = self._build_curve_values(
+            name, kernel, queries[rows], [grids[upper] for upper in uppers], stats
+        )
 
-        for index, positions in enumerate(unique.values()):
-            curve = CachedCurve(thresholds=grid, values=values[index])
+        for positions, upper, row in zip(members, uppers, values):
+            curve = CachedCurve(thresholds=grids[upper], values=row)
             self.cache.put(name, queries[positions[0]], curve)
             stats.curve_builds.inc()
             for position in positions:
@@ -513,14 +537,15 @@ class EstimationService:
                 f"queries have {queries.shape[1]} dimensions but {name!r} was fitted "
                 f"on {expected}-dimensional vectors"
             )
+        kernel = self._kernel(name, estimator)
         default_grid = thresholds is None
         if default_grid:
-            grid = self._curve_grid(estimator, t_hi=0.0)
+            grid = np.linspace(0.0, self._curve_upper(kernel, 0.0), self.curve_resolution)
         else:
             grid = np.asarray(thresholds, dtype=np.float64)
         _require_finite(queries, grid)
         stats = self._model_stats(name)
-        values = self._build_curve_values(name, estimator, queries, grid, stats)
+        values = self._build_curve_values(name, kernel, queries, [grid] * len(queries), stats)
         curves: List[CachedCurve] = []
         for row in range(len(queries)):
             curve = CachedCurve(thresholds=grid, values=values[row])
@@ -552,17 +577,23 @@ class EstimationService:
         inserts: Optional[np.ndarray] = None,
         deletes: Optional[Sequence[int]] = None,
     ):
-        """Route a data update to the named model, dropping its cached curves.
+        """Route a data update to the named model.
 
-        The estimator invalidates its own compiled kernel as part of
-        ``update``, so the next request through the compiled path freezes
-        the post-update weights.  Raises
+        The model's cached curves are dropped only when the update changed
+        its weights, which the estimator signals by bumping its
+        :attr:`~repro.SelectivityEstimator.generation` (and dropping its
+        own compiled kernel, so the next request freezes the new weights).
+        A ``selnet-inc`` write that did not fine-tune keeps both: an answer
+        depends only on the weights, so a kept curve equals the one a fresh
+        service would build.  Raises
         :class:`repro.estimator.UpdateNotSupportedError` when the model's
         estimator does not implement the update protocol.
         """
         estimator = self.get(name)
+        generation = estimator.generation
         reports = estimator.update(inserts=inserts, deletes=deletes)
-        self.cache.invalidate(name)
+        if estimator.generation != generation:
+            self.cache.invalidate(name)
         self._model_stats(name).updates.inc()
         return reports
 

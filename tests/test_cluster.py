@@ -238,34 +238,56 @@ class TestEstimationCluster:
     def test_update_fans_out_and_invalidates_every_shard(
         self, tiny_cosine_split, fast_selnet_config
     ):
-        """Acceptance: one update reaches every shard's replica and cache."""
+        """Acceptance: one update reaches every shard's replica; a shard drops
+        its cached curves and kernel only when the write fine-tuned."""
         from dataclasses import asdict
-
-        params = asdict(fast_selnet_config)
-        params.update(epochs=2, update_max_epochs=1, update_mae_drift_threshold=1e9)
-        incremental = create_estimator("selnet-inc", **params).fit(tiny_cosine_split)
 
         queries = tiny_cosine_split.test.queries
         thresholds = tiny_cosine_split.test.thresholds
-        with EstimationCluster(ClusterConfig(num_shards=2)) as cluster:
-            cluster.add_model("inc", incremental)
-            cluster.estimate("inc", queries, thresholds)
-            sizes_before = [
-                entry["worker"]["cache"]["size"] for entry in cluster.stats()["per_shard"]
-            ]
-            assert all(size > 0 for size in sizes_before), "both shards should cache curves"
+        for drift_threshold, fine_tunes in ((1e9, False), (-1.0, True)):
+            params = asdict(fast_selnet_config)
+            params.update(
+                epochs=2, update_max_epochs=1, update_mae_drift_threshold=drift_threshold
+            )
+            incremental = create_estimator("selnet-inc", **params).fit(tiny_cosine_split)
+            with EstimationCluster(ClusterConfig(num_shards=2)) as cluster:
+                cluster.add_model("inc", incremental)
+                cached = cluster.estimate("inc", queries, thresholds)
+                sizes_before = [
+                    entry["worker"]["cache"]["size"] for entry in cluster.stats()["per_shard"]
+                ]
+                assert all(size > 0 for size in sizes_before), "both shards should cache curves"
+                replicas = [shard.backend.service.get("inc") for shard in cluster._shards]
+                kernels = [replica.compiled() for replica in replicas]
 
-            summaries = cluster.update("inc", inserts=np.zeros((2, 10)))
-            assert [summary["shard"] for summary in summaries] == [0, 1]
-            stats = cluster.stats()
-            assert stats["total_updates"] == 2
-            for entry in stats["per_shard"]:
-                assert entry["updates"] == 1
-                assert entry["worker"]["cache"]["size"] == 0, "update must drop cached curves"
-
-        # The original in-memory estimator was never aliased into the shards:
-        # fanning out the update must not have touched it.
-        assert incremental.reports == []
+                summaries = cluster.update("inc", inserts=np.zeros((2, 10)))
+                assert [summary["shard"] for summary in summaries] == [0, 1]
+                stats = cluster.stats()
+                assert stats["total_updates"] == 2
+                for entry, size, replica, kernel in zip(
+                    stats["per_shard"], sizes_before, replicas, kernels
+                ):
+                    assert entry["updates"] == 1
+                    assert [report.retrained for report in replica.reports] == [fine_tunes]
+                    if fine_tunes:
+                        assert entry["worker"]["cache"]["size"] == 0, "a fine-tune drops curves"
+                        assert replica.compiled() is not kernel
+                    else:
+                        assert entry["worker"]["cache"]["size"] == size, "no fine-tune: kept"
+                        assert replica.compiled() is kernel
+                if fine_tunes:
+                    # Every replica fine-tuned alike; answers come from the new weights.
+                    np.testing.assert_array_equal(
+                        cluster.estimate("inc", queries, thresholds, use_cache=False),
+                        replicas[0].estimate(queries, thresholds),
+                    )
+                else:
+                    np.testing.assert_array_equal(
+                        cluster.estimate("inc", queries, thresholds), cached
+                    )
+            # The original in-memory estimator was never aliased into the
+            # shards: fanning out the update must not have touched it.
+            assert incremental.reports == []
 
     def test_update_unsupported_raises(self, fitted_kde):
         with EstimationCluster(ClusterConfig(num_shards=2)) as cluster:

@@ -215,6 +215,97 @@ class TestDeltaOracle:
                 rebuilt.selectivities_batch(queries, thresholds),
             )
 
+    @pytest.mark.parametrize("distance", sorted(DISTANCE_DATASETS))
+    def test_grid_parity_when_reads_catch_up_over_several_operations(self, distance):
+        """Relabeling reads ``(Q, w)`` grids; a read after every third
+        operation replays several log entries at once, including deletes of
+        inserted rows, and must still match a rebuild integer for integer."""
+        from repro.data import apply_update
+
+        data = DISTANCE_DATASETS[distance]()
+        queries, _ = _queries_and_thresholds(data, distance, num=12, seed=16)
+        reference = ReferenceOracle(data, distance)
+        rng = np.random.default_rng(17)
+        # Per query: three knife-edge rank thresholds and three arbitrary ones.
+        grid = np.sort(
+            np.concatenate(
+                [
+                    np.array(
+                        [
+                            reference.sorted_distances_to(q)[rng.integers(0, len(data), 3)]
+                            for q in queries
+                        ]
+                    ),
+                    rng.uniform(0.05, 1.0, size=(len(queries), 3)),
+                ],
+                axis=1,
+            ),
+            axis=1,
+        )
+        operations = []
+        size = len(data)
+        for operation in generate_update_stream(
+            data, num_operations=24, records_per_operation=5, seed=18
+        ):
+            operations.append(operation)
+            size += 5 if operation.kind == "insert" else -5
+            if len(operations) % 4 == 0 and size > len(data) - 40:
+                # The view's last rows are inserted ones once inserts outnumber
+                # the base rows deleted so far.
+                operations.append(
+                    UpdateOperation(kind="delete", indices=np.array([size - 3, size - 1]))
+                )
+                size -= 2
+        delta = DeltaOracle(data, distance)
+        delta.selectivities_batch(queries, grid)
+        current = data
+        for index, operation in enumerate(operations):
+            delta.apply(operation)
+            current = apply_update(current, operation)
+            if index % 3 == 2 or index == len(operations) - 1:
+                np.testing.assert_array_equal(
+                    delta.selectivities_batch(queries, grid),
+                    BlockedOracle(current, distance).selectivities_batch(queries, grid),
+                )
+        inserted = sum(len(op.vectors) for op in operations if op.kind == "insert")
+        assert delta.cache_info()["live_inserted_rows"] < inserted
+
+    def test_reads_scan_only_rows_changed_since_the_previous_read(self, monkeypatch):
+        """Work per write, counted: after the base pass a read sends to the
+        distance kernel exactly the rows inserted and the base rows deleted
+        since the previous read (a deleted inserted row needs no scan: its
+        distances were kept when it was counted)."""
+        data = DISTANCE_DATASETS["cosine"]()
+        queries, thresholds = _queries_and_thresholds(data, "cosine", num=10, seed=19)
+        operations = generate_update_stream(
+            data, num_operations=30, records_per_operation=4, seed=20
+        )
+        delta = DeltaOracle(data, "cosine")
+        delta.selectivities_batch(queries, thresholds)  # the base pass
+
+        scanned = []
+        distances_matrix = BlockedOracle.distances_matrix
+
+        def counting(self, rows):
+            scanned.append(self.num_objects)
+            return distances_matrix(self, rows)
+
+        monkeypatch.setattr(BlockedOracle, "distances_matrix", counting)
+        changed = 0
+        for index, operation in enumerate(operations):
+            dead_before = delta.cache_info()["dead_base_rows"]
+            delta.apply(operation)
+            if operation.kind == "insert":
+                changed += len(operation.vectors)
+            else:
+                changed += delta.cache_info()["dead_base_rows"] - dead_before
+            if index % 2 == 0:
+                delta.selectivities_batch(queries, thresholds)
+                assert sum(scanned) == changed
+                scanned.clear()
+                changed = 0
+        assert delta.cache_info()["base_batches_cached"] == 1
+
     def test_tie_thresholds_replay_matches_legacy_pipeline(self):
         """Rank thresholds *are* deleted rows' distances; the legacy GEMV
         pipeline is bit-stable under deletion, so both pipelines must agree

@@ -545,6 +545,23 @@ class TestInferenceBenchmark:
         assert len(payload["rows"]) == 2
         assert "compiled (pure-NumPy kernel)" in report.text
 
+    def test_float64_parity_is_exact_on_adjacent_repeated_rows(self, tiny_cosine_split):
+        """The float64 deviation compares the kernel with ``estimate``, which
+        both evaluate a run of adjacent repeated rows once: it reads 0."""
+        estimator = _fit("selnet-ct", tiny_cosine_split)
+        # Batches drawn from a three-row pool hold long runs of one query.
+        report = run_inference_benchmark(
+            {"selnet-ct": estimator},
+            tiny_cosine_split.test.queries[:3],
+            tiny_cosine_split.test.thresholds[:3],
+            batch_sizes=(64, 512),
+            repeats=1,
+            warmup=0,
+        )
+        for row in report.rows:
+            assert row.dtype == "float64"
+            assert row.max_abs_deviation == 0.0
+
     def test_cli_infer_bench_smoke(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -568,6 +585,6 @@ class TestInferenceBenchmark:
         assert payload["metadata"]["smoke"] is True
         assert {row["estimator"] for row in payload["rows"]} == {"kde-model"}
         captured = capsys.readouterr()
-        assert "parity: max |compiled - graph|" in captured.out
+        assert "parity: max |compiled - estimate|" in captured.out
         with pytest.raises(SystemExit, match="unknown precision tier 'bogus'"):
             main(["infer-bench", str(model_path), "--smoke", "--dtype", "float64,bogus"])

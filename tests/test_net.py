@@ -229,6 +229,39 @@ class TestNetworkBackend:
             # The shard survives its own error replies.
             assert cluster.estimate("kde", np.zeros((2, 10)), np.zeros(2)).shape == (2,)
 
+    @pytest.mark.parametrize("drift_threshold", [1e9, -1.0])
+    def test_selnet_inc_update_keeps_curves_unless_it_fine_tunes(
+        self, tiny_cosine_split, fast_selnet_config, drift_threshold
+    ):
+        """Each process shard keeps its cached curves across a write that
+        does not fine-tune, drops them on one that does, and answers with
+        the weights an in-process replica reaches on the same write."""
+        params = asdict(fast_selnet_config)
+        params.update(epochs=2, update_max_epochs=1, update_mae_drift_threshold=drift_threshold)
+        incremental = create_estimator("selnet-inc", **params).fit(tiny_cosine_split)
+        queries = tiny_cosine_split.test.queries
+        thresholds = tiny_cosine_split.test.thresholds
+        inserts = np.zeros((2, queries.shape[1]))
+        with EstimationCluster(ClusterConfig(num_shards=2, backend="network")) as cluster:
+            cluster.add_model("inc", incremental)
+            cached = cluster.estimate("inc", queries, thresholds)
+            sizes = [entry["worker"]["cache"]["size"] for entry in cluster.stats()["per_shard"]]
+            assert all(size > 0 for size in sizes)
+
+            cluster.update("inc", inserts=inserts)
+            [report] = incremental.update(inserts=inserts)
+            after = [entry["worker"]["cache"]["size"] for entry in cluster.stats()["per_shard"]]
+            if report.retrained:
+                assert after == [0, 0], "a fine-tune must drop every shard's curves"
+            else:
+                assert after == sizes, "a write without a fine-tune keeps every shard's curves"
+                np.testing.assert_array_equal(cluster.estimate("inc", queries, thresholds), cached)
+            np.testing.assert_array_equal(
+                cluster.estimate("inc", queries, thresholds, use_cache=False),
+                incremental.estimate(queries, thresholds),
+            )
+        assert report.retrained == (drift_threshold < 0)
+
     def test_dead_worker_fails_calls_instead_of_hanging(self, fitted_kde):
         cluster = EstimationCluster(ClusterConfig(num_shards=1, backend="network"))
         try:

@@ -329,24 +329,77 @@ class TestEstimationService:
         stats = service.stats()["per_model"]["kde"]
         assert stats["curve_builds"] == 2  # the out-of-range hit forced a rebuild
 
+    def test_wide_threshold_keeps_other_queries_curves_fine(
+        self, tiny_cosine_split, fast_selnet_config
+    ):
+        """One row's wide threshold must not coarsen the curve cached for
+        another query of the same call."""
+        from dataclasses import asdict
+
+        params = asdict(fast_selnet_config)
+        params.update(epochs=2)
+        estimator = create_estimator("selnet-ct", **params).fit(tiny_cosine_split)
+        first, second = tiny_cosine_split.test.queries[[0, -1]]
+        low = np.asarray([0.3])
+        service = EstimationService()
+        service.add_model("m", estimator)
+        service.estimate("m", np.stack([first, second]), np.asarray([0.3, 100.0]))
+        assert service.stats()["per_model"]["m"]["curve_builds"] == 2
+        cached = service.estimate("m", first[None, :], low)
+        assert service.stats()["per_model"]["m"]["cache_hits"] == 1
+
+        fresh = EstimationService()
+        fresh.add_model("m", estimator)
+        np.testing.assert_array_equal(cached, fresh.estimate("m", first[None, :], low))
+
     def test_update_routing(self, model_dir, tiny_cosine_split, fast_selnet_config):
+        """A write keeps the curves and the kernel unless it fine-tunes."""
         from dataclasses import asdict
 
         service = EstimationService(model_dir)
         with pytest.raises(UpdateNotSupportedError):
             service.update("kde", inserts=np.zeros((1, 10)))
 
-        params = asdict(fast_selnet_config)
-        params.update(epochs=2, update_max_epochs=1, update_mae_drift_threshold=1e9)
-        incremental = create_estimator("selnet-inc", **params).fit(tiny_cosine_split)
-        service.add_model("inc", incremental)
-        query = tiny_cosine_split.test.queries[:1]
-        service.estimate("inc", query, tiny_cosine_split.test.thresholds[:1])
-        assert len(service.cache) > 0
-        reports = service.update("inc", inserts=np.zeros((2, 10)))
-        assert len(reports) == 1
-        assert service.stats()["per_model"]["inc"]["updates"] == 1
-        assert len(service.cache) == 0  # the update invalidated the cached curves
+        queries = tiny_cosine_split.test.queries[:4]
+        thresholds = tiny_cosine_split.test.thresholds[:4]
+        for drift_threshold, fine_tunes in ((1e9, False), (-1.0, True)):
+            params = asdict(fast_selnet_config)
+            params.update(
+                epochs=2, update_max_epochs=1, update_mae_drift_threshold=drift_threshold
+            )
+            incremental = create_estimator("selnet-inc", **params).fit(tiny_cosine_split)
+            service.add_model("inc", incremental)
+            cached = service.estimate("inc", queries, thresholds)
+            size = len(service.cache)
+            assert size > 0
+            kernel = incremental.compiled()
+            generation = incremental.generation
+
+            reports = service.update("inc", inserts=np.zeros((2, 10)))
+            assert [report.retrained for report in reports] == [fine_tunes]
+            if fine_tunes:
+                assert incremental.generation > generation
+                assert len(service.cache) == 0, "a fine-tune must drop the cached curves"
+                assert incremental.compiled() is not kernel
+                # The next answer is built from the new weights.
+                fresh = EstimationService()
+                fresh.add_model("inc", incremental)
+                np.testing.assert_array_equal(
+                    service.estimate("inc", queries, thresholds),
+                    fresh.estimate("inc", queries, thresholds),
+                )
+                np.testing.assert_array_equal(
+                    service.estimate("inc", queries, thresholds, use_cache=False),
+                    incremental.estimate(queries, thresholds),
+                )
+            else:
+                assert incremental.generation == generation
+                assert len(service.cache) == size, "a write without a fine-tune keeps curves"
+                assert incremental.compiled() is kernel
+                np.testing.assert_array_equal(
+                    service.estimate("inc", queries, thresholds), cached
+                )
+        assert service.stats()["per_model"]["inc"]["updates"] == 2
 
 
 class TestLifecycleCLI:
