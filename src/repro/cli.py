@@ -554,7 +554,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         choices=(8, 16),
         default=None,
-        help="store cached curves quantized to this many bits per control point",
+        help=(
+            "store sampled curves quantized to this many bits per sample "
+            "(estimators outside the SelNet family; SelNet control points are "
+            "never quantized)"
+        ),
     )
     serve_parser.add_argument("--min-shards", type=int, default=1)
     serve_parser.add_argument("--max-shards", type=int, default=4)
@@ -1531,6 +1535,12 @@ def _cmd_saturate(args) -> int:
         from .persistence import load_estimator
 
         estimator = load_estimator(model_path)
+    if estimator is not None and estimator.compiled().fuses_curves:
+        print(
+            "cache density: skipped (a SelNet model caches control points, "
+            "which are never quantized)"
+        )
+    elif estimator is not None:
         density = cache_density_compare(
             estimator,
             model_name,

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..autodiff import Tensor
 from ..data.updates import UpdateOperation
-from ..data.workload import Workload, WorkloadSplit, relabel_workload
+from ..data.workload import QueryGrid, Workload, WorkloadSplit, query_grid, relabel_workload
 from ..exact import DeltaOracle
 from ..distances import DistanceFunction
 from ..estimator import SelectivityEstimator
@@ -88,16 +88,22 @@ class IncrementalSelNet:
         # ``(queries, thresholds, predictions)`` of the current weights on the
         # validation rows; only a fine-tune changes the weights.
         self._predictions: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        # The validation rows, grouped by query once (on the first relabel):
+        # every relabel then hands the oracle the same read-only arrays,
+        # which it finds without hashing them.
+        self._validation_grid: Optional[QueryGrid] = None
         self._baseline_mae = self._validation_mae()
 
     def __setstate__(self, state: dict) -> None:
+        state = dict(state)
         # A pickle from before the operation log holds the current rows as
         # ``data`` and an oracle of the old layout: restart the oracle from
         # those rows, which is all exact relabeling needs.
         if "data" in state:
-            state = dict(state)
             state["_delta"] = DeltaOracle(state.pop("data"), state["distance"])
             state["_predictions"] = None
+        # Unpickled arrays are writeable again: regroup on the next relabel.
+        state["_validation_grid"] = None
         self.__dict__.update(state)
 
     @property
@@ -203,9 +209,13 @@ class IncrementalSelNet:
 
         # Step 1: refresh validation labels and re-check accuracy.
         if validation is not None:
-            self.validation = validation
+            self.validation, self._validation_grid = validation, None
         else:
-            self.validation = relabel_workload(self.validation, self._delta)
+            if self._validation_grid is None:
+                self._validation_grid = query_grid(self.validation)
+            self.validation = relabel_workload(
+                self.validation, self._delta, self._validation_grid
+            )
         mae_before = self._validation_mae()
         drift = abs(mae_before - self._baseline_mae)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -301,18 +301,24 @@ def build_workload_split(
     )
 
 
-def _relabel_deduplicated(workload: Workload, oracle) -> Optional[np.ndarray]:
-    """Relabel via one engine row per *distinct* query, when possible.
+class QueryGrid(NamedTuple):
+    """A workload's rows grouped by query, for relabeling on a threshold grid.
 
-    Workload rows repeat each query once per threshold; grouping them by
-    ``query_ids`` turns ``Q * w`` distance rows into ``Q`` rows with a
-    ``(Q, w)`` threshold grid.  Per-element GEMM results are invariant
-    under row deduplication, so the labels are identical to the flat path.
-    Returns ``None`` when the oracle lacks a grid API or the groups are
-    ragged (callers fall back to the aligned batch).
+    ``queries`` holds one row per distinct query and ``thresholds`` its
+    ``(Q, w)`` grid; ``order`` maps the grid's flattened cells back to
+    workload rows.  All three are read-only, so a
+    :class:`~repro.exact.DeltaOracle` handed the same arrays again finds its
+    cached batch without hashing them.
     """
-    grid_fn = getattr(oracle, "selectivities_batch", None)
-    if grid_fn is None or len(workload) == 0:
+
+    order: np.ndarray
+    queries: np.ndarray
+    thresholds: np.ndarray
+
+
+def query_grid(workload: Workload) -> Optional[QueryGrid]:
+    """Group ``workload``'s rows by ``query_ids``; None when the groups are ragged."""
+    if len(workload) == 0:
         return None
     unique_ids, inverse, group_sizes = np.unique(
         workload.query_ids, return_inverse=True, return_counts=True
@@ -321,16 +327,43 @@ def _relabel_deduplicated(workload: Workload, oracle) -> Optional[np.ndarray]:
     if len(unique_ids) < 2 or width < 2 or not np.all(group_sizes == width):
         return None
     order = np.argsort(inverse, kind="stable")
-    grid_labels = grid_fn(
+    grid = QueryGrid(
+        order,
         workload.queries[order[::width]],
-        workload.thresholds[order].reshape(len(unique_ids), width),
+        workload.thresholds[order.reshape(len(unique_ids), width)],
     )
+    for array in grid:
+        array.flags.writeable = False
+    return grid
+
+
+def _relabel_deduplicated(
+    workload: Workload, oracle, grid: Optional[QueryGrid]
+) -> Optional[np.ndarray]:
+    """Relabel via one engine row per *distinct* query, when possible.
+
+    Workload rows repeat each query once per threshold; grouping them by
+    ``query_ids`` (:func:`query_grid`) turns ``Q * w`` distance rows into
+    ``Q`` rows with a ``(Q, w)`` threshold grid.  Per-element GEMM results
+    are invariant under row deduplication, so the labels are identical to
+    the flat path.  Returns ``None`` when the oracle lacks a grid API or the
+    groups are ragged (callers fall back to the aligned batch).
+    """
+    grid_fn = getattr(oracle, "selectivities_batch", None)
+    if grid_fn is None or len(workload) == 0:
+        return None
+    grid = query_grid(workload) if grid is None else grid
+    if grid is None:
+        return None
+    grid_labels = grid_fn(grid.queries, grid.thresholds)
     labels = np.empty(len(workload), dtype=np.float64)
-    labels[order] = grid_labels.reshape(-1)
+    labels[grid.order] = grid_labels.reshape(-1)
     return labels
 
 
-def relabel_workload(workload: Workload, oracle) -> Workload:
+def relabel_workload(
+    workload: Workload, oracle, grid: Optional[QueryGrid] = None
+) -> Workload:
     """Recompute exact selectivities against a (possibly updated) oracle.
 
     Used by the incremental-learning path (Section 5.4): after database
@@ -339,8 +372,10 @@ def relabel_workload(workload: Workload, oracle) -> Workload:
     ``batch_selectivity`` protocol — a :class:`SelectivityOracle` or a
     :class:`repro.exact.DeltaOracle` (whose base-count cache makes repeated
     relabeling after each update operation cost only the changed rows).
+    ``grid`` is the workload's :func:`query_grid`, for a caller that
+    relabels the same rows after every write and so groups them once.
     """
-    new_labels = _relabel_deduplicated(workload, oracle)
+    new_labels = _relabel_deduplicated(workload, oracle, grid)
     if new_labels is None:
         new_labels = oracle.batch_selectivity(
             workload.queries, workload.thresholds

@@ -97,6 +97,11 @@ class _Delete:
     inserted: List[Tuple[int, np.ndarray]]
 
 
+def _frozen(array: np.ndarray) -> bool:
+    """Whether ``array`` owns its data and is read-only: its values cannot change."""
+    return not array.flags.writeable and array.flags.owndata
+
+
 @dataclass
 class _Batch:
     """Running counts of one cached ``(queries, thresholds)`` batch."""
@@ -106,6 +111,9 @@ class _Batch:
     position: int = 0
     #: per insert log index, this batch's ``(Q, k)`` distances to its rows
     insert_distances: Dict[int, np.ndarray] = field(default_factory=dict)
+    #: the read-only ``(queries, thresholds)`` arrays last read through this
+    #: batch, so the next read of the same arrays skips the digest
+    arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
 
 class DeltaOracle:
@@ -225,6 +233,15 @@ class DeltaOracle:
     # Counting
     # ------------------------------------------------------------------ #
     def _batch(self, queries: np.ndarray, thresholds: np.ndarray) -> _Batch:
+        frozen = _frozen(queries) and _frozen(thresholds)
+        if frozen:
+            # Arrays whose values cannot change are found by identity.
+            for key, batch in self._base_cache.items():
+                if batch.arrays is not None and (
+                    batch.arrays[0] is queries and batch.arrays[1] is thresholds
+                ):
+                    self._base_cache.move_to_end(key)
+                    return batch
         key = _batch_digest(queries, thresholds)
         batch = self._base_cache.get(key)
         if batch is None:
@@ -238,6 +255,8 @@ class DeltaOracle:
                 self._base_cache.popitem(last=False)
         else:
             self._base_cache.move_to_end(key)
+        if frozen:
+            batch.arrays = (queries, thresholds)
         return batch
 
     def _distances(self, queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:

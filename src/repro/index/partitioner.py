@@ -64,6 +64,47 @@ def take_rows(values: np.ndarray, index: np.ndarray) -> np.ndarray:
     return values if len(index) == len(values) else values[index]
 
 
+#: bound on the one-double steps of :func:`least_hit_thresholds`, whose
+#: estimate is a few doubles off: more steps mean a broken estimate
+_GATE_SEARCH_STEPS = 64
+
+
+def least_hit_thresholds(distances: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Element-wise least float64 ``t`` with ``distances <= radii + t``.
+
+    The sum is rounded, but rounding is monotone in ``t``, so the
+    thresholds that hit a ball form an up-set: the ball is hit at ``t``
+    exactly when ``t`` is at least this value.  It is not ``d - r``: the
+    rounded sum already reaches ``d`` from halfway to ``d``'s predecessor.
+    The search starts from that estimate, a few doubles off at most (for
+    ``d = inf``, from where the sum overflows), and steps one double at a
+    time to the boundary.  A NaN distance is never hit (``+inf``).  Signs
+    are free: rounding makes cosine distances and radii slightly negative.
+    """
+    d = np.asarray(distances, dtype=np.float64)
+    finite = np.isfinite(d).all()
+    if not finite:
+        nan = np.isnan(d)
+        d = np.where(nan, 0.0, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (d - radii) - (d - np.nextafter(d, -np.inf)) / 2
+        if not finite:
+            top = np.finfo(np.float64).max
+            overflow = (top - radii) + (top - np.nextafter(top, 0.0)) / 2
+            t = np.where(np.isinf(d), overflow, t)
+        for _ in range(_GATE_SEARCH_STEPS):
+            # Step up where t misses, down where the double below still hits.
+            below = np.nextafter(t, -np.inf)
+            up = ~(d <= radii + t)
+            down = d <= radii + below
+            if not (up.any() or down.any()):
+                break
+            t = np.where(up, np.nextafter(t, np.inf), np.where(down, below, t))
+        else:
+            raise RuntimeError("partition gate search did not converge")
+    return t if finite else np.where(nan, np.inf, t)
+
+
 class _CentreTable(NamedTuple):
     """Every ball region of a partitioning as one array per field.
 
@@ -193,24 +234,36 @@ class Partitioning:
         distances = self._row_distances(queries, distinct)
         return self._activate(distances <= self._centre_table().radii + thresholds[:, None])
 
-    def indicator_grid(
-        self,
-        queries: np.ndarray,
-        grid: np.ndarray,
-        distinct: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> np.ndarray:
-        """Indicators of every query at every grid threshold, ``(n, G, K)``.
+    def partition_gates(self, queries: np.ndarray) -> Optional[np.ndarray]:
+        """Each query's least activating threshold per partition, ``(m, K)``.
 
-        Equal to :meth:`indicator_batch` over the ``(query, grid point)``
-        cross product, without materialising its repeated rows.
+        Partition k is active for a query at threshold t in
+        :meth:`indicator_batch` exactly when ``t >= gates[:, k]``: the
+        minimum over its balls of :func:`least_hit_thresholds` (``-inf``
+        for a partition without balls).  K values carry what the query's R
+        ball-centre distances decide.  None when the partitioning is always
+        active.
         """
-        queries = np.asarray(queries, dtype=np.float64)
-        grid = np.asarray(grid, dtype=np.float64)
         if self.always_active:
-            return np.ones((len(queries), len(grid), self.num_partitions), dtype=np.float64)
-        distances = self._row_distances(queries, distinct)
-        reach = self._centre_table().radii + grid[:, None]  # (G, R)
-        return self._activate(distances[:, None, :] <= reach)
+            return None
+        table = self._centre_table()
+        least = least_hit_thresholds(self.centre_distances(queries), table.radii)
+        gates = np.full((len(least), self.num_partitions), -np.inf)
+        if len(table.owners):
+            gates[:, table.owners] = np.minimum.reduceat(least, table.starts, axis=1)
+        return gates
+
+    def indicator_at(self, gates: Optional[np.ndarray], thresholds: np.ndarray) -> np.ndarray:
+        """Indicators of rows whose :meth:`partition_gates` are known, ``(rows, K)``.
+
+        Equal to :meth:`indicator_batch` on the rows' queries for every
+        threshold; ``gates`` may be None when the partitioning is always
+        active.
+        """
+        thresholds = np.asarray(thresholds, dtype=np.float64)
+        if self.always_active:
+            return np.ones((len(thresholds), self.num_partitions), dtype=np.float64)
+        return (thresholds[:, None] >= gates).astype(np.float64)
 
     def _centre_table(self) -> _CentreTable:
         """The ball regions as arrays, built once per partitioning (cached)."""
@@ -242,9 +295,9 @@ class Partitioning:
         They are computed once per distinct query and gathered per row.
         """
         first, inverse = distinct_rows(queries) if distinct is None else distinct
-        return take_rows(self._centre_distances(take_rows(queries, first)), inverse)
+        return take_rows(self.centre_distances(take_rows(queries, first)), inverse)
 
-    def _centre_distances(self, queries: np.ndarray) -> np.ndarray:
+    def centre_distances(self, queries: np.ndarray) -> np.ndarray:
         """Distances from every query to every ball centre, ``(m, R)``.
 
         Cosine is one GEMM with both norm passes hoisted, the formula of

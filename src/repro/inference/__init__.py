@@ -33,11 +33,12 @@ from .kernels import (
     CompiledKernel,
     CompiledPartitionedSelNet,
     CompiledSelNet,
+    ControlPointKernel,
+    ControlPoints,
     FusedFeedForward,
     GraphFallbackKernel,
     KernelCompilationError,
     piecewise_linear_batch,
-    piecewise_linear_grid,
 )
 from .precision import (
     DEFAULT_ERROR_BUDGETS,
@@ -54,11 +55,12 @@ __all__ = [
     "CompiledKernel",
     "CompiledSelNet",
     "CompiledPartitionedSelNet",
+    "ControlPointKernel",
+    "ControlPoints",
     "GraphFallbackKernel",
     "FusedFeedForward",
     "KernelCompilationError",
     "piecewise_linear_batch",
-    "piecewise_linear_grid",
     "InferenceBenchmarkReport",
     "run_inference_benchmark",
     "write_benchmark_json",

@@ -24,15 +24,22 @@ Three kernel families cover every registered estimator:
 All kernels share the same surface: ``predict(queries, thresholds)`` for
 aligned pairs and ``curve_values(queries, grid)`` which evaluates every
 query's selectivity curve on a common threshold grid with **one** network
-forward per query (the serving layer uses it to fill many cache misses per
-micro-batch).  The SelNet kernels run their network once per distinct
+forward per query.  The SelNet kernels run their network once per distinct
 query (:func:`repro.index.distinct_rows`), exactly as graph-mode
 ``predict`` does, so the two see the same BLAS shapes.
+
+The SelNet kernels (:class:`ControlPointKernel`, ``fuses_curves``) also
+split ``predict`` in two, which the serving cache uses:
+``query_points(queries)`` runs the network once per query and returns its
+:class:`ControlPoints`, and ``evaluate(points, thresholds)`` answers rows
+from gathered control points with ``predict``'s own piecewise-linear step,
+so the same control points give the same bits.  Their ``curve_values`` is
+``evaluate`` on every (query, grid point) pair (``sample``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -166,28 +173,53 @@ def piecewise_linear_batch(tau: np.ndarray, p: np.ndarray, t: np.ndarray) -> np.
     return p_lo + fraction * (p_hi - p_lo)
 
 
-def piecewise_linear_grid(tau: np.ndarray, p: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Evaluate every row's curve at every grid threshold, shape ``(n, G)``.
+class ControlPoints(NamedTuple):
+    """Everything Equation 1 needs to answer a query at any threshold.
 
-    ``np.interp`` per row would be exact too, but the counting formulation
-    keeps the arithmetic identical to :func:`piecewise_linear_batch` and
-    vectorises over both rows and grid points at once.
+    ``tau`` / ``p`` hold the ``L + 2`` control points of the single head,
+    or ``(K, L + 2)`` for K local models, and ``gates`` the query's least
+    activating threshold per partition, ``(K,)``
+    (:meth:`~repro.index.Partitioning.partition_gates`; None for a single
+    head or an always-active partitioning).  A batch adds a leading query
+    axis to every array.
     """
-    n, num_points = tau.shape
-    grid = np.asarray(grid, dtype=tau.dtype)
-    t_clamped = np.clip(grid[None, :], tau[:, :1], tau[:, -1:])  # (n, G)
-    # Segment lookup per (row, grid point): count entries strictly below t.
-    upper = np.count_nonzero(tau[:, None, :] < t_clamped[:, :, None], axis=2)
-    upper = np.clip(upper, 1, num_points - 1)
-    lower = upper - 1
-    rows = np.arange(n)[:, None]
-    tau_lo = tau[rows, lower]
-    tau_hi = tau[rows, upper]
-    p_lo = p[rows, lower]
-    p_hi = p[rows, upper]
-    width = np.maximum(tau_hi - tau_lo, 1e-12)
-    fraction = (t_clamped - tau_lo) / width
-    return p_lo + fraction * (p_hi - p_lo)
+
+    tau: np.ndarray
+    p: np.ndarray
+    gates: Optional[np.ndarray] = None
+
+    @property
+    def payload_nbytes(self) -> int:
+        extra = 0 if self.gates is None else self.gates.nbytes
+        return int(self.tau.nbytes + self.p.nbytes + extra)
+
+    def row(self, index: int) -> "ControlPoints":
+        """One query of a batch, as arrays of its own (not views of the batch)."""
+        return ControlPoints(
+            self.tau[index].copy(),
+            self.p[index].copy(),
+            None if self.gates is None else self.gates[index].copy(),
+        )
+
+    def take(self, index: np.ndarray) -> "ControlPoints":
+        """The batch whose row ``i`` is row ``index[i]`` of this one."""
+        return ControlPoints(
+            self.tau[index],
+            self.p[index],
+            None if self.gates is None else self.gates[index],
+        )
+
+    @classmethod
+    def stack(cls, entries: Sequence["ControlPoints"]) -> "ControlPoints":
+        """One batch of single-query entries, row ``i`` being ``entries[i]``."""
+        # np.array stacks equal-shaped rows like np.stack, at less overhead.
+        return cls(
+            np.array([entry.tau for entry in entries]),
+            np.array([entry.p for entry in entries]),
+            None
+            if entries[0].gates is None
+            else np.array([entry.gates for entry in entries]),
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -260,8 +292,9 @@ class CompiledKernel:
 
     #: short identifier used in reports and ``describe()``
     kind: str = "kernel"
-    #: True when ``curve_values`` costs one network forward per query (the
-    #: fused path); False when each grid point is a full estimator row.
+    #: True for the SelNet kernels (:class:`ControlPointKernel`): a curve
+    #: costs one network forward per query; False when each grid point is
+    #: a full estimator row.
     fuses_curves: bool = False
 
     #: dtype of the frozen weights and of the forward arithmetic
@@ -291,11 +324,45 @@ class CompiledKernel:
         }
 
 
-class CompiledSelNet(CompiledKernel):
+class ControlPointKernel(CompiledKernel):
+    """A SelNet kernel: ``predict`` split at each query's control points.
+
+    ``query_points`` runs the network once for a batch of distinct queries
+    and ``evaluate`` answers rows from gathered :class:`ControlPoints` with
+    ``predict``'s own arithmetic; curves are ``evaluate`` on a grid.
+    """
+
+    fuses_curves = True
+
+    def query_points(self, queries: np.ndarray) -> ControlPoints:
+        """Control points of a batch of distinct queries, one row each."""
+        raise NotImplementedError
+
+    def evaluate(self, points: ControlPoints, thresholds: np.ndarray) -> np.ndarray:
+        """Answers for rows whose control points are known (one row each)."""
+        raise NotImplementedError
+
+    def sample(self, points: ControlPoints, index: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        """Curves of the queries ``index`` of ``points`` on ``grid``.
+
+        Shape ``(len(index), len(grid))``; every (query, grid point) pair is
+        one :meth:`evaluate` row, so each value is ``predict``'s answer.
+        """
+        grid = np.asarray(grid, dtype=np.float64)
+        rows = points.take(np.repeat(index, len(grid)))
+        values = self.evaluate(rows, np.tile(grid, len(index)))
+        return values.reshape(len(index), len(grid))
+
+    def curve_values(self, queries: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        queries = np.asarray(queries, dtype=np.float64)
+        first, inverse = distinct_rows(queries)
+        return self.sample(self.query_points(take_rows(queries, first)), inverse, grid)
+
+
+class CompiledSelNet(ControlPointKernel):
     """Fused inference kernel for a single (non-partitioned) SelNet model."""
 
     kind = "selnet"
-    fuses_curves = True
 
     def __init__(self, model, dtype=np.float64) -> None:
         self._resolve_precision(dtype)
@@ -315,22 +382,24 @@ class CompiledSelNet(CompiledKernel):
         latent = self.encoder(queries)
         return np.concatenate([queries, latent], axis=1)
 
-    def control_points(self, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row ``(tau, p)``, computed once per distinct query."""
+    def control_points(self, queries: np.ndarray) -> ControlPoints:
+        """Per-row control points, computed once per distinct query."""
         queries = np.asarray(queries, dtype=self.dtype)
         first, inverse = distinct_rows(queries)
-        tau, p = self.head.control_points(self._augment(take_rows(queries, first)))
-        return take_rows(tau, inverse), take_rows(p, inverse)
+        points = self.query_points(take_rows(queries, first))
+        return ControlPoints(take_rows(points.tau, inverse), take_rows(points.p, inverse))
 
-    def predict(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    def query_points(self, queries: np.ndarray) -> ControlPoints:
+        """Control points of a batch of distinct queries: one forward."""
+        return ControlPoints(*self.head.control_points(self._augment(queries)))
+
+    def evaluate(self, points: ControlPoints, thresholds: np.ndarray) -> np.ndarray:
         thresholds = np.asarray(thresholds, dtype=self.dtype)
-        tau, p = self.control_points(queries)
-        output = piecewise_linear_batch(tau, p, thresholds)
+        output = piecewise_linear_batch(points.tau, points.p, thresholds)
         return np.clip(output, 0.0, None)
 
-    def curve_values(self, queries: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        tau, p = self.control_points(queries)
-        return np.clip(piecewise_linear_grid(tau, p, grid), 0.0, None)
+    def predict(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+        return self.evaluate(self.control_points(queries), thresholds)
 
     def describe(self) -> dict:
         info = super().describe()
@@ -338,7 +407,7 @@ class CompiledSelNet(CompiledKernel):
         return info
 
 
-class CompiledPartitionedSelNet(CompiledKernel):
+class CompiledPartitionedSelNet(ControlPointKernel):
     """Fused inference kernel for partitioned SelNet (K local models).
 
     Like graph mode, the kernel encodes the batch once and feeds the shared
@@ -348,7 +417,6 @@ class CompiledPartitionedSelNet(CompiledKernel):
     """
 
     kind = "selnet-partitioned"
-    fuses_curves = True
 
     def __init__(self, model, dtype=np.float64) -> None:
         self._resolve_precision(dtype)
@@ -380,18 +448,43 @@ class CompiledPartitionedSelNet(CompiledKernel):
         augmented = self._augment(queries)
         return [head.control_points(augmented) for head in self.heads]
 
-    def predict(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    def query_points(self, queries: np.ndarray) -> ControlPoints:
+        """Control points of a batch of distinct queries: one encode, K heads.
+
+        ``tau`` / ``p`` are ``(m, K, L+2)``; ``gates`` are the queries'
+        :meth:`~repro.index.Partitioning.partition_gates`, on which
+        :meth:`evaluate` activates exactly the partitions
+        :meth:`~repro.index.Partitioning.indicator_batch` does.
+        """
         queries = np.asarray(queries, dtype=np.float64)
+        locals_ = self.local_control_points(queries)
+        return ControlPoints(
+            np.stack([tau for tau, _ in locals_], axis=1),
+            np.stack([p for _, p in locals_], axis=1),
+            self.partitioning.partition_gates(queries),
+        )
+
+    def evaluate(self, points: ControlPoints, thresholds: np.ndarray) -> np.ndarray:
         thresholds = np.asarray(thresholds, dtype=self.dtype)
-        batch = len(queries)
-        distinct = distinct_rows(queries)
-        first, inverse = distinct
-        indicators = self.partitioning.indicator_batch(queries, thresholds, distinct)
-        augmented = self._augment(take_rows(queries, first))
-        # Accumulating in partition order keeps the summation order — and
-        # therefore the bits — of the graph-mode indicator-weighted sum.
-        output = np.zeros(batch, dtype=self.dtype)
-        for k, head in enumerate(self.heads):
+        indicators = self.partitioning.indicator_at(points.gates, thresholds)
+        # Every (row, partition) curve in one call: the step is row-wise, so
+        # each value has the bits of a per-partition call.
+        rows, parts, width = points.tau.shape
+        curves = piecewise_linear_batch(
+            points.tau.reshape(rows * parts, width),
+            points.p.reshape(rows * parts, width),
+            np.repeat(thresholds, parts),
+        ).reshape(rows, parts)
+        return self._combine(indicators, lambda k: curves[:, k])
+
+    def _combine(self, indicators: np.ndarray, local_curve) -> np.ndarray:
+        """The indicator-weighted sum of the local curves ``local_curve(k)``.
+
+        Accumulating in partition order keeps the summation order — and
+        therefore the bits — of the graph-mode indicator-weighted sum.
+        """
+        output = np.zeros(len(indicators), dtype=self.dtype)
+        for k in range(self.num_partitions):
             if not np.any(indicators[:, k]):
                 # No query ball in the batch intersects this partition: its
                 # contribution is exactly zero, so the head never runs.
@@ -399,27 +492,24 @@ class CompiledPartitionedSelNet(CompiledKernel):
                 # with it the low-order bits — full evaluation keeps the
                 # active rows bit-equal to graph mode.)
                 continue
-            tau, p = head.control_points(augmented)
-            curve = piecewise_linear_batch(
-                take_rows(tau, inverse), take_rows(p, inverse), thresholds
-            )
-            output += curve * indicators[:, k]
+            output += local_curve(k) * indicators[:, k]
         return np.clip(output, 0.0, None)
 
-    def curve_values(self, queries: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    def predict(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
         queries = np.asarray(queries, dtype=np.float64)
-        grid = np.asarray(grid, dtype=self.dtype)
+        thresholds = np.asarray(thresholds, dtype=self.dtype)
         distinct = distinct_rows(queries)
         first, inverse = distinct
-        locals_ = self.local_control_points(take_rows(queries, first))
-        # One (distinct, K, G) stack of per-partition curves, gathered per
-        # query row, and one indicator grid for the (query x grid) product.
-        local_curves = np.stack(
-            [piecewise_linear_grid(tau, p, grid) for tau, p in locals_], axis=1
-        )
-        indicators = self.partitioning.indicator_grid(queries, grid, distinct)
-        output = (take_rows(local_curves, inverse) * indicators.transpose(0, 2, 1)).sum(axis=1)
-        return np.clip(output, 0.0, None)
+        indicators = self.partitioning.indicator_batch(queries, thresholds, distinct)
+        augmented = self._augment(take_rows(queries, first))
+
+        def local_curve(k: int) -> np.ndarray:
+            tau, p = self.heads[k].control_points(augmented)
+            return piecewise_linear_batch(
+                take_rows(tau, inverse), take_rows(p, inverse), thresholds
+            )
+
+        return self._combine(indicators, local_curve)
 
     def describe(self) -> dict:
         info = super().describe()

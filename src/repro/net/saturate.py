@@ -348,9 +348,18 @@ def cache_density_compare(
     by jittering repeated queries well above the cache's key rounding —
     density under a byte budget is only measurable once the stream is
     large enough to put both caches under eviction pressure.
+
+    Only estimators outside the SelNet family cache sampled curves: a
+    SelNet kernel (``fuses_curves``) caches control points, which are
+    never quantized, so for it this raises ``ValueError``.
     """
     from ..serving import EstimationService
 
+    if estimator.compiled().fuses_curves:
+        raise ValueError(
+            "the cache density comparison needs an estimator with sampled curves; "
+            "SelNet models cache control points, which are never quantized"
+        )
     queries = np.asarray(queries, dtype=np.float64)[:max_queries]
     thresholds = np.asarray(thresholds, dtype=np.float64)[:max_queries]
     if 0 < len(queries) < max_queries:

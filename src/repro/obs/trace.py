@@ -23,7 +23,8 @@ One served request produces spans named by the layer that timed it:
     Worker-process service call, end to end.
 ``service.cache_lookup`` / ``service.kernel_execute``
     Inside :class:`~repro.serving.service.EstimationService`: curve-cache
-    probe and the kernel/curve evaluation for cache misses.
+    probe and the kernel work — the forward that fills cache misses and,
+    for SelNet control points, the evaluation of the call's rows.
 ``pipeline.stage``
     One pipeline stage build (wall + CPU recorded in the stage report).
 

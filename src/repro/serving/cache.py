@@ -2,27 +2,31 @@
 
 Selectivity serving has heavy query reuse (the same embedding is probed at
 many thresholds — blocking plans, progressive refinement, dashboards).  A
-curve cache exploits the shape of the problem: one cached piece-wise curve
-per (model, query) answers *every* threshold for that query by linear
-interpolation, instead of one model forward pass per request.
+curve cache exploits the shape of the problem: one cached entry per
+(model, query) answers *every* threshold for that query, instead of one
+model forward pass per request.  An entry is one of two kinds:
 
-Two things keep a shard's cache dense:
-
-* **Grid interning** — every curve built by the service samples the same
-  per-model threshold grid, so the cache stores one shared grid array per
-  ``(model, grid)`` and each entry references it (and its bytes are counted
-  once).
-* **Quantized curves** — :class:`QuantizedCurve` stores the sampled values
-  as uint8/uint16 codes against the shared grid (1–2 bytes per control
-  point instead of 8), reconstructing estimates to within half a
-  quantization step of the curve's value range.  With
-  ``CurveCache(quantize_bits=8)`` every inserted curve is re-encoded on the
-  way in, so a fixed ``max_bytes`` budget holds roughly 8–12x more distinct
-  queries.
+* **Control points** — for the SelNet family, whose estimate is exactly
+  piecewise linear in t (Equation 1), the entry is the query's
+  :class:`~repro.inference.kernels.ControlPoints`: its ``(tau, p)`` pairs,
+  per local model for a partitioned SelNet, plus the least threshold at
+  which each partition is active.  The kernel evaluates rows against them
+  with its own piecewise-linear step and partition gate, so a cached
+  answer is the kernel's answer, at every threshold, and is non-decreasing
+  in t for as long as the entry lives.  These entries have no grid and are
+  never quantized.
+* **Sampled curves** — every other estimator's curve is sampled on a
+  threshold grid (:class:`CachedCurve`) and read back by linear
+  interpolation.  Two things keep these dense: *grid interning* (entries
+  on the same per-model grid share one grid array, whose bytes are counted
+  once) and *quantization* (:class:`QuantizedCurve` stores the samples as
+  uint8/uint16 codes, 1–2 bytes per point instead of 8, to within half a
+  quantization step; with ``CurveCache(quantize_bits=8)`` every inserted
+  sampled curve is re-encoded on the way in).
 
 ``max_bytes`` bounds the cache by *accounted bytes* (payload + key + shared
-grids), evicting least-recently-used entries past either the entry-count or
-the byte budget.
+grids + a fixed per-entry overhead), evicting least-recently-used entries
+past either the entry-count or the byte budget.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from ..inference.kernels import ControlPoints
 from ..inference.precision import dequantize_values, quantize_values
 
 #: fixed per-entry bookkeeping charge (OrderedDict slot, entry object)
@@ -124,7 +129,7 @@ class QuantizedCurve:
         return int(self.codes.nbytes) + 16
 
 
-Curve = Union[CachedCurve, QuantizedCurve]
+Curve = Union[CachedCurve, QuantizedCurve, ControlPoints]
 
 
 #: rounding of query coordinates inside cache and routing keys: queries that
@@ -132,11 +137,19 @@ Curve = Union[CachedCurve, QuantizedCurve]
 KEY_DECIMALS = 10
 
 
-def _rounded_query_bytes(query: np.ndarray) -> bytes:
-    rounded = np.round(np.asarray(query, dtype=np.float64), KEY_DECIMALS)
+def rounded_queries(queries: np.ndarray) -> np.ndarray:
+    """Query coordinates as keys see them: rounded to :data:`KEY_DECIMALS`.
+
+    Works on one query or a batch (rounding is per element); a row's
+    ``tobytes()`` is the identity its cache and routing keys are built on.
+    """
+    rounded = np.round(np.asarray(queries, dtype=np.float64), KEY_DECIMALS)
     # 0.0 and -0.0 have different byte patterns; normalise so they collide.
-    rounded = rounded + 0.0
-    return rounded.tobytes()
+    return rounded + 0.0
+
+
+def _rounded_query_bytes(query: np.ndarray) -> bytes:
+    return rounded_queries(query).tobytes()
 
 
 def query_cache_key(model_name: str, query: np.ndarray) -> bytes:
@@ -144,15 +157,18 @@ def query_cache_key(model_name: str, query: np.ndarray) -> bytes:
     return model_name.encode("utf-8") + b"\x00" + _rounded_query_bytes(query)
 
 
-def compact_cache_key(model_name: str, query: np.ndarray) -> bytes:
+def compact_cache_key(model_name: str, query: Union[np.ndarray, bytes]) -> bytes:
     """The cache's *stored* key: model name + a 16-byte query digest.
 
     Same identity semantics as :func:`query_cache_key` (which the shard
     router keeps using, so routing stays byte-compatible), but a
     byte-budgeted cache spends 16 bytes per key instead of ``dim * 8``.
     The model prefix stays in the clear for per-model invalidation scans.
+    ``query`` is a query vector, or the bytes of its
+    :func:`rounded_queries` row (a caller that rounded a whole batch once).
     """
-    digest = hashlib.blake2b(_rounded_query_bytes(query), digest_size=16).digest()
+    rounded = query if isinstance(query, bytes) else _rounded_query_bytes(query)
+    digest = hashlib.blake2b(rounded, digest_size=16).digest()
     return model_name.encode("utf-8") + b"\x00" + digest
 
 
@@ -170,7 +186,7 @@ class _InternedGrid:
 
 @dataclass
 class _Entry:
-    """One cached curve plus the bookkeeping the byte accounting needs."""
+    """One cached entry plus the bookkeeping the byte accounting needs."""
 
     curve: Curve
     grid_key: Optional[Tuple[str, bytes]]
@@ -183,17 +199,21 @@ class CurveCache:
     Parameters
     ----------
     capacity:
-        Maximum number of cached curves; the least recently used entry is
+        Maximum number of cached entries; the least recently used entry is
         evicted when full.  ``capacity <= 0`` disables caching entirely
         (every ``get`` misses, ``put`` is a no-op).
     max_bytes:
-        Optional byte budget over accounted cache memory (curve payloads,
+        Optional byte budget over accounted cache memory (entry payloads,
         keys, interned grids, per-entry overhead); LRU entries are evicted
         past it.  ``None`` bounds by entry count only.
     quantize_bits:
         8 or 16 re-encodes every inserted :class:`CachedCurve` as a
-        :class:`QuantizedCurve` with that many bits per control point;
-        ``None`` stores curves as handed in.
+        :class:`QuantizedCurve` with that many bits per sample; ``None``
+        stores curves as handed in.  Control-point entries are always
+        stored as handed in.
+
+    ``query`` arguments are query vectors, or the bytes of a
+    :func:`rounded_queries` row.
     """
 
     def __init__(
@@ -232,28 +252,34 @@ class CurveCache:
     def get(
         self,
         model_name: str,
-        query: np.ndarray,
+        query: Union[np.ndarray, bytes],
         threshold: Optional[float] = None,
+        rows: int = 1,
     ) -> Optional[Curve]:
-        """Cached curve for a query, or None on a miss.
+        """Cached entry for a query, or None on a miss.
 
-        When ``threshold`` is given, an entry whose grid does not reach it
-        counts as a miss: interpolation would clamp to the grid end and
-        silently return a wrong estimate, so the caller must rebuild the
-        curve over a wider range instead.
+        When ``threshold`` is given, a sampled curve whose grid does not
+        reach it counts as a miss: interpolation would clamp to the grid
+        end and silently return a wrong estimate, so the caller must
+        rebuild the curve over a wider range instead.  Control points
+        answer every threshold, so ``threshold`` never misses them.
+        ``rows`` is the number of request rows the lookup answers: the
+        hit and miss counters count rows.
         """
         key = compact_cache_key(model_name, query)
         entry = self._entries.get(key)
         if entry is None or (
-            threshold is not None and threshold > entry.curve.thresholds[-1]
+            threshold is not None
+            and not isinstance(entry.curve, ControlPoints)
+            and threshold > entry.curve.thresholds[-1]
         ):
-            self.misses += 1
+            self.misses += rows
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
+        self.hits += rows
         return entry.curve
 
-    def put(self, model_name: str, query: np.ndarray, curve: Curve) -> None:
+    def put(self, model_name: str, query: Union[np.ndarray, bytes], curve: Curve) -> None:
         if self.capacity <= 0:
             return
         key = compact_cache_key(model_name, query)
@@ -261,7 +287,9 @@ class CurveCache:
             curve = QuantizedCurve.encode(
                 curve.thresholds, curve.values, bits=self.quantize_bits
             )
-        grid_key = self._intern_grid(model_name, curve)
+        grid_key = (
+            None if isinstance(curve, ControlPoints) else self._intern_grid(model_name, curve)
+        )
         previous = self._entries.pop(key, None)
         if previous is not None:
             self._release_entry(previous)

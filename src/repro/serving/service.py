@@ -10,11 +10,16 @@
 * batched ``(query, threshold)`` requests are routed through bounded
   micro-batches (:mod:`repro.serving.batching`);
 * an LRU selectivity-curve cache (:mod:`repro.serving.cache`) answers
-  repeated queries by interpolation instead of model forward passes; cache
-  misses are filled like :meth:`EstimationService.curves_for_queries`,
-  many curves per kernel call (for SelNet kernels: one network forward per
-  distinct query, whatever the grid resolution), each on a grid covering
-  its own query's largest threshold;
+  repeated queries without a model forward pass.  For the SelNet family
+  (kernels that fuse curves) an entry is the query's control points: a
+  call rounds its batch once, looks each distinct query up once, fills
+  every miss with one kernel forward per ``max_batch_size`` chunk, and
+  answers its rows, one ``max_batch_size`` slice per evaluation, through
+  the kernel's own piecewise-linear step and partition gates.  Cached
+  answers therefore equal ``use_cache=False`` answers within the precision
+  tier's budget and never decrease as t grows, across calls too.  Every
+  other estimator caches its curve sampled on a grid covering its own
+  query's largest threshold and answers by interpolation;
 * per-model request counts, batch counts, latency and cache hit-rate
   statistics are tracked for observability;
 * data updates are routed to estimators that support them; the model's
@@ -26,18 +31,29 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..estimator import SelectivityEstimator
+from ..inference.kernels import ControlPoints
 from ..obs import MetricsRegistry
 from ..obs import trace as obstrace
 from ..persistence import SIDECAR_FILE, load_estimator, read_metadata
 from .batching import iter_microbatches
-from .cache import CachedCurve, CurveCache
+from .cache import CachedCurve, CurveCache, rounded_queries
 
 PathLike = Union[str, Path]
+
+
+def _require_dimensions(name: str, estimator: SelectivityEstimator, queries: np.ndarray) -> None:
+    """Reject queries whose width differs from the one the model was fitted on."""
+    expected = estimator.expected_input_dim
+    if expected is not None and queries.shape[1] != expected:
+        raise ValueError(
+            f"queries have {queries.shape[1]} dimensions but {name!r} was fitted "
+            f"on {expected}-dimensional vectors"
+        )
 
 
 def _require_finite(queries: np.ndarray, thresholds: np.ndarray) -> None:
@@ -133,10 +149,11 @@ class EstimationService:
         ``estimator.json`` sidecar).  Optional — models can also be attached
         in-memory with :meth:`add_model`.
     cache_capacity:
-        Maximum number of cached selectivity curves (``0`` disables the
-        cache).
+        Maximum number of cached queries (``0`` disables the cache).
     curve_resolution:
-        Number of grid points per cached curve.
+        Number of grid points per sampled curve: the cached curves of
+        estimators outside the SelNet family, and the default grid of
+        :meth:`curves_for_queries`.
     max_batch_size:
         Upper bound on the rows per estimator call (micro-batching).
     kernel_dtype:
@@ -151,8 +168,9 @@ class EstimationService:
         Byte budget for the curve cache (None = unbounded; the entry
         ``cache_capacity`` still applies either way).
     cache_quantize_bits:
-        Store cached curves quantized to 8- or 16-bit codes against an
-        interned threshold grid (None keeps full float64 curves).
+        Store sampled curves quantized to 8- or 16-bit codes against an
+        interned threshold grid (None keeps full float64 curves).  SelNet
+        control points are never quantized.
     """
 
     def __init__(
@@ -341,10 +359,13 @@ class EstimationService:
         """Batched selectivity estimates from the named model.
 
         With ``use_cache=True`` every answer comes from the model's cached
-        selectivity curve (built on first sight of a query, then shared by
-        all thresholds of that query); with ``use_cache=False`` the call is
-        routed straight through micro-batched estimator evaluation and is
-        bit-identical to calling the estimator directly.
+        entry for its query (built on first sight of a query, then shared by
+        all thresholds of that query): control points for the SelNet
+        family, whose answers equal the uncached ones within the precision
+        tier's budget, and an interpolated sampled curve otherwise.  With
+        ``use_cache=False`` the call is routed straight through
+        micro-batched estimator evaluation and is bit-identical to calling
+        the estimator directly.
         """
         estimator = self.get(name)
         queries = np.asarray(queries, dtype=np.float64)
@@ -356,6 +377,7 @@ class EstimationService:
                 f"expected aligned (n, dim) queries and (n,) thresholds, got "
                 f"{queries.shape} and {thresholds.shape}"
             )
+        _require_dimensions(name, estimator, queries)
         _require_finite(queries, thresholds)
         stats = self._model_stats(name)
         start = time.perf_counter()
@@ -406,6 +428,18 @@ class EstimationService:
         thresholds: np.ndarray,
         stats: ModelStats,
     ) -> np.ndarray:
+        kernel = self._kernel(name, estimator)
+        if kernel.fuses_curves:
+            points, inverse, missed_rows = self._cached_points(name, kernel, queries, stats)
+            # Rows count, not queries: a row of a missed query is a miss.
+            stats.cache_hits.inc(len(thresholds) - missed_rows)
+            stats.cache_misses.inc(missed_rows)
+            results = np.empty(len(thresholds), dtype=np.float64)
+            with obstrace.span("service.kernel_execute", model=name, rows=len(thresholds)):
+                for start in range(0, len(thresholds), self.max_batch_size):
+                    rows = slice(start, start + self.max_batch_size)
+                    results[rows] = kernel.evaluate(points.take(inverse[rows]), thresholds[rows])
+            return results
         results = np.empty(len(thresholds), dtype=np.float64)
         miss_positions: List[int] = []
         with obstrace.span("service.cache_lookup", model=name, rows=len(thresholds)) as lookup:
@@ -421,7 +455,7 @@ class EstimationService:
                     stats.cache_misses.inc()
             lookup["misses"] = len(miss_positions)
         if miss_positions:
-            self._fill_misses(name, estimator, queries, thresholds, miss_positions, results, stats)
+            self._fill_misses(name, kernel, queries, thresholds, miss_positions, results, stats)
         return results
 
     @staticmethod
@@ -435,7 +469,53 @@ class EstimationService:
         upper = max(float(getattr(kernel, "t_max", None) or 0.0), float(t_hi) * 1.05)
         return upper if upper > 0.0 else 1.0
 
-    def _build_curve_values(
+    def _cached_points(
+        self, name: str, kernel, queries: np.ndarray, stats: ModelStats
+    ) -> Tuple[ControlPoints, np.ndarray, int]:
+        """Control points of every row's query, from the cache or the kernel.
+
+        Rows are grouped by their rounded key bytes (the batch is rounded
+        once; repeats need not be adjacent) and each distinct query is
+        looked up once, counted as its number of rows.  The misses are
+        filled with one kernel forward per ``max_batch_size`` chunk and
+        cached.  Returns the distinct queries' control points as one batch,
+        each row's index into it, and the number of rows that missed.
+        """
+        rounded = rounded_queries(queries)
+        width = rounded.shape[1] * rounded.itemsize
+        flat = rounded.tobytes()
+        slots: Dict[bytes, int] = {}
+        first: List[int] = []
+        inverse = []
+        for row in range(len(rounded)):
+            key = flat[row * width : (row + 1) * width]
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = len(first)
+                first.append(row)
+            inverse.append(slot)
+        keys = list(slots)
+        counts = np.bincount(inverse, minlength=len(keys)).tolist()
+        with obstrace.span(
+            "service.cache_lookup", model=name, rows=len(rounded), queries=len(keys)
+        ) as lookup:
+            entries = [self.cache.get(name, key, rows=n) for key, n in zip(keys, counts)]
+            missed = [slot for slot, entry in enumerate(entries) if entry is None]
+            lookup["misses"] = len(missed)
+        for start in range(0, len(missed), self.max_batch_size):
+            chunk = missed[start : start + self.max_batch_size]
+            with obstrace.span("service.kernel_execute", model=name, rows=len(chunk)):
+                points = kernel.query_points(queries[[first[slot] for slot in chunk]])
+            stats.batches.inc()
+            for offset, slot in enumerate(chunk):
+                # Arrays of its own: a view of the batch would pin all of it.
+                entries[slot] = points.row(offset)
+                self.cache.put(name, keys[slot], entries[slot])
+            stats.curve_builds.inc(len(chunk))
+        missed_rows = sum(counts[slot] for slot in missed)
+        return ControlPoints.stack(entries), np.asarray(inverse, dtype=np.intp), missed_rows
+
+    def _sample_curves(
         self,
         name: str,
         kernel,
@@ -443,51 +523,34 @@ class EstimationService:
         grids: List[np.ndarray],
         stats: ModelStats,
     ) -> np.ndarray:
-        """Curve values for distinct queries, one row per query.
+        """Sampled curve values of a non-fusing kernel, one row per query.
 
-        ``grids`` holds each query's grid; queries given the same grid
-        object share kernel calls.  Batched per micro-batch: with a
-        curve-fusing kernel (the SelNet family) one call computes control
-        points once per query and reads a whole grid off them, so a
-        micro-batch of up to ``max_batch_size`` queries sharing a grid is
-        one forward pass; the generic fallback expands to (query,
-        threshold) rows and is chunked so one call never exceeds
-        ``max_batch_size`` rows.
+        ``grids`` holds each query's grid.  The (query, grid point) rows
+        are chunked so one estimator call never exceeds ``max_batch_size``
+        rows.
         """
         num_grid = len(grids[0]) if grids else 0
         values = np.empty((len(unique_queries), num_grid), dtype=np.float64)
         with obstrace.span("service.kernel_execute", model=name, rows=len(unique_queries)):
-            if kernel.fuses_curves:
-                sharing: Dict[int, List[int]] = {}
-                for row, grid in enumerate(grids):
-                    sharing.setdefault(id(grid), []).append(row)
-                for rows in sharing.values():
-                    for start in range(0, len(rows), self.max_batch_size):
-                        chunk = rows[start : start + self.max_batch_size]
-                        values[chunk] = kernel.curve_values(unique_queries[chunk], grids[chunk[0]])
-                        stats.batches.inc()
-            else:
-                # Non-fusing path: expand to (query, grid point) rows and keep
-                # every estimator call within the configured micro-batch bound.
-                repeated = np.repeat(unique_queries, num_grid, axis=0)
-                tiled = np.concatenate(grids) if grids else np.empty(0)
-                flat = values.reshape(-1)
-                for batch in iter_microbatches(repeated, tiled, self.max_batch_size):
-                    flat[batch.positions] = kernel.predict(batch.queries, batch.thresholds)
-                    stats.batches.inc()
+            repeated = np.repeat(unique_queries, num_grid, axis=0)
+            tiled = np.concatenate(grids) if grids else np.empty(0)
+            flat = values.reshape(-1)
+            for batch in iter_microbatches(repeated, tiled, self.max_batch_size):
+                flat[batch.positions] = kernel.predict(batch.queries, batch.thresholds)
+                stats.batches.inc()
         return values
 
     def _fill_misses(
         self,
         name: str,
-        estimator: SelectivityEstimator,
+        kernel,
         queries: np.ndarray,
         thresholds: np.ndarray,
         miss_positions: List[int],
         results: np.ndarray,
         stats: ModelStats,
     ) -> None:
-        """Build curves for unseen queries in batched calls, cache, answer.
+        """Sample curves for unseen queries in batched calls, cache, answer.
 
         Each query's grid covers its own largest threshold: a grid stretched
         to another row's wide threshold would cache a coarser curve for it.
@@ -497,7 +560,6 @@ class EstimationService:
             unique.setdefault(queries[position].tobytes(), []).append(position)
         members = list(unique.values())
 
-        kernel = self._kernel(name, estimator)
         listed = thresholds.tolist()
         uppers = [
             self._curve_upper(kernel, max(listed[position] for position in positions))
@@ -505,7 +567,7 @@ class EstimationService:
         ]
         grids = {upper: np.linspace(0.0, upper, self.curve_resolution) for upper in set(uppers)}
         rows = [positions[0] for positions in members]
-        values = self._build_curve_values(
+        values = self._sample_curves(
             name, kernel, queries[rows], [grids[upper] for upper in uppers], stats
         )
 
@@ -521,22 +583,19 @@ class EstimationService:
     ) -> List[CachedCurve]:
         """Selectivity curves for a batch of queries in batched kernel calls.
 
-        With the default grid (``thresholds=None``) every curve is also
-        cached for later ``estimate`` calls; a caller-supplied grid is *not*
-        cached (an arbitrary — possibly coarse or narrow — grid entering the
-        shared cache would silently degrade every subsequent estimate for
-        those queries).
+        For the SelNet family the curves are sampled from the queries'
+        control points, which are looked up in and added to the cache
+        whatever the grid.  For other estimators, curves on the default
+        grid (``thresholds=None``) are also cached for later ``estimate``
+        calls; a caller-supplied grid is *not* cached (an arbitrary —
+        possibly coarse or narrow — grid entering the shared cache would
+        silently degrade every subsequent estimate for those queries).
         """
         estimator = self.get(name)
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2:
             raise ValueError(f"queries must be a 2-D array, got shape {queries.shape}")
-        expected = estimator.expected_input_dim
-        if expected is not None and queries.shape[1] != expected:
-            raise ValueError(
-                f"queries have {queries.shape[1]} dimensions but {name!r} was fitted "
-                f"on {expected}-dimensional vectors"
-            )
+        _require_dimensions(name, estimator, queries)
         kernel = self._kernel(name, estimator)
         default_grid = thresholds is None
         if default_grid:
@@ -545,7 +604,17 @@ class EstimationService:
             grid = np.asarray(thresholds, dtype=np.float64)
         _require_finite(queries, grid)
         stats = self._model_stats(name)
-        values = self._build_curve_values(name, kernel, queries, [grid] * len(queries), stats)
+        if len(queries) == 0:
+            return []
+        if kernel.fuses_curves:
+            points, inverse, _ = self._cached_points(name, kernel, queries, stats)
+            values = np.empty((len(queries), len(grid)), dtype=np.float64)
+            with obstrace.span("service.kernel_execute", model=name, rows=len(queries)):
+                for start in range(0, len(queries), self.max_batch_size):
+                    rows = slice(start, start + self.max_batch_size)
+                    values[rows] = kernel.sample(points, inverse[rows], grid)
+            return [CachedCurve(thresholds=grid, values=row) for row in values]
+        values = self._sample_curves(name, kernel, queries, [grid] * len(queries), stats)
         curves: List[CachedCurve] = []
         for row in range(len(queries)):
             curve = CachedCurve(thresholds=grid, values=values[row])

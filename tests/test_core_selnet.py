@@ -355,6 +355,48 @@ class TestIncrementalSelNet:
         )
         assert report.database_size == split.dataset.num_vectors + 5
 
+    def test_writes_group_and_hash_the_validation_rows_once(self, fitted, monkeypatch):
+        """Ten writes group the validation rows once and hash them once: the
+        model groups them on its first relabel, and the delta oracle finds
+        its batch by the grouping's read-only arrays.  The labels stay those
+        of a fresh oracle's aligned pass."""
+        from repro.data.updates import UpdateOperation
+        from repro.exact import BlockedOracle, delta
+
+        estimator, split = fitted
+        validation = split.validation
+        incremental = IncrementalSelNet(
+            estimator=estimator,
+            data=split.dataset.vectors,
+            distance=split.distance,
+            train=split.train,
+            validation=validation,
+            config=IncrementalConfig(mae_drift_threshold=1e9),
+        )
+        groupings, digests = [], []
+        unique, batch_digest = np.unique, delta._batch_digest
+
+        def counting_unique(values, *args, **kwargs):
+            if values is validation.query_ids:
+                groupings.append(1)
+            return unique(values, *args, **kwargs)
+
+        def counting_digest(queries, thresholds):
+            digests.append(1)
+            return batch_digest(queries, thresholds)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        monkeypatch.setattr(delta, "_batch_digest", counting_digest)
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            vectors = rng.normal(size=(3, split.dataset.dim))
+            incremental.apply_operation(UpdateOperation(kind="insert", vectors=vectors))
+        assert len(groupings) == 1 and len(digests) == 1
+        fresh = BlockedOracle(incremental.data, split.distance).selectivities_batch(
+            validation.queries, validation.thresholds
+        )
+        np.testing.assert_array_equal(incremental.validation.selectivities, fresh)
+
     def test_state_pickled_before_the_operation_log_still_updates(self, fitted):
         """An older pickle kept the current rows as ``data`` and an oracle of
         another layout; restoring it restarts the oracle from those rows and

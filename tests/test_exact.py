@@ -380,6 +380,32 @@ class TestDeltaOracle:
         assert info["base_batches_cached"] == 1
         assert info["dead_base_rows"] == 5
 
+    def test_read_only_batches_are_found_without_hashing(self, monkeypatch):
+        from repro.exact import delta as delta_module
+
+        data = DISTANCE_DATASETS["cosine"]()[:300]
+        queries, thresholds = _queries_and_thresholds(data, "cosine", num=6, seed=21)
+        frozen_queries, frozen_thresholds = queries.copy(), thresholds.copy()
+        frozen_queries.flags.writeable = frozen_thresholds.flags.writeable = False
+        digests = []
+        batch_digest = delta_module._batch_digest
+        monkeypatch.setattr(
+            delta_module, "_batch_digest", lambda q, t: (digests.append(1), batch_digest(q, t))[1]
+        )
+        oracle = DeltaOracle(data, "cosine")
+        first = oracle.selectivities_batch(frozen_queries, frozen_thresholds)
+        oracle.delete(np.arange(4))
+        second = oracle.selectivities_batch(frozen_queries, frozen_thresholds)
+        assert len(digests) == 1
+        # Writable arrays may change between reads: they are always hashed,
+        # and equal values still find the same batch.
+        np.testing.assert_array_equal(oracle.selectivities_batch(queries, thresholds), second)
+        assert len(digests) == 2 and oracle.cache_info()["base_batches_cached"] == 1
+        thresholds[0] += 0.5
+        changed = oracle.selectivities_batch(queries, thresholds)
+        assert len(digests) == 3 and oracle.cache_info()["base_batches_cached"] == 2
+        assert changed[0] >= second[0] and np.all(second <= first)
+
     def test_insert_validation(self):
         data = DISTANCE_DATASETS["euclidean"]()[:50]
         delta = DeltaOracle(data, "euclidean")

@@ -26,8 +26,10 @@ from repro.autodiff import (
 )
 from repro.distances import get_distance
 from repro.index import build_partitioning, distinct_rows, take_rows
+from repro.index.partitioner import least_hit_thresholds
 from repro.inference import (
     CompiledPartitionedSelNet,
+    ControlPoints,
     CompiledSelNet,
     GraphFallbackKernel,
     compile_estimator,
@@ -379,9 +381,73 @@ class TestIndicatorBatch:
         np.testing.assert_array_equal(
             partitioning.indicator_batch(queries[order], thresholds[order]), batch[order]
         )
-        np.testing.assert_array_equal(
-            partitioning.indicator_grid(query[None, :], thresholds)[0], batch
-        )
+        # The per-partition gates cached control points carry.
+        gates = np.repeat(partitioning.partition_gates(query[None, :]), len(thresholds), 0)
+        np.testing.assert_array_equal(partitioning.indicator_at(gates, thresholds), batch)
+
+    def test_gates_activate_exactly_where_the_balls_do(
+        self, tiny_face_dataset, tiny_fasttext_dataset, rng
+    ):
+        """At every ball's boundary thresholds (its least hitting t, the
+        doubles on either side, and d - r) the per-partition gates give
+        the bits of the distance comparison, for both distance kernels."""
+        for dataset, distance in (
+            (tiny_face_dataset, "cosine"),
+            (tiny_fasttext_dataset, "euclidean"),
+        ):
+            partitioning = build_partitioning(
+                "ct", dataset.vectors, num_partitions=3,
+                distance=get_distance(distance), seed=0,
+            )
+            radii = partitioning._centre_table().radii
+            queries = dataset.vectors[rng.integers(0, len(dataset.vectors), size=6)]
+            gates = partitioning.partition_gates(queries)
+            for query, gate in zip(queries, gates):
+                distances = partitioning.centre_distances(query[None, :])[0]
+                least = least_hit_thresholds(distances, radii)
+                thresholds = np.concatenate([
+                    least,
+                    np.nextafter(least, -np.inf),
+                    np.nextafter(least, np.inf),
+                    distances - radii,
+                ])
+                rows = np.repeat(query[None, :], len(thresholds), axis=0)
+                expected = partitioning.indicator_batch(rows, thresholds)
+                assert 0.0 < expected.mean() < 1.0
+                np.testing.assert_array_equal(
+                    partitioning.indicator_at(np.repeat(gate[None, :], len(rows), 0), thresholds),
+                    expected,
+                )
+
+    def test_least_hit_threshold_is_the_boundary(self, rng):
+        """``d <= r + t`` holds at the returned t and fails one double
+        below it, also where the rounded sum, not ``d - r``, decides."""
+        scale = 10.0 ** rng.uniform(-300, 300, size=400)
+        radii = scale * rng.uniform(0.0, 2.0, size=400)
+        distances = np.concatenate([
+            scale[:200] * rng.uniform(0.0, 2.0, size=200),
+            # A hair outside the ball: d - r is far below one ulp of d.
+            np.nextafter(radii[200:300], np.inf),
+            radii[300:] * (1.0 + 1e-15),
+        ])
+        distances[:4] = [0.0, 5e-324, radii[2], 1.0]
+        radii[3] = 0.0
+        # Rounding leaves cosine distances and radii slightly negative.
+        distances[4:8] = radii[4:8] = [-4.440892098500626e-16, -1e-300, -0.0, -5e-324]
+        radii[8], distances[8] = -1e-16, 1e-16
+        least = least_hit_thresholds(distances, radii)
+        assert np.all(distances <= radii + least)
+        assert not np.any(distances <= radii + np.nextafter(least, -np.inf))
+        assert least[3] == 1.0 and least[2] <= 0.0
+        # Not finite: NaN never hits; inf hits once the sum overflows.
+        distances, radii = np.array([np.nan, np.inf, np.inf]), np.array([1.0, 1.0, 1e300])
+        special = least_hit_thresholds(distances, radii)
+        assert special[0] == np.inf and special[1] == np.inf and np.isfinite(special[2])
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(
+                distances <= radii + special, [False, True, True]
+            )
+            assert not np.any(distances <= radii + np.nextafter(special, -np.inf))
 
 
 # ---------------------------------------------------------------------- #
@@ -446,6 +512,22 @@ class TestDistinctQueryEvaluation:
         expected = np.clip(output.data, 0.0, None)
         np.testing.assert_array_equal(estimator.estimate(queries, thresholds), expected)
         np.testing.assert_array_equal(estimator.compiled().predict(queries, thresholds), expected)
+
+    @pytest.mark.parametrize("name", ["selnet", "selnet-ct"])
+    @pytest.mark.parametrize("dtype", TIER_NAMES)
+    def test_evaluate_on_query_points_is_predict(self, name, dtype, tiny_cosine_split):
+        """Control points from one forward per distinct query, split into
+        rows of their own and gathered back, answer bit-equal to predict."""
+        kernel = _fit(name, tiny_cosine_split).compiled(dtype=parse_tier(dtype).dtype)
+        queries = tiny_cosine_split.test.queries
+        thresholds = tiny_cosine_split.test.thresholds
+        first, inverse = distinct_rows(queries)
+        points = kernel.query_points(queries[first])
+        rows = [points.row(i) for i in range(len(first))]
+        np.testing.assert_array_equal(
+            kernel.evaluate(ControlPoints.stack(rows).take(inverse), thresholds),
+            kernel.predict(queries, thresholds),
+        )
 
     @pytest.mark.parametrize("name", ["selnet", "selnet-ct"])
     def test_curve_values_of_repeated_queries_are_gathered(self, name, tiny_cosine_split):

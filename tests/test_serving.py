@@ -268,6 +268,21 @@ class TestEstimationService:
         with pytest.raises(ValueError, match="finite"):
             service.curves_for_queries("kde", queries, np.array([0.0, np.inf]))
 
+    def test_wrong_dimensionality_is_a_clear_error(
+        self, model_dir, tiny_cosine_split, fast_selnet_config
+    ):
+        from dataclasses import asdict
+
+        params = dict(asdict(fast_selnet_config), epochs=1)
+        service = EstimationService(model_dir)
+        selnet = create_estimator("selnet-ct", **params).fit(tiny_cosine_split)
+        service.add_model("selnet-ct", selnet)
+        for name in ("kde", "selnet-ct"):
+            for use_cache in (True, False):
+                with pytest.raises(ValueError, match="queries have 3 dimensions"):
+                    service.estimate(name, np.zeros((2, 3)), np.array([0.1, 0.2]), use_cache)
+        assert len(service.cache) == 0
+
     def test_precision_and_cache_budget_knobs(self, model_dir, tiny_cosine_split):
         service = EstimationService(
             model_dir,
