@@ -1,18 +1,20 @@
 #!/usr/bin/env python
 """CI smoke test for the network serving tier.
 
-Boots ``repro serve`` (network backend, autoscaling 1..2 shards) against the
-models of an artifact store, then — using nothing but :mod:`urllib` —
+Boots ``repro serve MODEL_DIR`` (network backend, autoscaling 1..2 shards)
+against a directory of saved models, at least one of them from the SelNet
+family, then — using nothing but :mod:`urllib` —
 
 1. waits for ``GET /healthz``,
-2. runs one ``POST /estimate`` batch and checks the result shape,
+2. runs one ``POST /estimate`` batch per model and checks the result shape,
 3. reads ``GET /stats`` and ``GET /models``,
 4. hot-reloads via ``POST /models/reload``,
 5. hammers ``/estimate`` from several threads until the autoscaler grows the
    cluster past one shard (one scale-up event),
-6. re-sends the step-2 batch through the curve cache, then scrapes
+6. re-sends the SelNet model's step-2 batch through the cache, then scrapes
    ``GET /metrics`` and asserts the Prometheus text carries per-shard
-   latency histograms, cache bytes and the recorded autoscaler decision,
+   latency histograms, cache bytes (that model's control points; no other
+   estimator is cached) and the recorded autoscaler decision,
 7. sends SIGINT, asserts the server exits cleanly with status 0, and checks
    the ``--trace-out`` JSONL holds spans from both the frontend (``main``)
    and shard-worker processes sharing a trace ID.
@@ -20,7 +22,7 @@ models of an artifact store, then — using nothing but :mod:`urllib` —
 Exits non-zero (with the server's output) on any failed step, so a CI job
 can call it directly::
 
-    python scripts/net_serve_smoke.py --store /tmp/repro-artifacts
+    python scripts/net_serve_smoke.py --model-dir /tmp/serve-models
 """
 
 from __future__ import annotations
@@ -66,7 +68,11 @@ def _fail(proc: subprocess.Popen, message: str) -> "NoReturn":  # noqa: F821
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--store", required=True, help="artifact store directory")
+    parser.add_argument(
+        "--model-dir",
+        required=True,
+        help="directory of saved models, at least one of them a SelNet model",
+    )
     parser.add_argument("--timeout", type=float, default=180.0)
     parser.add_argument(
         "--trace-out",
@@ -84,8 +90,7 @@ def main() -> None:
 
     proc = subprocess.Popen(
         [
-            sys.executable, "-m", "repro", "serve",
-            "--from-store", args.store,
+            sys.executable, "-m", "repro", "serve", args.model_dir,
             "--port", "0", "--binary-port", "-2",
             "--backend", "network", "--shards", "1", "--queue-capacity", "2",
             "--autoscale", "--min-shards", "1", "--max-shards", "2",
@@ -119,22 +124,28 @@ def main() -> None:
 
     try:
         catalog = _call(base, "/models")
-        if not catalog["models"]:
-            _fail(proc, f"store exposes no models: {catalog}")
-        model = catalog["models"][0]
-        dim = int(catalog["described"][model]["input_dim"])
-        print(f"serving model {model!r} (dim {dim})")
+        described = catalog["described"]
+        selnets = [
+            name for name in catalog["models"]
+            if str(described[name].get("registry_name", "")).startswith("selnet")
+        ]
+        if not selnets:
+            _fail(proc, f"the model directory holds no SelNet model: {catalog}")
+        model = selnets[0]
+        dim = int(described[model]["input_dim"])
+        print(f"serving models {catalog['models']}; cached model {model!r} (dim {dim})")
 
         rng = random.Random(0)
         queries = [[rng.uniform(-1, 1) for _ in range(dim)] for _ in range(8)]
         thresholds = [rng.uniform(0.4, 1.0) for _ in range(8)]
-        estimate = _call(
-            base, "/estimate",
-            {"model": model, "queries": queries, "thresholds": thresholds},
-        )
-        if len(estimate["results"]) != 8:  # 2. estimate
-            _fail(proc, f"expected 8 results, got {estimate}")
-        print(f"estimate OK ({estimate['results'][:2]}...)")
+        for name in catalog["models"]:  # 2. estimate
+            estimate = _call(
+                base, "/estimate",
+                {"model": name, "queries": queries, "thresholds": thresholds},
+            )
+            if len(estimate["results"]) != 8:
+                _fail(proc, f"expected 8 results from {name!r}, got {estimate}")
+            print(f"estimate {name!r} OK ({estimate['results'][:2]}...)")
 
         stats = _call(base, "/stats")  # 3. stats
         if stats["cluster"]["num_shards"] != 1:
@@ -186,9 +197,10 @@ def main() -> None:
         print("autoscale-up event observed")
 
         # 6. /metrics carries the burst: per-shard histograms + the decision.
-        # The reload dropped every cached curve and the burst bypasses the
-        # cache, so re-send the step-2 batch with the cache on: the scrape
-        # must then count its curves in repro_cache_bytes.
+        # The reload dropped every cache entry and the burst bypasses the
+        # cache, so re-send the SelNet model's step-2 batch with the cache
+        # on: the scrape must then count its control points in
+        # repro_cache_bytes.
         _call(
             base, "/estimate",
             {"model": model, "queries": queries, "thresholds": thresholds},

@@ -109,15 +109,6 @@ def _net_lines(data: Dict[str, Any]) -> List[str]:
                 f"  transport      batch {int(batch):>4}: shm {shm_ms[batch]:.2f} ms vs "
                 f"pipe {pipe_ms[batch]:.2f} ms, shm {speedups[batch]:.2f}x ({winner} wins)"
             )
-    density = data.get("cache_density")
-    if density:
-        lines.append(
-            f"  cache density  uint{density['quantize_bits']} curves: "
-            f"{density['density_ratio']:.1f}x more cached queries at "
-            f"{density['max_bytes']:,} B "
-            f"(dev {density['max_rel_deviation_vs_full_cache']:.1e} "
-            f"<= budget {density['error_budget']:.0e})"
-        )
     return lines or ["  (no scenarios)"]
 
 

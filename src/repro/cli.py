@@ -549,17 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="byte budget for each shard's curve cache (default: unbounded)",
     )
-    serve_parser.add_argument(
-        "--cache-quantize-bits",
-        type=int,
-        choices=(8, 16),
-        default=None,
-        help=(
-            "store sampled curves quantized to this many bits per sample "
-            "(estimators outside the SelNet family; SelNet control points are "
-            "never quantized)"
-        ),
-    )
     serve_parser.add_argument("--min-shards", type=int, default=1)
     serve_parser.add_argument("--max-shards", type=int, default=4)
     serve_parser.add_argument(
@@ -642,18 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-transport-compare",
         action="store_true",
         help="skip the shm-vs-pickled-pipe transport micro-benchmark",
-    )
-    saturate_parser.add_argument(
-        "--no-cache-density",
-        action="store_true",
-        help="skip the quantized-vs-full curve-cache density comparison",
-    )
-    saturate_parser.add_argument(
-        "--cache-density-bytes",
-        type=int,
-        default=256 * 1024,
-        metavar="BYTES",
-        help="byte budget both caches share in the density comparison",
     )
     saturate_parser.add_argument(
         "--trace-out",
@@ -1417,7 +1394,6 @@ def _cmd_serve(args) -> int:
         max_shards=args.max_shards,
         kernel_dtype=args.kernel_dtype,
         cache_max_bytes=args.cache_max_bytes,
-        cache_quantize_bits=args.cache_quantize_bits,
     )
     with server:
         host, port = server.http_address
@@ -1428,15 +1404,10 @@ def _cmd_serve(args) -> int:
             print(f"  binary protocol   : {bhost}:{bport}", flush=True)
         print(f"  backend / shards  : {args.backend} x {args.shards}"
               + (f" (autoscale {args.min_shards}-{args.max_shards})" if args.autoscale else ""))
-        if args.kernel_dtype or args.cache_max_bytes or args.cache_quantize_bits:
+        if args.kernel_dtype or args.cache_max_bytes:
             print(
                 f"  precision         : kernel={args.kernel_dtype or 'float64'} "
                 f"cache_max_bytes={args.cache_max_bytes or 'unbounded'}"
-                + (
-                    f" cache_quantize_bits={args.cache_quantize_bits}"
-                    if args.cache_quantize_bits
-                    else ""
-                )
             )
         print(f"  models            : {', '.join(models) if models else '(none found)'}")
         if args.trace_out:
@@ -1529,57 +1500,10 @@ def _cmd_saturate(args) -> int:
         },
         "scenarios": [dataclasses.asdict(report) for report in reports],
     }
-    estimator = None
-    if not args.no_cache_density:
-        from .net.saturate import cache_density_compare
-        from .persistence import load_estimator
-
-        estimator = load_estimator(model_path)
-    if estimator is not None and estimator.compiled().fuses_curves:
-        print(
-            "cache density: skipped (a SelNet model caches control points, "
-            "which are never quantized)"
-        )
-    elif estimator is not None:
-        density = cache_density_compare(
-            estimator,
-            model_name,
-            queries,
-            thresholds,
-            max_bytes=args.cache_density_bytes,
-            max_queries=400 if args.smoke else 1500,
-        )
-        payload["cache_density"] = density
-        print(
-            f"cache density (max_bytes={density['max_bytes']}, "
-            f"{density['curve_resolution']}-pt curves, uint{density['quantize_bits']}):"
-        )
-        print(
-            f"  full float64 cache: {density['full']['cached_curves']:>6} curves "
-            f"({density['full']['curves_per_mb']:.0f} curves/MB)"
-        )
-        print(
-            f"  quantized cache   : {density['quantized']['cached_curves']:>6} curves "
-            f"({density['quantized']['curves_per_mb']:.0f} curves/MB) -> "
-            f"{density['density_ratio']:.1f}x density"
-        )
-        print(
-            f"  served deviation  : {density['max_rel_deviation_vs_full_cache']:.2e} "
-            f"relative vs full-precision cache "
-            f"(budget {density['error_budget']:.0e}, "
-            f"{'OK' if density['within_budget'] else 'EXCEEDED'})"
-        )
-        if not density["within_budget"]:
-            raise SystemExit(
-                "cache-density parity failure: quantized cache deviates "
-                f"{density['max_rel_deviation_vs_full_cache']:.3e} from the "
-                f"full-precision cache (budget {density['error_budget']:.1e})"
-            )
     if not args.no_transport_compare:
         from .persistence import load_estimator
 
-        if estimator is None:
-            estimator = load_estimator(model_path)
+        estimator = load_estimator(model_path)
         compare = transport_roundtrip_compare(
             estimator,
             model_name,

@@ -98,11 +98,9 @@ def _service_config_kwargs(config: "ClusterConfig") -> Dict[str, Any]:
     return {
         "model_dir": config.model_dir,
         "cache_capacity": config.cache_capacity,
-        "curve_resolution": config.curve_resolution,
         "max_batch_size": config.max_batch_size,
         "kernel_dtype": config.kernel_dtype,
         "cache_max_bytes": config.cache_max_bytes,
-        "cache_quantize_bits": config.cache_quantize_bits,
     }
 
 

@@ -66,10 +66,10 @@ class ClusterClosedError(RuntimeError):
 class ClusterConfig:
     """Everything needed to stand up an estimation cluster.
 
-    ``cache_capacity`` / ``curve_resolution`` / ``max_batch_size`` /
-    ``kernel_dtype`` / ``cache_max_bytes`` / ``cache_quantize_bits``
-    configure each shard's private :class:`~repro.serving.EstimationService`,
-    which answers through its models' compiled kernels; the rest shape
+    ``cache_capacity`` / ``max_batch_size`` / ``kernel_dtype`` /
+    ``cache_max_bytes`` configure each shard's private
+    :class:`~repro.serving.EstimationService`, which answers through its
+    models' compiled kernels and caches SelNet control points; the rest shape
     admission control and the ``network`` backend's transport (float64
     shared-memory slots).  ``network`` shards preload every disk-backed
     model at spawn.
@@ -81,15 +81,12 @@ class ClusterConfig:
     queue_capacity: int = 8
     overload_policy: str = "block"
     cache_capacity: int = 256
-    curve_resolution: int = 64
     max_batch_size: int = 256
     #: compiled-kernel precision tier per shard (float64 or float32;
     #: None = float64) — see :mod:`repro.inference.precision`
     kernel_dtype: Optional[str] = None
     #: byte budget for each shard's curve cache (None = unbounded)
     cache_max_bytes: Optional[int] = None
-    #: quantize cached curves to 8/16-bit codes (None = full float64)
-    cache_quantize_bits: Optional[int] = None
     #: ``network`` backend: bytes per shared-memory transport slot
     shm_slot_bytes: int = 1 << 20
 
@@ -102,10 +99,6 @@ class ClusterConfig:
             from ..inference.precision import parse_tier
 
             parse_tier(self.kernel_dtype)
-        if self.cache_quantize_bits not in (None, 8, 16):
-            raise ValueError(
-                f"cache_quantize_bits must be None, 8 or 16, got {self.cache_quantize_bits!r}"
-            )
         if _resolve_backend(self.backend) is None:
             raise ValueError(f"unknown backend {self.backend!r}; available: {BACKENDS}")
         if self.overload_policy not in OVERLOAD_POLICIES:

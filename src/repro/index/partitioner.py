@@ -36,7 +36,7 @@ def distinct_rows(queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     identical bytes and ``inverse[i]`` the run row ``i`` belongs to, so
     ``queries[first][inverse]`` reproduces ``queries``.  Only *adjacent*
     repeats are merged: every producer of repeated rows (workload rows,
-    serving curve grids, :meth:`~repro.SelectivityEstimator.selectivity_curve`)
+    ``curve_values`` grids, :meth:`~repro.SelectivityEstimator.selectivity_curve`)
     lays one query's rows out together, and one linear scan costs far less
     than sorting row bytes.  A query that reappears later in the batch just
     starts a new run.  With no repeats, ``first`` and ``inverse`` are both

@@ -44,8 +44,6 @@ from .precision import (
     DEFAULT_ERROR_BUDGETS,
     Precision,
     parse_tier,
-    quantize_values,
-    dequantize_values,
     relative_deviation,
     resolve_precision,
 )
@@ -67,8 +65,6 @@ __all__ = [
     "DEFAULT_ERROR_BUDGETS",
     "Precision",
     "parse_tier",
-    "quantize_values",
-    "dequantize_values",
     "relative_deviation",
     "resolve_precision",
 ]

@@ -293,8 +293,9 @@ class CompiledKernel:
     #: short identifier used in reports and ``describe()``
     kind: str = "kernel"
     #: True for the SelNet kernels (:class:`ControlPointKernel`): a curve
-    #: costs one network forward per query; False when each grid point is
-    #: a full estimator row.
+    #: costs one network forward per query, and the serving cache holds
+    #: their control points; False when each grid point is a full estimator
+    #: row, and the serving tier answers uncached.
     fuses_curves: bool = False
 
     #: dtype of the frozen weights and of the forward arithmetic

@@ -23,7 +23,6 @@ aspirational.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -72,37 +71,6 @@ def resolve_precision(dtype=np.float64) -> Precision:
 def parse_tier(token: str) -> Precision:
     """Resolve a CLI/config tier token (``float64`` or ``float32``)."""
     return resolve_precision(str(token).strip().lower())
-
-
-# ---------------------------------------------------------------------- #
-# Value quantization (curve caches)
-# ---------------------------------------------------------------------- #
-def quantize_values(values: np.ndarray, bits: int = 8) -> Tuple[np.ndarray, float, float]:
-    """Affine-quantize a value array onto ``2**bits`` levels.
-
-    Returns ``(codes, scale, offset)`` with unsigned codes such that
-    ``codes * scale + offset`` reconstructs the values to within half a
-    quantization step of the ``[min, max]`` range.  Used by the serving
-    cache to store selectivity curves at 1–2 bytes per control point.
-    """
-    if bits not in (8, 16):
-        raise ValueError(f"curve quantization supports 8 or 16 bits, got {bits}")
-    values = np.asarray(values, dtype=np.float64)
-    code_dtype = np.uint8 if bits == 8 else np.uint16
-    levels = float(2**bits - 1)
-    lo = float(values.min()) if values.size else 0.0
-    hi = float(values.max()) if values.size else 0.0
-    scale = (hi - lo) / levels
-    if scale <= 0.0:
-        # A flat curve encodes as all-zero codes with the offset carrying it.
-        return np.zeros(values.shape, dtype=code_dtype), 1.0, lo
-    codes = np.clip(np.rint((values - lo) / scale), 0.0, levels).astype(code_dtype)
-    return codes, scale, lo
-
-
-def dequantize_values(codes: np.ndarray, scale: float, offset: float) -> np.ndarray:
-    """Reconstruct a float64 value array from affine codes."""
-    return codes.astype(np.float64) * float(scale) + float(offset)
 
 
 # ---------------------------------------------------------------------- #

@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -316,128 +316,6 @@ def transport_roundtrip_compare(
         key: pipe[key] / shm[key] if shm[key] > 0 else float("inf") for key in shm
     }
     return results
-
-
-#: acceptable served-estimate deviation introduced by cache quantization,
-#: relative to the same service with full float64 curves
-CACHE_QUANT_BUDGETS = {8: 2e-2, 16: 1e-3}
-
-
-def cache_density_compare(
-    estimator,
-    model: str,
-    queries: np.ndarray,
-    thresholds: np.ndarray,
-    max_bytes: int = 256 * 1024,
-    curve_resolution: int = 256,
-    quantize_bits: int = 8,
-    max_queries: int = 1500,
-    sample: int = 64,
-) -> Dict[str, Any]:
-    """Cached curves per byte: quantized vs full-precision curve cache.
-
-    Two identical in-process services share one fixed cache byte budget;
-    one stores full float64 curves, the other re-encodes every curve to
-    ``quantize_bits``-bit codes against the interned threshold grid.  The
-    same distinct-query stream flows through both, and the comparison
-    reports how many curves each cache retains under the budget plus the
-    worst relative deviation the quantized cache introduces on served
-    (cache-hit) estimates — checked against :data:`CACHE_QUANT_BUDGETS`.
-
-    Small workloads are tiled out to ``max_queries`` *distinct* cache keys
-    by jittering repeated queries well above the cache's key rounding —
-    density under a byte budget is only measurable once the stream is
-    large enough to put both caches under eviction pressure.
-
-    Only estimators outside the SelNet family cache sampled curves: a
-    SelNet kernel (``fuses_curves``) caches control points, which are
-    never quantized, so for it this raises ``ValueError``.
-    """
-    from ..serving import EstimationService
-
-    if estimator.compiled().fuses_curves:
-        raise ValueError(
-            "the cache density comparison needs an estimator with sampled curves; "
-            "SelNet models cache control points, which are never quantized"
-        )
-    queries = np.asarray(queries, dtype=np.float64)[:max_queries]
-    thresholds = np.asarray(thresholds, dtype=np.float64)[:max_queries]
-    if 0 < len(queries) < max_queries:
-        reps = -(-max_queries // len(queries))
-        rng = np.random.default_rng(0)
-        tiled = np.tile(queries, (reps, 1))[:max_queries]
-        # 1e-6 jitter: far above the default 1e-10 key rounding (every
-        # copy is a distinct cache entry), far below query scale (the
-        # stream stays in-distribution for the estimator).
-        tiled[len(queries) :] += 1e-6 * rng.standard_normal(
-            tiled[len(queries) :].shape
-        )
-        queries = tiled
-        thresholds = np.tile(thresholds, reps)[:max_queries]
-    budget = CACHE_QUANT_BUDGETS[int(quantize_bits)]
-
-    def build(bits: Optional[int]) -> "EstimationService":
-        service = EstimationService(
-            cache_capacity=1_000_000,
-            curve_resolution=curve_resolution,
-            cache_max_bytes=max_bytes,
-            cache_quantize_bits=bits,
-        )
-        service.add_model(model, estimator)
-        for start in range(0, len(thresholds), 256):
-            stop = min(start + 256, len(thresholds))
-            service.estimate(model, queries[start:stop], thresholds[start:stop])
-        return service
-
-    full = build(None)
-    quant = build(quantize_bits)
-
-    # The most recent `sample` queries survive LRU eviction in both caches;
-    # re-serving them hits the cached curves, so the difference between the
-    # two services' answers is exactly the quantization error.
-    sample = min(sample, len(full.cache), len(quant.cache), len(thresholds))
-    tail_queries = queries[len(queries) - sample :]
-    tail_thresholds = thresholds[len(thresholds) - sample :]
-    served_full = full.estimate(model, tail_queries, tail_thresholds)
-    served_quant = quant.estimate(model, tail_queries, tail_thresholds)
-    direct = np.asarray(estimator.estimate(tail_queries, tail_thresholds), dtype=np.float64)
-    scale_full = np.maximum(np.abs(served_full), 1.0)
-    scale_direct = np.maximum(np.abs(direct), 1.0)
-    dev_vs_full = float(np.max(np.abs(served_quant - served_full) / scale_full))
-    dev_vs_direct = float(np.max(np.abs(served_quant - direct) / scale_direct))
-
-    def side(service: "EstimationService") -> Dict[str, Any]:
-        stats = service.cache.stats()
-        curves = int(stats["size"])
-        nbytes = int(stats["bytes"])
-        return {
-            "cached_curves": curves,
-            "bytes": nbytes,
-            "bytes_per_curve": nbytes / curves if curves else 0.0,
-            "curves_per_mb": curves * (1 << 20) / nbytes if nbytes else 0.0,
-            "grids": int(stats["grids"]),
-            "evictions": int(stats["evictions"]),
-        }
-
-    full_side, quant_side = side(full), side(quant)
-    return {
-        "max_bytes": int(max_bytes),
-        "curve_resolution": int(curve_resolution),
-        "quantize_bits": int(quantize_bits),
-        "distinct_queries_offered": int(len(queries)),
-        "sampled_hits": int(sample),
-        "full": full_side,
-        "quantized": quant_side,
-        "density_ratio": (
-            quant_side["cached_curves"] / full_side["cached_curves"]
-            if full_side["cached_curves"]
-            else float("inf")
-        ),
-        "max_rel_deviation_vs_full_cache": dev_vs_full,
-        "max_rel_deviation_vs_direct": dev_vs_direct,
-        "error_budget": budget,
-        "within_budget": dev_vs_full <= budget,
-    }
 
 
 def report_as_dict(report: SaturationReport) -> Dict[str, Any]:

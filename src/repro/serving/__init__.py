@@ -1,4 +1,4 @@
-"""Serving layer: model store facade, micro-batching, curve cache.
+"""Serving layer: model store facade, micro-batching, control-point cache.
 
 See :class:`EstimationService` for the entry point::
 
@@ -9,14 +9,13 @@ See :class:`EstimationService` for the entry point::
 """
 
 from .batching import MicroBatch, iter_microbatches
-from .cache import CachedCurve, CurveCache, query_cache_key
+from .cache import CurveCache, query_cache_key
 from .service import EstimationService, ModelStats
 
 __all__ = [
     "EstimationService",
     "ModelStats",
     "CurveCache",
-    "CachedCurve",
     "query_cache_key",
     "MicroBatch",
     "iter_microbatches",

@@ -9,21 +9,21 @@
   ``estimate`` while skipping the autodiff graph entirely;
 * batched ``(query, threshold)`` requests are routed through bounded
   micro-batches (:mod:`repro.serving.batching`);
-* an LRU selectivity-curve cache (:mod:`repro.serving.cache`) answers
-  repeated queries without a model forward pass.  For the SelNet family
-  (kernels that fuse curves) an entry is the query's control points: a
-  call rounds its batch once, looks each distinct query up once, fills
-  every miss with one kernel forward per ``max_batch_size`` chunk, and
-  answers its rows, one ``max_batch_size`` slice per evaluation, through
-  the kernel's own piecewise-linear step and partition gates.  Cached
-  answers therefore equal ``use_cache=False`` answers within the precision
-  tier's budget and never decrease as t grows, across calls too.  Every
-  other estimator caches its curve sampled on a grid covering its own
-  query's largest threshold and answers by interpolation;
+* an LRU cache (:mod:`repro.serving.cache`) answers repeated SelNet
+  queries without a network forward.  For the SelNet family (kernels that
+  fuse curves) an entry is the query's control points: a call rounds its
+  batch once, looks each distinct query up once, fills every miss with one
+  kernel forward per ``max_batch_size`` chunk, and answers its rows, one
+  ``max_batch_size`` slice per evaluation, through the kernel's own
+  piecewise-linear step and partition gates.  Cached answers therefore
+  equal ``use_cache=False`` answers within the precision tier's budget and
+  never decrease as t grows, across calls too.  Every other estimator is
+  served uncached whatever ``use_cache`` says, so its answers are
+  ``estimate``'s own bits;
 * per-model request counts, batch counts, latency and cache hit-rate
   statistics are tracked for observability;
 * data updates are routed to estimators that support them; the model's
-  cached curves and compiled kernel are dropped only when the update
+  cache entries and compiled kernel are dropped only when the update
   changed its weights (a ``selnet-inc`` fine-tune), and kept otherwise.
 """
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from ..obs import MetricsRegistry
 from ..obs import trace as obstrace
 from ..persistence import SIDECAR_FILE, load_estimator, read_metadata
 from .batching import iter_microbatches
-from .cache import CachedCurve, CurveCache, rounded_queries
+from .cache import CurveCache, rounded_queries
 
 PathLike = Union[str, Path]
 
@@ -57,11 +57,11 @@ def _require_dimensions(name: str, estimator: SelectivityEstimator, queries: np.
 
 
 def _require_finite(queries: np.ndarray, thresholds: np.ndarray) -> None:
-    """Reject NaN/inf inputs before they reach a kernel or the curve cache.
+    """Reject NaN/inf inputs before they reach a kernel or the cache.
 
-    An infinite threshold would stretch a curve grid to ``linspace(0, inf)``
-    (all NaN), and that curve would then answer every later request for the
-    same query from the cache.
+    A query with a NaN or inf coordinate would be cached as control points
+    of NaN under its key, and that entry would then answer every later
+    request for the same key from the cache.
     """
     if not (np.isfinite(queries).all() and np.isfinite(thresholds).all()):
         raise ValueError("queries and thresholds must be finite (no NaN or inf)")
@@ -104,7 +104,7 @@ class ModelStats:
             "repro_service_cache_misses_total", "Curve-cache misses"
         )
         self.curve_builds = counter(
-            "repro_service_curve_builds_total", "Selectivity curves built and cached"
+            "repro_service_curve_builds_total", "Cache entries (control points) built"
         )
         self.updates = counter(
             "repro_service_updates_total", "Data updates applied to the model"
@@ -149,11 +149,8 @@ class EstimationService:
         ``estimator.json`` sidecar).  Optional — models can also be attached
         in-memory with :meth:`add_model`.
     cache_capacity:
-        Maximum number of cached queries (``0`` disables the cache).
-    curve_resolution:
-        Number of grid points per sampled curve: the cached curves of
-        estimators outside the SelNet family, and the default grid of
-        :meth:`curves_for_queries`.
+        Maximum number of cached queries (``0`` disables the cache).  Only
+        SelNet-family models are cached; see :meth:`estimate`.
     max_batch_size:
         Upper bound on the rows per estimator call (micro-batching).
     kernel_dtype:
@@ -165,38 +162,25 @@ class EstimationService:
         kernel serve through :class:`~repro.inference.GraphFallbackKernel`,
         which is ``estimate`` under ``no_grad``.
     cache_max_bytes:
-        Byte budget for the curve cache (None = unbounded; the entry
+        Byte budget for the cache (None = unbounded; the entry
         ``cache_capacity`` still applies either way).
-    cache_quantize_bits:
-        Store sampled curves quantized to 8- or 16-bit codes against an
-        interned threshold grid (None keeps full float64 curves).  SelNet
-        control points are never quantized.
     """
 
     def __init__(
         self,
         model_dir: Optional[PathLike] = None,
         cache_capacity: int = 256,
-        curve_resolution: int = 64,
         max_batch_size: int = 256,
         kernel_dtype: Optional[str] = None,
         cache_max_bytes: Optional[int] = None,
-        cache_quantize_bits: Optional[int] = None,
     ) -> None:
         from ..inference.precision import parse_tier
 
-        if curve_resolution < 2:
-            raise ValueError("curve_resolution must be at least 2")
         self.model_dir = None if model_dir is None else Path(model_dir)
-        self.curve_resolution = int(curve_resolution)
         self.max_batch_size = int(max_batch_size)
         self._precision = parse_tier(kernel_dtype or "float64")
         self.kernel_dtype = self._precision.name
-        self.cache = CurveCache(
-            capacity=cache_capacity,
-            max_bytes=cache_max_bytes,
-            quantize_bits=cache_quantize_bits,
-        )
+        self.cache = CurveCache(capacity=cache_capacity, max_bytes=cache_max_bytes)
         self.metrics = MetricsRegistry()
         self._cache_bytes_gauge = self.metrics.gauge(
             "repro_cache_bytes", "Bytes held by the curve cache"
@@ -268,8 +252,8 @@ class EstimationService:
     ) -> None:
         """Attach an already-constructed (fitted) estimator under ``name``.
 
-        Replacing an existing model drops its cached selectivity curves —
-        they describe the old estimator.
+        Replacing an existing model drops its cache entries — they describe
+        the old estimator.
         """
         if name in self._estimators:
             self.cache.invalidate(name)
@@ -322,7 +306,7 @@ class EstimationService:
         """Hot-swap disk-backed models: drop them so the next use reloads.
 
         Models that came from ``model_dir`` are evicted from memory together
-        with their cached curves; models attached in-memory via
+        with their cache entries; models attached in-memory via
         :meth:`add_model` (no on-disk source to re-read) are kept.  Newly
         appeared artifacts in ``model_dir`` become servable automatically,
         and the dropped ones are reloaded lazily — so an in-flight request
@@ -358,14 +342,16 @@ class EstimationService:
     ) -> np.ndarray:
         """Batched selectivity estimates from the named model.
 
-        With ``use_cache=True`` every answer comes from the model's cached
-        entry for its query (built on first sight of a query, then shared by
-        all thresholds of that query): control points for the SelNet
-        family, whose answers equal the uncached ones within the precision
-        tier's budget, and an interpolated sampled curve otherwise.  With
-        ``use_cache=False`` the call is routed straight through
-        micro-batched estimator evaluation and is bit-identical to calling
-        the estimator directly.
+        With ``use_cache=True`` a SelNet-family model answers every row from
+        its query's cached control points (built on first sight of a query,
+        then shared by all thresholds of that query); those answers equal
+        the uncached ones within the precision tier's budget.  Every other
+        model, and every call with ``use_cache=False``, is routed straight
+        through micro-batched kernel evaluation and is bit-identical to
+        calling the estimator directly: their curves have no finite exact
+        description to cache, and direct evaluation measured faster than
+        interpolating sampled curves (README, "Performance: the serving
+        cache").
         """
         estimator = self.get(name)
         queries = np.asarray(queries, dtype=np.float64)
@@ -381,10 +367,12 @@ class EstimationService:
         _require_finite(queries, thresholds)
         stats = self._model_stats(name)
         start = time.perf_counter()
-        if use_cache and self.cache.capacity > 0:
-            results = self._estimate_cached(name, estimator, queries, thresholds, stats)
+        kernel = estimator.compiled(dtype=self._precision.dtype)
+        self._kernel_dtype_gauge.labels(model=name, dtype=kernel.precision).set(1.0)
+        if use_cache and kernel.fuses_curves and self.cache.capacity > 0:
+            results = self._estimate_cached(name, kernel, queries, thresholds, stats)
         else:
-            results = self._estimate_direct(name, estimator, queries, thresholds, stats)
+            results = self._estimate_direct(name, kernel, queries, thresholds, stats)
         elapsed = time.perf_counter() - start
         stats.requests.inc(len(thresholds))
         stats.estimate_seconds.inc(elapsed)
@@ -398,21 +386,14 @@ class EstimationService:
         result = self.estimate(name, query[None, :], np.asarray([threshold]), use_cache=use_cache)
         return float(result[0])
 
-    def _kernel(self, name: str, estimator: SelectivityEstimator):
-        """The model's compiled inference kernel at the service's tier."""
-        kernel = estimator.compiled(dtype=self._precision.dtype)
-        self._kernel_dtype_gauge.labels(model=name, dtype=kernel.precision).set(1.0)
-        return kernel
-
     def _estimate_direct(
         self,
         name: str,
-        estimator: SelectivityEstimator,
+        kernel,
         queries: np.ndarray,
         thresholds: np.ndarray,
         stats: ModelStats,
     ) -> np.ndarray:
-        kernel = self._kernel(name, estimator)
         results = np.empty(len(thresholds), dtype=np.float64)
         with obstrace.span("service.kernel_execute", model=name, rows=len(thresholds)):
             for batch in iter_microbatches(queries, thresholds, self.max_batch_size):
@@ -423,63 +404,19 @@ class EstimationService:
     def _estimate_cached(
         self,
         name: str,
-        estimator: SelectivityEstimator,
+        kernel,
         queries: np.ndarray,
         thresholds: np.ndarray,
         stats: ModelStats,
     ) -> np.ndarray:
-        kernel = self._kernel(name, estimator)
-        if kernel.fuses_curves:
-            points, inverse, missed_rows = self._cached_points(name, kernel, queries, stats)
-            # Rows count, not queries: a row of a missed query is a miss.
-            stats.cache_hits.inc(len(thresholds) - missed_rows)
-            stats.cache_misses.inc(missed_rows)
-            results = np.empty(len(thresholds), dtype=np.float64)
-            with obstrace.span("service.kernel_execute", model=name, rows=len(thresholds)):
-                for start in range(0, len(thresholds), self.max_batch_size):
-                    rows = slice(start, start + self.max_batch_size)
-                    results[rows] = kernel.evaluate(points.take(inverse[rows]), thresholds[rows])
-            return results
-        results = np.empty(len(thresholds), dtype=np.float64)
-        miss_positions: List[int] = []
-        with obstrace.span("service.cache_lookup", model=name, rows=len(thresholds)) as lookup:
-            for i in range(len(thresholds)):
-                # An entry whose grid stops short of the requested threshold is a
-                # miss: the curve gets rebuilt over a range covering it.
-                curve = self.cache.get(name, queries[i], threshold=float(thresholds[i]))
-                if curve is not None:
-                    results[i] = curve(thresholds[i])
-                    stats.cache_hits.inc()
-                else:
-                    miss_positions.append(i)
-                    stats.cache_misses.inc()
-            lookup["misses"] = len(miss_positions)
-        if miss_positions:
-            self._fill_misses(name, kernel, queries, thresholds, miss_positions, results, stats)
-        return results
-
-    @staticmethod
-    def _curve_upper(kernel, t_hi: float) -> float:
-        """Upper end of a curve grid covering thresholds up to ``t_hi``.
-
-        The grid spans the model's ``t_max`` (when its kernel knows one) or
-        1.05x the threshold, whichever is larger, so every query whose
-        thresholds fit under ``t_max`` gets the same default grid.
-        """
-        upper = max(float(getattr(kernel, "t_max", None) or 0.0), float(t_hi) * 1.05)
-        return upper if upper > 0.0 else 1.0
-
-    def _cached_points(
-        self, name: str, kernel, queries: np.ndarray, stats: ModelStats
-    ) -> Tuple[ControlPoints, np.ndarray, int]:
-        """Control points of every row's query, from the cache or the kernel.
+        """Answer every row from its query's control points.
 
         Rows are grouped by their rounded key bytes (the batch is rounded
         once; repeats need not be adjacent) and each distinct query is
         looked up once, counted as its number of rows.  The misses are
         filled with one kernel forward per ``max_batch_size`` chunk and
-        cached.  Returns the distinct queries' control points as one batch,
-        each row's index into it, and the number of rows that missed.
+        cached, and the rows are evaluated one ``max_batch_size`` slice at
+        a time.
         """
         rounded = rounded_queries(queries)
         width = rounded.shape[1] * rounded.itemsize
@@ -512,130 +449,18 @@ class EstimationService:
                 entries[slot] = points.row(offset)
                 self.cache.put(name, keys[slot], entries[slot])
             stats.curve_builds.inc(len(chunk))
+        # Rows count, not queries: a row of a missed query is a miss.
         missed_rows = sum(counts[slot] for slot in missed)
-        return ControlPoints.stack(entries), np.asarray(inverse, dtype=np.intp), missed_rows
-
-    def _sample_curves(
-        self,
-        name: str,
-        kernel,
-        unique_queries: np.ndarray,
-        grids: List[np.ndarray],
-        stats: ModelStats,
-    ) -> np.ndarray:
-        """Sampled curve values of a non-fusing kernel, one row per query.
-
-        ``grids`` holds each query's grid.  The (query, grid point) rows
-        are chunked so one estimator call never exceeds ``max_batch_size``
-        rows.
-        """
-        num_grid = len(grids[0]) if grids else 0
-        values = np.empty((len(unique_queries), num_grid), dtype=np.float64)
-        with obstrace.span("service.kernel_execute", model=name, rows=len(unique_queries)):
-            repeated = np.repeat(unique_queries, num_grid, axis=0)
-            tiled = np.concatenate(grids) if grids else np.empty(0)
-            flat = values.reshape(-1)
-            for batch in iter_microbatches(repeated, tiled, self.max_batch_size):
-                flat[batch.positions] = kernel.predict(batch.queries, batch.thresholds)
-                stats.batches.inc()
-        return values
-
-    def _fill_misses(
-        self,
-        name: str,
-        kernel,
-        queries: np.ndarray,
-        thresholds: np.ndarray,
-        miss_positions: List[int],
-        results: np.ndarray,
-        stats: ModelStats,
-    ) -> None:
-        """Sample curves for unseen queries in batched calls, cache, answer.
-
-        Each query's grid covers its own largest threshold: a grid stretched
-        to another row's wide threshold would cache a coarser curve for it.
-        """
-        unique: Dict[bytes, List[int]] = {}
-        for position in miss_positions:
-            unique.setdefault(queries[position].tobytes(), []).append(position)
-        members = list(unique.values())
-
-        listed = thresholds.tolist()
-        uppers = [
-            self._curve_upper(kernel, max(listed[position] for position in positions))
-            for positions in members
-        ]
-        grids = {upper: np.linspace(0.0, upper, self.curve_resolution) for upper in set(uppers)}
-        rows = [positions[0] for positions in members]
-        values = self._sample_curves(
-            name, kernel, queries[rows], [grids[upper] for upper in uppers], stats
-        )
-
-        for positions, upper, row in zip(members, uppers, values):
-            curve = CachedCurve(thresholds=grids[upper], values=row)
-            self.cache.put(name, queries[positions[0]], curve)
-            stats.curve_builds.inc()
-            for position in positions:
-                results[position] = curve(thresholds[position])
-
-    def curves_for_queries(
-        self, name: str, queries: np.ndarray, thresholds: Optional[np.ndarray] = None
-    ) -> List[CachedCurve]:
-        """Selectivity curves for a batch of queries in batched kernel calls.
-
-        For the SelNet family the curves are sampled from the queries'
-        control points, which are looked up in and added to the cache
-        whatever the grid.  For other estimators, curves on the default
-        grid (``thresholds=None``) are also cached for later ``estimate``
-        calls; a caller-supplied grid is *not* cached (an arbitrary —
-        possibly coarse or narrow — grid entering the shared cache would
-        silently degrade every subsequent estimate for those queries).
-        """
-        estimator = self.get(name)
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2:
-            raise ValueError(f"queries must be a 2-D array, got shape {queries.shape}")
-        _require_dimensions(name, estimator, queries)
-        kernel = self._kernel(name, estimator)
-        default_grid = thresholds is None
-        if default_grid:
-            grid = np.linspace(0.0, self._curve_upper(kernel, 0.0), self.curve_resolution)
-        else:
-            grid = np.asarray(thresholds, dtype=np.float64)
-        _require_finite(queries, grid)
-        stats = self._model_stats(name)
-        if len(queries) == 0:
-            return []
-        if kernel.fuses_curves:
-            points, inverse, _ = self._cached_points(name, kernel, queries, stats)
-            values = np.empty((len(queries), len(grid)), dtype=np.float64)
-            with obstrace.span("service.kernel_execute", model=name, rows=len(queries)):
-                for start in range(0, len(queries), self.max_batch_size):
-                    rows = slice(start, start + self.max_batch_size)
-                    values[rows] = kernel.sample(points, inverse[rows], grid)
-            return [CachedCurve(thresholds=grid, values=row) for row in values]
-        values = self._sample_curves(name, kernel, queries, [grid] * len(queries), stats)
-        curves: List[CachedCurve] = []
-        for row in range(len(queries)):
-            curve = CachedCurve(thresholds=grid, values=values[row])
-            if default_grid:
-                self.cache.put(name, queries[row], curve)
-                stats.curve_builds.inc()
-            curves.append(curve)
-        return curves
-
-    def curve(
-        self, name: str, query: np.ndarray, thresholds: Optional[np.ndarray] = None
-    ) -> CachedCurve:
-        """The named model's selectivity curve for one query.
-
-        One-query convenience wrapper around :meth:`curves_for_queries`
-        (same caching rules).
-        """
-        query = np.asarray(query, dtype=np.float64)
-        if query.ndim != 1:
-            raise ValueError(f"expected a single 1-D query vector, got shape {query.shape}")
-        return self.curves_for_queries(name, query[None, :], thresholds)[0]
+        stats.cache_hits.inc(len(thresholds) - missed_rows)
+        stats.cache_misses.inc(missed_rows)
+        points = ControlPoints.stack(entries)
+        inverse = np.asarray(inverse, dtype=np.intp)
+        results = np.empty(len(thresholds), dtype=np.float64)
+        with obstrace.span("service.kernel_execute", model=name, rows=len(thresholds)):
+            for start in range(0, len(thresholds), self.max_batch_size):
+                rows = slice(start, start + self.max_batch_size)
+                results[rows] = kernel.evaluate(points.take(inverse[rows]), thresholds[rows])
+        return results
 
     # ------------------------------------------------------------------ #
     # Updates
@@ -648,12 +473,12 @@ class EstimationService:
     ):
         """Route a data update to the named model.
 
-        The model's cached curves are dropped only when the update changed
+        The model's cache entries are dropped only when the update changed
         its weights, which the estimator signals by bumping its
         :attr:`~repro.SelectivityEstimator.generation` (and dropping its
         own compiled kernel, so the next request freezes the new weights).
         A ``selnet-inc`` write that did not fine-tune keeps both: an answer
-        depends only on the weights, so a kept curve equals the one a fresh
+        depends only on the weights, so a kept entry equals the one a fresh
         service would build.  Raises
         :class:`repro.estimator.UpdateNotSupportedError` when the model's
         estimator does not implement the update protocol.

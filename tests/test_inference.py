@@ -546,7 +546,7 @@ class TestDistinctQueryEvaluation:
 class TestServingUsesCompiledKernels:
     @pytest.fixture(scope="class")
     def service_with_selnet(self, tiny_cosine_split):
-        service = EstimationService(cache_capacity=64, curve_resolution=32)
+        service = EstimationService(cache_capacity=64)
         estimator = _fit("selnet-ct", tiny_cosine_split)
         service.add_model("selnet", estimator)
         return service, estimator
@@ -570,36 +570,6 @@ class TestServingUsesCompiledKernels:
         after = service.stats()["per_model"]["selnet"]["batches"]
         # all distinct miss queries were filled by one fused kernel call
         assert after - before == 1
-
-    def test_curves_for_queries_batches_and_caches(self, tiny_cosine_split):
-        service = EstimationService(cache_capacity=64, curve_resolution=16)
-        estimator = _fit("kde", tiny_cosine_split)
-        service.add_model("kde", estimator)
-        queries = np.unique(tiny_cosine_split.test.queries[:6], axis=0)
-        curves = service.curves_for_queries("kde", queries)
-        assert len(curves) == len(queries)
-        assert len(service.cache) == len(queries)
-        for curve, query in zip(curves, queries):
-            expected = estimator.selectivity_curve(query, curve.thresholds)
-            np.testing.assert_allclose(curve.values, expected)
-
-    def test_fallback_curve_path_respects_max_batch_size(self, tiny_cosine_split):
-        # curve_resolution > max_batch_size: each estimator call must still
-        # stay within the configured micro-batch bound.
-        service = EstimationService(cache_capacity=8, curve_resolution=32, max_batch_size=16)
-        estimator = _fit("kde", tiny_cosine_split)
-        calls = []
-        original = estimator.estimate
-        estimator.estimate = lambda q, t: (calls.append(len(t)), original(q, t))[1]
-        service.add_model("kde", estimator)
-        service.curves_for_queries("kde", tiny_cosine_split.test.queries[:3])
-        assert calls and max(calls) <= 16
-
-    def test_curve_rejects_wrong_dimensionality(self, tiny_cosine_split):
-        service = EstimationService()
-        service.add_model("kde", _fit("kde", tiny_cosine_split))
-        with pytest.raises(ValueError, match="dimensions"):
-            service.curve("kde", np.zeros(3))
 
 
 # ---------------------------------------------------------------------- #

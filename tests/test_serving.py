@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from repro import UpdateNotSupportedError, create_estimator
 from repro.cli import main
+from repro.cluster import ClusterConfig, EstimationCluster
+from repro.inference import ControlPoints
 from repro.serving import (
-    CachedCurve,
     CurveCache,
     EstimationService,
     iter_microbatches,
 )
-from repro.serving.cache import QuantizedCurve
 
 
 @pytest.fixture(scope="module")
@@ -27,16 +29,27 @@ def model_dir(tiny_cosine_split, tmp_path_factory):
     return directory
 
 
+@pytest.fixture(scope="module")
+def selnet_ct(tiny_cosine_split, fast_selnet_config):
+    """A tiny fitted SelNet-ct: the kind of model whose answers are cached."""
+    params = dict(asdict(fast_selnet_config), epochs=2, pretrain_epochs=1, ae_pretrain_epochs=1)
+    return create_estimator("selnet-ct", **params).fit(tiny_cosine_split)
+
+
+def _points(top: float) -> ControlPoints:
+    """One single-head entry whose curve rises from 0 to ``top`` on [0, 1]."""
+    return ControlPoints(np.array([0.0, 1.0]), np.array([0.0, top]))
+
+
 class TestCurveCache:
     def test_hit_miss_and_lru_eviction(self):
         cache = CurveCache(capacity=2)
-        grid = np.linspace(0.0, 1.0, 4)
         queries = [np.full(3, float(i)) for i in range(3)]
         assert cache.get("m", queries[0]) is None
         for query in queries[:2]:
-            cache.put("m", query, CachedCurve(grid, grid * 2.0))
+            cache.put("m", query, _points(2.0))
         assert cache.get("m", queries[0]) is not None
-        cache.put("m", queries[2], CachedCurve(grid, grid))  # evicts queries[1]
+        cache.put("m", queries[2], _points(1.0))  # evicts queries[1]
         assert cache.get("m", queries[1]) is None
         stats = cache.stats()
         assert stats["evictions"] == 1 and stats["size"] == 2
@@ -45,9 +58,8 @@ class TestCurveCache:
     @pytest.mark.parametrize("capacity", [0, -1, -8])
     def test_nonpositive_capacity_disables_cache(self, capacity):
         cache = CurveCache(capacity=capacity)
-        curve = CachedCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         for i in range(3):
-            cache.put("m", np.full(2, float(i)), curve)
+            cache.put("m", np.full(2, float(i)), _points(1.0))
         assert len(cache) == 0
         assert cache.get("m", np.zeros(2)) is None
         stats = cache.stats()
@@ -56,19 +68,18 @@ class TestCurveCache:
 
     def test_lru_order_under_mixed_get_put_traffic(self):
         cache = CurveCache(capacity=3)
-        grid = np.array([0.0, 1.0])
         queries = [np.full(2, float(i)) for i in range(4)]
         for query in queries[:3]:
-            cache.put("m", query, CachedCurve(grid, grid))
+            cache.put("m", query, _points(1.0))
         # Touch 0 (get) and re-put 1: recency is now [2, 0, 1] oldest-first.
         assert cache.get("m", queries[0]) is not None
-        cache.put("m", queries[1], CachedCurve(grid, grid * 3.0))
-        cache.put("m", queries[3], CachedCurve(grid, grid))  # evicts 2, not 0 or 1
+        replacement = _points(3.0)
+        cache.put("m", queries[1], replacement)
+        cache.put("m", queries[3], _points(1.0))  # evicts 2, not 0 or 1
         assert cache.get("m", queries[2]) is None
         assert cache.get("m", queries[0]) is not None
-        entry = cache.get("m", queries[1])
-        assert entry is not None and entry(1.0) == pytest.approx(3.0)  # re-put value won
-        cache.put("m", np.full(2, 9.0), CachedCurve(grid, grid))  # now 3 is the oldest
+        assert cache.get("m", queries[1]) is replacement  # the re-put entry won
+        cache.put("m", np.full(2, 9.0), _points(1.0))  # now 3 is the oldest
         assert cache.get("m", queries[3]) is None
         assert cache.stats()["evictions"] == 2
 
@@ -76,77 +87,49 @@ class TestCurveCache:
         """Keys round at a fixed 10 decimals; the rounding is not a knob."""
         with pytest.raises(TypeError):
             CurveCache(capacity=8, decimals=2)
-        curve = CachedCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         cache = CurveCache(capacity=8)
-        cache.put("m", np.array([0.12345, 1.0]), curve)
+        cache.put("m", np.array([0.12345, 1.0]), _points(1.0))
         assert cache.get("m", np.array([0.12345 + 1e-12, 1.0])) is not None
         assert cache.get("m", np.array([0.12346, 1.0])) is None
         assert "decimals" not in cache.stats()
 
     def test_invalidate_per_model(self):
         cache = CurveCache(capacity=8)
-        curve = CachedCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        cache.put("a", np.zeros(2), curve)
-        cache.put("b", np.zeros(2), curve)
+        cache.put("a", np.zeros(2), _points(1.0))
+        cache.put("b", np.zeros(2), _points(1.0))
         assert cache.invalidate("a") == 1
         assert cache.get("b", np.zeros(2)) is not None
 
     def test_max_bytes_budget_evicts_lru(self):
-        grid = np.linspace(0.0, 1.0, 64)
-        # Measure what entries actually cost (first put also interns the grid).
+        # Measure what entries actually cost.
         probe = CurveCache(capacity=1000)
-        probe.put("m", np.zeros(2), CachedCurve(grid, grid * 2.0))
+        probe.put("m", np.zeros(2), _points(2.0))
         first = probe.bytes
-        probe.put("m", np.ones(2), CachedCurve(grid, grid * 2.0))
+        probe.put("m", np.ones(2), _points(2.0))
         marginal = probe.bytes - first
         cache = CurveCache(capacity=1000, max_bytes=first + 2 * marginal)  # room for 3
         queries = [np.full(2, float(i)) for i in range(4)]
         for query in queries:
-            cache.put("m", query, CachedCurve(grid, grid * 2.0))
+            cache.put("m", query, _points(2.0))
         assert len(cache) == 3
         assert cache.stats()["evictions"] == 1
         assert cache.get("m", queries[0]) is None  # the LRU entry paid for it
         assert cache.get("m", queries[3]) is not None
         assert cache.bytes <= cache.max_bytes
 
-    def test_grid_interning_counts_shared_bytes_once(self):
-        grid = np.linspace(0.0, 1.0, 128)
-        cache = CurveCache(capacity=16)
-        for i in range(8):
-            # distinct array objects, byte-identical grid values
-            cache.put("m", np.full(2, float(i)), CachedCurve(grid.copy(), grid * i))
-        stats = cache.stats()
-        assert stats["grids"] == 1
-        one = cache.get("m", np.zeros(2))
-        other = cache.get("m", np.ones(2))
-        assert one.thresholds is other.thresholds  # literally one shared array
-        # 8 value payloads but a single accounted grid: far below 8 * (grid + values)
-        assert cache.bytes < 8 * 2 * grid.nbytes
-        # releasing the last referencing entry releases the grid bytes too
-        cache.invalidate("m")
-        assert cache.bytes == 0 and cache.stats()["grids"] == 0
-
-    def test_quantized_curves_shrink_entries_within_budget(self):
-        grid = np.linspace(0.0, 2.0, 256)
-        values = np.expm1(np.linspace(0.0, 10.0, 256))  # counts spanning decades
-        cache = CurveCache(capacity=8, quantize_bits=8)
-        cache.put("m", np.zeros(2), CachedCurve(grid, values))
-        curve = cache.get("m", np.zeros(2))
-        assert isinstance(curve, QuantizedCurve)
-        assert curve.bits == 8
-        assert curve.payload_nbytes < values.nbytes / 4  # 1 B/point vs 8
-        # log1p-domain codes keep the *relative* error uniform across decades
-        scale = np.maximum(np.abs(values), 1.0)
-        assert np.max(np.abs(curve.values - values) / scale) < 2e-2
-        probes = grid[::7] + 1e-3
-        np.testing.assert_allclose(
-            curve.at(probes), CachedCurve(grid, values).at(probes), rtol=2.5e-2, atol=1.0
-        )
-
-    def test_interpolation(self):
-        curve = CachedCurve(np.array([0.0, 1.0]), np.array([0.0, 10.0]))
-        assert curve(0.5) == pytest.approx(5.0)
-        np.testing.assert_allclose(curve.at(np.array([0.0, 0.25, 1.0])), [0.0, 2.5, 10.0])
+    def test_holds_control_points_only(self):
+        """No sampled curves, quantization or range misses: an entry is a
+        query's control points, which answer every threshold."""
+        with pytest.raises(TypeError):
+            CurveCache(capacity=8, quantize_bits=8)
+        cache = CurveCache(capacity=8)
+        with pytest.raises(TypeError, match="ControlPoints"):
+            cache.put("m", np.zeros(2), (np.array([0.0, 1.0]), np.array([0.0, 1.0])))
+        assert len(cache) == 0 and cache.bytes == 0
+        cache.put("m", np.zeros(2), _points(1.0))
+        with pytest.raises(TypeError):
+            cache.get("m", np.zeros(2), threshold=2.0)
+        assert set(cache.stats()).isdisjoint({"grids", "quantize_bits"})
 
 
 class TestMicroBatching:
@@ -198,26 +181,48 @@ class TestEstimationService:
         assert stats["requests"] == len(thresholds)
         assert stats["batches"] == -(-len(thresholds) // 7)
 
-    def test_curve_cache_hits_on_repeated_queries(self, model_dir, tiny_cosine_split):
-        service = EstimationService(model_dir, cache_capacity=64, curve_resolution=48)
+    def test_curve_cache_hits_on_repeated_queries(self, selnet_ct, tiny_cosine_split):
+        service = EstimationService(cache_capacity=64)
+        service.add_model("selnet-ct", selnet_ct)
         queries = tiny_cosine_split.test.queries
         thresholds = tiny_cosine_split.test.thresholds
-        first = service.estimate("kde", queries, thresholds)
-        second = service.estimate("kde", queries, thresholds)
-        np.testing.assert_allclose(first, second)
-        stats = service.stats()["per_model"]["kde"]
+        first = service.estimate("selnet-ct", queries, thresholds)
+        second = service.estimate("selnet-ct", queries, thresholds)
+        np.testing.assert_array_equal(first, second)
+        stats = service.stats()["per_model"]["selnet-ct"]
         assert stats["cache_hits"] >= len(thresholds)
         assert stats["curve_builds"] == len(np.unique(queries, axis=0))
         assert service.cache.hit_rate > 0.0
 
-    def test_cached_answers_track_the_true_curve(self, model_dir, tiny_cosine_split):
-        service = EstimationService(model_dir, curve_resolution=256)
-        queries = tiny_cosine_split.test.queries[:6]
-        thresholds = tiny_cosine_split.test.thresholds[:6]
-        cached = service.estimate("gbdt", queries, thresholds, use_cache=True)
-        direct = service.estimate("gbdt", queries, thresholds, use_cache=False)
-        scale = np.maximum(np.abs(direct), 1.0)
-        assert np.max(np.abs(cached - direct) / scale) < 0.25
+    @pytest.mark.parametrize("name", ["kde", "gbdt"])
+    def test_non_selnet_models_serve_uncached_and_exact(
+        self, name, model_dir, tiny_cosine_split
+    ):
+        """KDE and LightGBM-m have no control points: with the cache on, a
+        service and an inline cluster answer ``estimate``'s own bits, in
+        ``max_batch_size`` kernel calls, and the cache stays untouched."""
+        queries = tiny_cosine_split.test.queries
+        thresholds = tiny_cosine_split.test.thresholds
+        service = EstimationService(model_dir, max_batch_size=16)
+        direct = service.get(name).estimate(queries, thresholds)
+        for _ in range(2):  # a repeat would hit a cache, if there were one
+            np.testing.assert_array_equal(service.estimate(name, queries, thresholds), direct)
+        assert len(service.cache) == 0 and service.cache.bytes == 0
+        assert service.cache.hits == 0 and service.cache.misses == 0
+        stats = service.stats()["per_model"][name]
+        assert stats["cache_hits"] == stats["cache_misses"] == stats["curve_builds"] == 0
+        assert stats["batches"] == 2 * -(-len(thresholds) // 16)
+
+        with EstimationCluster(ClusterConfig(num_shards=2, model_dir=model_dir)) as cluster:
+            for _ in range(2):
+                np.testing.assert_array_equal(
+                    cluster.estimate(name, queries, thresholds), direct
+                )
+            per_shard = cluster.stats()["per_shard"]
+        assert sum(entry["requests"] for entry in per_shard) == 2 * len(thresholds)
+        for entry in per_shard:
+            assert entry["cache"]["size"] == 0
+            assert entry["cache"]["hits"] == entry["cache"]["misses"] == 0
 
     @pytest.mark.parametrize("use_cache", [True, False])
     def test_empty_request_batch_returns_empty(self, model_dir, use_cache):
@@ -228,45 +233,46 @@ class TestEstimationService:
         # stats stay untouched by idle ticks
         assert service.stats()["per_model"]["kde"]["requests"] == 0
 
-    def test_service_cache_key_decimals_config(self, model_dir, tiny_cosine_split):
+    def test_service_cache_key_decimals_config(self, selnet_ct, tiny_cosine_split):
         with pytest.raises(TypeError):
-            EstimationService(model_dir, cache_key_decimals=2)
-        service = EstimationService(model_dir)
+            EstimationService(cache_key_decimals=2)
+        service = EstimationService()
+        service.add_model("selnet-ct", selnet_ct)
         query = np.round(tiny_cosine_split.test.queries[:1], 10)
         threshold = tiny_cosine_split.test.thresholds[:1]
-        service.estimate("kde", query, threshold)
+        service.estimate("selnet-ct", query, threshold)
         # A perturbation below the fixed 1e-10 key quantum reuses the cached
-        # curve; one above it builds a new curve.
-        service.estimate("kde", query + 1e-12, threshold)
-        stats = service.stats()["per_model"]["kde"]
+        # entry; one above it builds a new entry.
+        service.estimate("selnet-ct", query + 1e-12, threshold)
+        stats = service.stats()["per_model"]["selnet-ct"]
         assert stats["curve_builds"] == 1 and stats["cache_hits"] == 1
-        service.estimate("kde", query + 1e-6, threshold)
-        assert service.stats()["per_model"]["kde"]["curve_builds"] == 2
+        service.estimate("selnet-ct", query + 1e-6, threshold)
+        assert service.stats()["per_model"]["selnet-ct"]["curve_builds"] == 2
 
     def test_non_finite_inputs_are_rejected_before_the_cache(
-        self, model_dir, tiny_cosine_split
+        self, selnet_ct, tiny_cosine_split
     ):
-        """An inf threshold must not plant an all-NaN curve in the cache."""
-        service = EstimationService(model_dir)
+        """A NaN query or an inf threshold must not plant an entry in the cache."""
+        service = EstimationService()
+        service.add_model("selnet-ct", selnet_ct)
         queries = tiny_cosine_split.test.queries[:2]
         threshold = tiny_cosine_split.test.thresholds[:1]
-        uncached = service.estimate("kde", queries[:1], threshold, use_cache=False)
+        uncached = service.estimate("selnet-ct", queries[:1], threshold, use_cache=False)
         with pytest.raises(ValueError, match="finite"):
-            service.estimate("kde", queries, np.array([threshold[0], np.inf]))
-        served = service.estimate("kde", queries[:1], threshold)
-        # Exactly what a service that never saw the bad call answers, and the
-        # uncached value up to curve interpolation.
-        fresh = EstimationService(model_dir).estimate("kde", queries[:1], threshold)
-        np.testing.assert_array_equal(served, fresh)
-        np.testing.assert_allclose(served, uncached, rtol=0.25)
+            service.estimate("selnet-ct", queries, np.array([threshold[0], np.inf]))
         bad = queries[:1].copy()
         bad[0, 0] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            service.estimate("kde", bad, threshold, use_cache=False)
-        with pytest.raises(ValueError, match="finite"):
-            service.curves_for_queries("kde", bad)
-        with pytest.raises(ValueError, match="finite"):
-            service.curves_for_queries("kde", queries, np.array([0.0, np.inf]))
+        for use_cache in (True, False):
+            with pytest.raises(ValueError, match="finite"):
+                service.estimate("selnet-ct", bad, threshold, use_cache=use_cache)
+        assert len(service.cache) == 0
+        served = service.estimate("selnet-ct", queries[:1], threshold)
+        # Exactly what a service that never saw the bad calls answers, and
+        # the uncached value within the float64 budget.
+        fresh = EstimationService()
+        fresh.add_model("selnet-ct", selnet_ct)
+        np.testing.assert_array_equal(served, fresh.estimate("selnet-ct", queries[:1], threshold))
+        np.testing.assert_allclose(served, uncached, rtol=0, atol=1e-12)
 
     def test_wrong_dimensionality_is_a_clear_error(
         self, model_dir, tiny_cosine_split, fast_selnet_config
@@ -283,23 +289,23 @@ class TestEstimationService:
                     service.estimate(name, np.zeros((2, 3)), np.array([0.1, 0.2]), use_cache)
         assert len(service.cache) == 0
 
-    def test_precision_and_cache_budget_knobs(self, model_dir, tiny_cosine_split):
+    def test_precision_and_cache_budget_knobs(self, model_dir, selnet_ct, tiny_cosine_split):
+        for removed in ("curve_resolution", "cache_quantize_bits"):
+            with pytest.raises(TypeError):
+                EstimationService(model_dir, **{removed: 8})
         service = EstimationService(
-            model_dir,
-            kernel_dtype="float32",
-            cache_max_bytes=64 * 1024,
-            cache_quantize_bits=8,
-            curve_resolution=256,
+            model_dir, kernel_dtype="float32", cache_max_bytes=64 * 1024
         )
+        service.add_model("selnet-ct", selnet_ct)
         assert service.kernel_dtype == "float32"
         assert service.cache.max_bytes == 64 * 1024
-        assert service.cache.quantize_bits == 8
         queries = tiny_cosine_split.test.queries
         thresholds = tiny_cosine_split.test.thresholds
-        served = service.estimate("kde", queries, thresholds)
-        direct = service.get("kde").estimate(queries, thresholds)
-        scale = np.maximum(np.abs(direct), 1.0)
-        assert np.max(np.abs(served - direct) / scale) < 0.25
+        for name in ("kde", "selnet-ct"):
+            served = service.estimate(name, queries, thresholds)
+            direct = service.get(name).estimate(queries, thresholds)
+            scale = np.maximum(np.abs(direct), 1.0)
+            assert np.max(np.abs(served - direct) / scale) <= 1e-3
         stats = service.stats()
         assert stats["kernel_dtype"] == "float32"
         assert 0 < stats["cache"]["bytes"] <= 64 * 1024
@@ -308,41 +314,17 @@ class TestEstimationService:
         assert "repro_cache_bytes" in text
         assert 'repro_kernel_dtype{model="kde",dtype="float32"}' in text
 
-    def test_in_memory_models_and_curves(self, model_dir, tiny_cosine_split):
+    def test_in_memory_models_and_curves(self, tiny_cosine_split):
         service = EstimationService()
         estimator = create_estimator("kde", num_samples=64, seed=0).fit(tiny_cosine_split)
         service.add_model("mem", estimator)
         assert "mem" in service.available_models()
         query = tiny_cosine_split.test.queries[0]
-        curve = service.curve("mem", query)  # default grid: cached for estimates
-        np.testing.assert_allclose(
-            curve.values, estimator.selectivity_curve(query, curve.thresholds)
-        )
-        service.estimate("mem", query[None, :], np.asarray([curve.thresholds[3]]))
-        assert service.stats()["per_model"]["mem"]["cache_hits"] == 1
-
-    def test_explicit_curve_grid_is_not_cached(self, model_dir, tiny_cosine_split):
-        service = EstimationService()
-        estimator = create_estimator("kde", num_samples=64, seed=0).fit(tiny_cosine_split)
-        service.add_model("mem", estimator)
-        query = tiny_cosine_split.test.queries[0]
-        # A coarse caller-supplied grid must not enter the shared cache —
-        # it would degrade every later estimate for this query.
-        service.curve("mem", query, np.array([0.0, tiny_cosine_split.t_max]))
-        assert len(service.cache) == 0
-
-    def test_threshold_beyond_cached_grid_rebuilds_curve(self, model_dir, tiny_cosine_split):
-        service = EstimationService(model_dir, curve_resolution=64)
-        query = tiny_cosine_split.test.queries[:1]
-        small, large = 0.05, float(tiny_cosine_split.t_max)
-        service.estimate("kde", query, np.asarray([small]))  # curve only up to ~1.05*small
-        served = service.estimate("kde", query, np.asarray([large]))
-        direct = service.get("kde").estimate(query, np.asarray([large]))
-        # Without range-aware cache misses this would clamp to the tiny grid
-        # and silently underestimate by orders of magnitude.
-        assert abs(served[0] - direct[0]) / max(abs(direct[0]), 1.0) < 0.25
-        stats = service.stats()["per_model"]["kde"]
-        assert stats["curve_builds"] == 2  # the out-of-range hit forced a rebuild
+        # One query's curve, served as rows of the same query.
+        grid = np.linspace(0.0, float(tiny_cosine_split.t_max), 16)
+        served = service.estimate("mem", np.repeat(query[None, :], len(grid), axis=0), grid)
+        np.testing.assert_array_equal(served, estimator.selectivity_curve(query, grid))
+        assert service.stats()["per_model"]["mem"]["requests"] == len(grid)
 
     def test_wide_threshold_keeps_other_queries_curves_fine(
         self, tiny_cosine_split, fast_selnet_config
@@ -460,6 +442,19 @@ class TestLifecycleCLI:
 
         assert main(["models", "--dir", str(tmp_path)]) == 0
         assert "kde-tiny" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "models/", "--cache-quantize-bits", "8"],
+            ["saturate", "models/kde", "--no-cache-density"],
+            ["saturate", "models/kde", "--cache-density-bytes", "1024"],
+        ],
+    )
+    def test_removed_cache_options_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
 
     def test_python_dash_m_repro(self):
         import subprocess

@@ -3,9 +3,9 @@
 The SelNet family's curve cache holds each query's control points (and, for
 a partitioned model, one activation gate per partition), so a cached answer
 is the kernel's own answer.  The property suite drives tiny models through
-interleaved calls over cache sizes, byte budgets, precision tiers and
-quantization settings, with thresholds on both sides of every ball's
-gate, and checks three invariants across the whole call sequence:
+interleaved calls over cache sizes, byte budgets and precision tiers, with
+thresholds on both sides of every ball's gate, and checks three invariants
+across the whole call sequence:
 
 * a query's answers never decrease as t grows: exactly while one cache
   entry serves them, within the tier budget across an eviction;
@@ -79,8 +79,7 @@ def _budget(dtype: str, reference: np.ndarray) -> np.ndarray:
 
 
 def _entry(service: EstimationService, query: np.ndarray):
-    entry = service.cache._entries.get(compact_cache_key("m", query))
-    return None if entry is None else entry.curve
+    return service.cache._entries.get(compact_cache_key("m", query))
 
 
 ROW = st.tuples(st.integers(0, POOL - 1), st.booleans(), st.floats(0.0, 1.0))
@@ -94,11 +93,10 @@ class TestCachedAnswersAcrossCalls:
         capacity=st.sampled_from([1, 2, 256]),
         max_bytes=st.sampled_from([None, 2048]),
         dtype=st.sampled_from(["float64", "float32"]),
-        bits=st.sampled_from([None, 8]),
         steps=st.lists(STEP, min_size=1, max_size=6),
     )
     def test_invariants(
-        self, name, models, pool, tiny_cosine_split, capacity, max_bytes, dtype, bits, steps
+        self, name, models, pool, tiny_cosine_split, capacity, max_bytes, dtype, steps
     ):
         queries, gates = pool
         t_max = float(tiny_cosine_split.t_max)
@@ -108,7 +106,6 @@ class TestCachedAnswersAcrossCalls:
             cache_capacity=capacity,
             cache_max_bytes=max_bytes,
             kernel_dtype=dtype,
-            cache_quantize_bits=bits,
         )
         service.add_model("m", estimator)
         answers = {index: [] for index in range(POOL)}
@@ -145,12 +142,7 @@ class TestCachedAnswersAcrossCalls:
 
 class TestConsistencyProbe:
     @pytest.mark.parametrize("name", ["selnet-ct", "selnet"])
-    @pytest.mark.parametrize(
-        "options", [{}, {"cache_quantize_bits": 8, "cache_capacity": 1}], ids=["default", "quant"]
-    )
-    def test_answer_survives_a_wider_threshold(
-        self, name, options, models, pool, tiny_cosine_split
-    ):
+    def test_answer_survives_a_wider_threshold(self, name, models, pool, tiny_cosine_split):
         """Ask t1, then 1.6 t_max, then 1.001 t1, one call each: the third
         answer is not lower than the first, and both are the kernel's."""
         queries, _ = pool
@@ -158,7 +150,7 @@ class TestConsistencyProbe:
         t_max = float(tiny_cosine_split.t_max)
         for t1 in (0.1 * t_max, 0.45 * t_max):
             for query in queries:
-                service = EstimationService(**options)
+                service = EstimationService()
                 service.add_model("m", estimator)
                 first = service.estimate_one("m", query, t1)
                 service.estimate_one("m", query, 1.6 * t_max)
@@ -177,7 +169,7 @@ class TestControlPointEntries:
         key = compact_cache_key("m", np.zeros(2))
         per_entry = points(0.0).payload_nbytes + len(key) + _ENTRY_OVERHEAD_BYTES
         assert per_entry == 8 * 8 * 2 + 3 * 8 + len(key) + _ENTRY_OVERHEAD_BYTES
-        cache = CurveCache(capacity=100, max_bytes=3 * per_entry, quantize_bits=8)
+        cache = CurveCache(capacity=100, max_bytes=3 * per_entry)
         stored = [points(float(i)) for i in range(5)]
         for i, entry in enumerate(stored):
             cache.put("m", np.full(2, float(i)), entry)
@@ -185,29 +177,9 @@ class TestControlPointEntries:
         assert len(cache) == 3 and cache.evictions == 2
         assert cache.bytes == 3 * per_entry
         assert cache.get("m", np.full(2, 1.0)) is None
-        # Stored as handed in: no quantization, no grid, no threshold miss.
-        assert cache.get("m", np.full(2, 4.0), threshold=1e9) is stored[4]
-        assert cache.stats()["grids"] == 0
+        assert cache.get("m", np.full(2, 4.0)) is stored[4]  # stored as handed in
         cache.invalidate("m")
         assert cache.bytes == 0
-
-    def test_density_comparison_needs_sampled_curves(self, models, tiny_cosine_split):
-        """Quantization applies to sampled curves only: the comparison
-        measures it on a KDE and refuses a SelNet model, whose two caches
-        would hold the same control points."""
-        from repro.net.saturate import cache_density_compare
-
-        workload = tiny_cosine_split.test
-        kde = create_estimator("kde", num_samples=64).fit(tiny_cosine_split)
-        density = cache_density_compare(
-            kde, "kde", workload.queries, workload.thresholds,
-            max_bytes=16 * 1024, curve_resolution=32, max_queries=200,
-        )
-        assert density["density_ratio"] > 2.0 and density["within_budget"]
-        with pytest.raises(ValueError, match="never quantized"):
-            cache_density_compare(
-                models["selnet-ct"], "m", workload.queries, workload.thresholds
-            )
 
     def test_service_budget_holds_partitioned_entries(self, models, pool):
         queries, _ = pool
@@ -279,16 +251,3 @@ class TestDistinctQueryLookups:
         assert forwards == [4, len(queries) - 4]
         assert max(evaluations) == 4 and sum(evaluations) == len(rows)
         np.testing.assert_allclose(served, kernel.predict(rows, thresholds), rtol=0, atol=1e-12)
-
-    def test_curves_come_from_cached_control_points(self, models, pool):
-        queries, _ = pool
-        estimator = models["selnet"]
-        service = EstimationService()
-        service.add_model("m", estimator)
-        grid = np.linspace(0.0, 0.05, 7)
-        curves = service.curves_for_queries("m", queries[:2], grid)
-        assert len(service.cache) == 2
-        for query, curve in zip(queries[:2], curves):
-            np.testing.assert_allclose(
-                curve.values, estimator.selectivity_curve(query, grid), rtol=0, atol=1e-12
-            )
