@@ -1,13 +1,10 @@
-"""Network serving tier — saturation knees and shm-vs-pipe transport.
+"""Network serving tier — saturation knees.
 
 Not a paper table: this benchmark measures the repo's own network tier
 (`repro.net`).  Each scenario stands up a real loopback TCP server over
-shared-memory worker shards and sweeps *offered* load (open loop: batches
-are sent on a fixed wall-clock schedule regardless of server progress); the
-knee of a scenario is the highest offered rate the tier still sustains.  A
-transport micro-benchmark rides along, comparing single-batch round trips
-through the ``network`` backend's shared-memory slots against its pickled
-control-pipe fallback — the zero-copy data plane must win.
+process worker shards and sweeps *offered* load (open loop: batches are
+sent on a fixed wall-clock schedule regardless of server progress); the
+knee of a scenario is the highest offered rate the tier still sustains.
 """
 
 from __future__ import annotations
@@ -17,11 +14,7 @@ from conftest import run_once
 
 from repro import create_estimator
 from repro.eval.harness import build_setting_split
-from repro.net import (
-    SaturationScenario,
-    run_saturation_benchmark,
-    transport_roundtrip_compare,
-)
+from repro.net import SaturationScenario, run_saturation_benchmark
 
 SCENARIOS = (
     SaturationScenario(name="fixed-1shard", num_shards=1),
@@ -34,7 +27,6 @@ OFFERED_LOADS = (250.0, 1000.0, 4000.0)
 DURATION_SECONDS = 1.0
 BATCH_SIZE = 32
 CONNECTIONS = 4
-COMPARE_BATCHES = (32, 128)
 SEED = 0
 
 
@@ -45,7 +37,7 @@ def _sweep(tiny_scale):
     queries = np.concatenate([fold.queries for fold in folds])
     thresholds = np.concatenate([fold.thresholds for fold in folds])
 
-    reports = [
+    return [
         run_saturation_benchmark(
             scenario,
             "kde",
@@ -60,31 +52,18 @@ def _sweep(tiny_scale):
         )
         for scenario in SCENARIOS
     ]
-    compare = transport_roundtrip_compare(
-        estimator, "kde", queries, thresholds, batch_sizes=COMPARE_BATCHES, repeats=15
-    )
-    return reports, compare
 
 
-def _format(reports, compare) -> str:
+def _format(reports) -> str:
     lines = ["Network tier saturation on face-cos [tiny]"]
     for report in reports:
         lines.append(report.text)
-    lines.append("Transport round trip (1 worker shard, median ms/batch):")
-    shm = compare["shm"]["median_roundtrip_ms"]
-    pipe = compare["pipe"]["median_roundtrip_ms"]
-    for key in shm:
-        speedup = compare["speedup_shm_over_pipe"][key]
-        lines.append(
-            f"  batch {key:>4}: shm {shm[key]:7.3f} ms  "
-            f"pipe {pipe[key]:7.3f} ms  ({speedup:.2f}x)"
-        )
     return "\n".join(lines)
 
 
 def test_net_saturation(tiny_scale, save_result, benchmark):
-    reports, compare = run_once(benchmark, lambda: _sweep(tiny_scale))
-    save_result("net_saturation", _format(reports, compare))
+    reports = run_once(benchmark, lambda: _sweep(tiny_scale))
+    save_result("net_saturation", _format(reports))
     by_name = {report.scenario: report for report in reports}
     for report in reports:
         assert report.knee_rps > 0
@@ -92,7 +71,3 @@ def test_net_saturation(tiny_scale, save_result, benchmark):
     assert by_name["fixed-2shard"].final_shards == 2
     autoscaled = by_name["autoscale-1to4"]
     assert autoscaled.final_shards >= 1
-    # The zero-copy shm data plane must beat the pickled pipe for at least
-    # one batch size.
-    speedups = compare["speedup_shm_over_pipe"]
-    assert max(speedups.values()) > 1.0

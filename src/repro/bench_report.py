@@ -6,8 +6,8 @@ own schema.  ``repro bench-report`` reads whatever subset is present and
 renders one performance-trajectory table — the quick answer to "where does
 the stack stand right now" without opening four JSON files.  Each section
 shows the worst case next to the best: the slowest speedup per precision
-tier, every transport batch size, the load a knee was *not* sustained at,
-and every pipeline executor's cold time.
+tier, the load a knee was *not* sustained at, and every pipeline
+executor's cold time.
 """
 
 from __future__ import annotations
@@ -98,17 +98,6 @@ def _net_lines(data: Dict[str, Any]) -> List[str]:
             f"peak {scenario['peak_achieved_rps']:>8,.0f} rps   "
             f"final shards {scenario.get('final_shards', '?')}"
         )
-    transport = data.get("transport_roundtrip")
-    if transport:
-        shm_ms = transport["shm"]["median_roundtrip_ms"]
-        pipe_ms = transport["pipe"]["median_roundtrip_ms"]
-        speedups = transport["speedup_shm_over_pipe"]
-        for batch in sorted(speedups, key=int):
-            winner = "shm" if speedups[batch] > 1.0 else "pipe"
-            lines.append(
-                f"  transport      batch {int(batch):>4}: shm {shm_ms[batch]:.2f} ms vs "
-                f"pipe {pipe_ms[batch]:.2f} ms, shm {speedups[batch]:.2f}x ({winner} wins)"
-            )
     return lines or ["  (no scenarios)"]
 
 

@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("inline", "network"),
         default="network",
-        help="shard backend (default: network, shared-memory process shards)",
+        help="shard backend (default: network, one worker process per shard)",
     )
     serve_parser.add_argument(
         "--queue-capacity", type=int, default=8, help="bounded per-shard queue size"
@@ -626,11 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--smoke",
         action="store_true",
         help="quick CI mode: short sweeps, small batches",
-    )
-    saturate_parser.add_argument(
-        "--no-transport-compare",
-        action="store_true",
-        help="skip the shm-vs-pickled-pipe transport micro-benchmark",
     )
     saturate_parser.add_argument(
         "--trace-out",
@@ -1430,11 +1425,7 @@ def _cmd_serve(args) -> int:
 def _cmd_saturate(args) -> int:
     import dataclasses
 
-    from .net.saturate import (
-        SaturationScenario,
-        run_saturation_benchmark,
-        transport_roundtrip_compare,
-    )
+    from .net.saturate import SaturationScenario, run_saturation_benchmark
 
     model_path, split = _resolve_bench_model(args)
     queries, thresholds = _bench_pool(split, "all")
@@ -1449,7 +1440,6 @@ def _cmd_saturate(args) -> int:
         loads = (200.0, 800.0)
         duration, batch, connections = 0.5, 16, 2
         max_shards = min(args.max_shards, 2)
-        compare_batches, compare_repeats = (16, 64), 5
     else:
         try:
             loads = tuple(float(part) for part in args.loads.split(",") if part)
@@ -1457,7 +1447,6 @@ def _cmd_saturate(args) -> int:
             raise SystemExit(f"--loads expects comma-separated numbers, got {args.loads!r}")
         duration, batch, connections = args.duration, args.batch, args.connections
         max_shards = args.max_shards
-        compare_batches, compare_repeats = (32, 128, 256), 20
 
     scenarios = [
         SaturationScenario(name="fixed-1shard", backend="network", num_shards=1),
@@ -1500,28 +1489,6 @@ def _cmd_saturate(args) -> int:
         },
         "scenarios": [dataclasses.asdict(report) for report in reports],
     }
-    if not args.no_transport_compare:
-        from .persistence import load_estimator
-
-        estimator = load_estimator(model_path)
-        compare = transport_roundtrip_compare(
-            estimator,
-            model_name,
-            queries,
-            thresholds,
-            batch_sizes=compare_batches,
-            repeats=compare_repeats,
-        )
-        payload["transport_roundtrip"] = compare
-        print("transport round trip (median ms, shm slots vs pickled pipe):")
-        for key in compare["shm"]["median_roundtrip_ms"]:
-            shm_ms = compare["shm"]["median_roundtrip_ms"][key]
-            pipe_ms = compare["pipe"]["median_roundtrip_ms"][key]
-            ratio = compare["speedup_shm_over_pipe"][key]
-            print(
-                f"  batch {key:>4}: shm {shm_ms:7.3f} ms  pipe {pipe_ms:7.3f} ms  "
-                f"({ratio:.2f}x)"
-            )
     if args.output:
         _write_stats_json(args.output, payload)
     if args.trace_out:

@@ -10,8 +10,8 @@ See :class:`EstimationCluster` for the entry point::
         print(cluster.stats()["per_shard"])
 
 Shards run ``inline`` (in the calling process; tests and in-process runs)
-or on the ``network`` backend (one worker process per shard behind a
-shared-memory transport, :mod:`repro.net`).
+or on the ``network`` backend (one worker process per shard behind its
+own pipe, :mod:`repro.net`).
 """
 
 from .backends import BACKENDS, InlineShardBackend, ShardFuture

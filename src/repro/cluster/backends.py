@@ -15,9 +15,8 @@ decides where that service runs:
 
 ``network`` (:class:`repro.net.backend.NetworkShardBackend`)
     The service lives in a dedicated worker process per shard, so N shards
-    give N-way CPU parallelism for scatter–gather batches.  Batches move
-    through a shared-memory slot ring and fall back to the pickled control
-    pipe when a batch does not fit a slot.
+    give N-way CPU parallelism for scatter–gather batches.  Every call,
+    batch data included, is one pickled message over the shard's pipe.
 
 Both expose ``estimate``, ``update``, ``add_model``, ``stats`` and
 ``reload``, each returning a handle with ``result()`` and ``cancel()``, plus
@@ -42,8 +41,8 @@ def _resolve_backend(name: str):
     """The backend class for ``name``, or None for an unknown name.
 
     The ``network`` backend is imported on demand, so the cluster tier does
-    not pull in :mod:`repro.net` (and its process and shared-memory
-    machinery) until a caller asks for it.
+    not pull in :mod:`repro.net` (and its process machinery) until a caller
+    asks for it.
     """
     if name == "inline":
         return InlineShardBackend

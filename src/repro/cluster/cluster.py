@@ -70,9 +70,9 @@ class ClusterConfig:
     ``cache_max_bytes`` configure each shard's private
     :class:`~repro.serving.EstimationService`, which answers through its
     models' compiled kernels and caches SelNet control points; the rest shape
-    admission control and the ``network`` backend's transport (float64
-    shared-memory slots).  ``network`` shards preload every disk-backed
-    model at spawn.
+    admission control.  ``network`` shards run in their own processes,
+    reached over one pipe each, and preload every disk-backed model at
+    spawn.
     """
 
     num_shards: int = 2
@@ -87,8 +87,6 @@ class ClusterConfig:
     kernel_dtype: Optional[str] = None
     #: byte budget for each shard's curve cache (None = unbounded)
     cache_max_bytes: Optional[int] = None
-    #: ``network`` backend: bytes per shared-memory transport slot
-    shm_slot_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:

@@ -21,7 +21,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..serving.cache import query_cache_key
+from ..serving.cache import query_cache_key, rounded_queries
 
 #: ring points per shard; more points smooth the key distribution
 VIRTUAL_NODES = 64
@@ -61,11 +61,14 @@ class ShardRouter:
         queries = np.asarray(queries, dtype=np.float64)
         if queries.size == 0:
             return np.empty(0, dtype=np.int64)
-        queries = np.atleast_2d(queries)
+        # One rounding for the whole batch; each row's key is then the
+        # bytes ``key_for`` builds for it.
+        rounded = rounded_queries(np.atleast_2d(queries))
+        prefix = model.encode("utf-8") + b"\x00"
         points = np.fromiter(
-            (_hash64(self.key_for(model, row)) for row in queries),
+            (_hash64(prefix + row.tobytes()) for row in rounded),
             dtype=np.uint64,
-            count=len(queries),
+            count=len(rounded),
         )
         slots = np.searchsorted(self._ring_hashes, points, side="left")
         return self._ring_shards[slots % len(self._ring_shards)]

@@ -1,12 +1,12 @@
-"""The network serving tier: sockets, shared-memory shards, autoscaling.
+"""The network serving tier: sockets, process shards, autoscaling.
 
 This package turns the sharded :class:`~repro.cluster.EstimationCluster`
 into a real service:
 
-* :mod:`repro.net.shm` / :mod:`repro.net.worker` / :mod:`repro.net.backend`
-  — the ``network`` shard backend: one worker process per shard, control
-  messages over a pipe, batch data through a shared-memory slot ring
-  (zero-copy NumPy views), selected with ``ClusterConfig(backend="network")``;
+* :mod:`repro.net.worker` / :mod:`repro.net.backend` — the ``network``
+  shard backend: one worker process per shard, every call and its batch
+  one pickled message over the shard's pipe, selected with
+  ``ClusterConfig(backend="network")``;
 * :mod:`repro.net.protocol` / :mod:`repro.net.server` /
   :mod:`repro.net.client` — length-prefixed binary frames and JSON/HTTP
   endpoints (``/estimate``, ``/update``, ``/models``, ``/models/reload``,
@@ -27,7 +27,6 @@ from .saturate import (
     SaturationScenario,
     report_as_dict,
     run_saturation_benchmark,
-    transport_roundtrip_compare,
 )
 from .server import (
     BinaryEstimationServer,
@@ -36,14 +35,11 @@ from .server import (
     ServeApp,
     build_server,
 )
-from .shm import ShmRing, SlotPool
 
 __all__ = [
     "NetworkShardBackend",
     "ShardCrashedError",
     "ShardRequestError",
-    "ShmRing",
-    "SlotPool",
     "Autoscaler",
     "AutoscalerConfig",
     "ProtocolError",
@@ -60,5 +56,4 @@ __all__ = [
     "LoadPoint",
     "report_as_dict",
     "run_saturation_benchmark",
-    "transport_roundtrip_compare",
 ]

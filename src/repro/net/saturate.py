@@ -9,10 +9,7 @@ independent of how fast the server answers, which is what makes the loop
 the sweep records the *achieved* rate, batch-latency percentiles, shed
 counts and the shard count the autoscaler settled on; the **knee** of a
 scenario is the highest offered rate the tier still sustains (achieved ≥
-``KNEE_EFFICIENCY`` × offered).  A transport micro-benchmark rides along:
-single-batch round trips through the ``network`` backend's shared-memory
-slots against its pickled control-pipe fallback, the one transport choice
-the backend makes.  Results land in ``BENCH_net.json``.
+``KNEE_EFFICIENCY`` × offered).  Results land in ``BENCH_net.json``.
 """
 
 from __future__ import annotations
@@ -24,11 +21,10 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..cluster import ClusterConfig, ClusterOverloadedError, EstimationCluster
+from ..cluster import ClusterOverloadedError
 from ..obs import trace as obstrace
 from .client import BinaryClient
 from .server import build_server
-from .shm import batch_nbytes
 
 #: a load point "sustains" its offered rate when achieved/offered is ≥ this
 KNEE_EFFICIENCY = 0.9
@@ -254,68 +250,6 @@ def run_saturation_benchmark(
     # achieved rate flattens at (roughly) the peak.
     report.knee_rps = max(sustained) if sustained else report.peak_achieved_rps
     return report
-
-
-def transport_roundtrip_compare(
-    estimator,
-    model: str,
-    queries: np.ndarray,
-    thresholds: np.ndarray,
-    batch_sizes: Sequence[int] = (32, 128, 256),
-    repeats: int = 20,
-) -> Dict[str, Any]:
-    """Median single-batch round-trip latency: shm slots vs the pickled pipe.
-
-    Both arms are a one-shard ``network`` cluster hosting the same in-memory
-    model; the only difference is how a batch crosses the process boundary.
-    The ``shm`` arm moves it through the shared-memory slot ring, and the
-    ``pipe`` arm's slots are smaller than one row, so every batch takes the
-    backend's pickled control-pipe fallback.  The arms alternate round trip
-    by round trip (which one goes first alternates too), so drift on the
-    host lands on both.
-    """
-    configs = {
-        "shm": ClusterConfig(num_shards=1, backend="network"),
-        "pipe": ClusterConfig(
-            num_shards=1,
-            backend="network",
-            shm_slot_bytes=batch_nbytes(1, queries.shape[1]) - 1,
-        ),
-    }
-    clusters: Dict[str, EstimationCluster] = {}
-    samples: Dict[str, Dict[str, List[float]]] = {
-        arm: {str(batch): [] for batch in batch_sizes} for arm in configs
-    }
-    try:
-        for arm, config in configs.items():
-            cluster = EstimationCluster(config)
-            clusters[arm] = cluster
-            cluster.add_model(model, estimator)
-            cluster.estimate(model, queries[:8], thresholds[:8])  # warm up
-        arms = list(clusters)
-        for batch in batch_sizes:
-            rows = np.arange(batch) % len(thresholds)
-            for repeat in range(repeats):
-                for arm in arms if repeat % 2 == 0 else arms[::-1]:
-                    tick = time.perf_counter()
-                    clusters[arm].estimate(model, queries[rows], thresholds[rows])
-                    samples[arm][str(batch)].append(1000.0 * (time.perf_counter() - tick))
-    finally:
-        for cluster in clusters.values():
-            cluster.close()
-    results: Dict[str, Any] = {"batch_sizes": list(batch_sizes), "repeats": repeats}
-    for arm, per_batch in samples.items():
-        results[arm] = {
-            "median_roundtrip_ms": {
-                key: float(np.median(values)) for key, values in per_batch.items()
-            }
-        }
-    shm = results["shm"]["median_roundtrip_ms"]
-    pipe = results["pipe"]["median_roundtrip_ms"]
-    results["speedup_shm_over_pipe"] = {
-        key: pipe[key] / shm[key] if shm[key] > 0 else float("inf") for key in shm
-    }
-    return results
 
 
 def report_as_dict(report: SaturationReport) -> Dict[str, Any]:

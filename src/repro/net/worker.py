@@ -1,18 +1,17 @@
-"""The shard worker process: one `EstimationService` behind a control pipe.
+"""The shard worker process: one `EstimationService` behind its pipe.
 
 ``shard_main`` is the entry point the ``network`` backend spawns one process
 per shard for.  The worker owns a full :class:`~repro.serving.
 EstimationService` (its own model store and curve cache), warms every
 disk-backed model at spawn (so a freshly autoscaled shard serves its first
-request without paying model-load latency), then answers control messages in
-FIFO order:
+request without paying model-load latency), then answers the messages on
+its pipe in FIFO order:
 
 ``estimate``
-    Batch rows arrive through the shared-memory ring (zero-copy NumPy views
-    over the slot) or inline in the message for oversized batches; results
-    are written back into the same slot.
+    The batch's queries and thresholds arrive inside the message; the
+    results go back inside the reply.
 ``add_model`` / ``update`` / ``stats`` / ``reload`` / ``shutdown``
-    Control-plane operations, pickled over the pipe (small payloads only).
+    Control-plane operations.
 
 Because the worker is strictly serial, a ``reload`` is naturally ordered
 after every batch already in its pipe — hot model swaps never interrupt an
@@ -28,7 +27,6 @@ import traceback
 from typing import Any, Dict, Optional
 
 from ..obs import trace as obstrace
-from .shm import ShmRing
 
 
 def _safe_reply(connection, payload: Dict[str, Any]) -> None:
@@ -40,13 +38,10 @@ def _safe_reply(connection, payload: Dict[str, Any]) -> None:
 
 def shard_main(
     connection,
-    ring_name: str,
-    num_slots: int,
-    slot_bytes: int,
     service_kwargs: Dict[str, Any],
     trace_config: Optional[Dict[str, Any]] = None,
 ) -> None:
-    """Run one shard worker until ``shutdown`` or the control pipe closes."""
+    """Run one shard worker until ``shutdown`` or its pipe closes."""
     from ..estimator import UpdateNotSupportedError  # noqa: F401 (unpickling)
     from ..serving import EstimationService
 
@@ -59,7 +54,6 @@ def shard_main(
         )
     service = EstimationService(**service_kwargs)
     warmed = service.preload()
-    ring = ShmRing.attach(ring_name, num_slots, slot_bytes)
     _safe_reply(connection, {"ok": True, "op": "ready", "pid": os.getpid(), "warmed": warmed})
 
     try:
@@ -73,37 +67,17 @@ def shard_main(
                 break
             try:
                 if op == "estimate":
-                    slot = message.get("slot")
-                    if slot is None:  # oversized batch: inline fallback
-                        queries = message["queries"]
-                        thresholds = message["thresholds"]
-                    else:
-                        queries, thresholds = ring.read_batch(
-                            slot, message["n"], message["dim"]
-                        )
-                    trace = message.get("trace")
-                    with obstrace.trace_context(trace), obstrace.span(
-                        "worker.estimate",
-                        model=message["model"],
-                        rows=len(thresholds),
-                        via="shm" if slot is not None else "pipe",
+                    thresholds = message["thresholds"]
+                    with obstrace.trace_context(message.get("trace")), obstrace.span(
+                        "worker.estimate", model=message["model"], rows=len(thresholds)
                     ):
                         results = service.estimate(
                             message["model"],
-                            queries,
+                            message["queries"],
                             thresholds,
                             use_cache=message["use_cache"],
                         )
-                    if slot is None:
-                        _safe_reply(
-                            connection, {"ok": True, "op": op, "results": results}
-                        )
-                    else:
-                        ring.write_results(slot, results)
-                        _safe_reply(
-                            connection,
-                            {"ok": True, "op": op, "slot": slot, "n": len(results)},
-                        )
+                    _safe_reply(connection, {"ok": True, "op": op, "results": results})
                 elif op == "add_model":
                     service.add_model(message["name"], pickle.loads(message["payload"]))
                     _safe_reply(connection, {"ok": True, "op": op})
@@ -138,13 +112,11 @@ def shard_main(
                     {
                         "ok": False,
                         "op": op,
-                        "slot": message.get("slot"),
                         "error": f"{type(error).__name__}: {error}",
                         "traceback": traceback.format_exc(),
                     },
                 )
     finally:
-        ring.close()
         try:
             connection.close()
         except OSError:  # pragma: no cover

@@ -16,9 +16,9 @@ One served request produces spans named by the layer that timed it:
     Time the cluster spent claiming one sub-batch's result: the whole shard
     round trip after submission (transport, queueing in the worker and the
     worker's service call), not only the wait before the worker picked it up.
-``transport.shm`` / ``transport.pipe``
-    Serialization + shared-memory (or pickled-pipe fallback) transfer of
-    one batch into a worker process.
+``transport.pipe``
+    Pickling one batch and sending it over the shard's pipe into its
+    worker process.
 ``worker.estimate``
     Worker-process service call, end to end.
 ``service.cache_lookup`` / ``service.kernel_execute``
@@ -34,8 +34,7 @@ A trace ID is 16 hex chars (64 bits of :func:`uuid.uuid4`).  It travels
   ``FLAG_TRACE``, the ID appended at the end of the payload so pre-trace
   peers parse the prefix unchanged),
 * in HTTP as the ``X-Repro-Trace-Id`` header (request and echo),
-* across the control pipe / shm ring into shard workers inside the batch
-  message, and
+* across the shard's pipe into its worker inside the batch message, and
 * into every span record written to the sink.
 
 Sampling is **deterministic per trace**: a blake2b hash of the trace ID

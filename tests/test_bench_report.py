@@ -52,11 +52,6 @@ def _synthetic_reports():
                 _scenario("overloaded", [(1000.0, 500.0), (2000.0, 600.0)], 600.0),
                 {"scenario": "empty", "points": [], "knee_rps": 0.0, "peak_achieved_rps": 0.0},
             ],
-            "transport_roundtrip": {
-                "shm": {"median_roundtrip_ms": {"32": 1.0, "256": 8.0}},
-                "pipe": {"median_roundtrip_ms": {"32": 2.0, "256": 4.0}},
-                "speedup_shm_over_pipe": {"32": 2.0, "256": 0.5},
-            },
         },
         "BENCH_pipeline.json": {
             "metadata": {"executors": ["thread", "process"], "models": ["a", "b"]},
@@ -78,11 +73,6 @@ class TestFormatTrajectory:
         float32 = next(line for line in lines if line.lstrip().startswith("float32"))
         assert "4.50x selnet @256" in float64 and "0.70x kde @256" in float64
         assert "5.10x selnet @2048" in float32 and "1.20x kde @16" in float32
-
-    def test_every_transport_batch_size_is_printed(self):
-        text = format_trajectory(_synthetic_reports())
-        assert "batch   32: shm 1.00 ms vs pipe 2.00 ms, shm 2.00x (shm wins)" in text
-        assert "batch  256: shm 8.00 ms vs pipe 4.00 ms, shm 0.50x (pipe wins)" in text
 
     def test_knee_is_printed_as_the_bracket_the_grid_resolves(self):
         text = format_trajectory(_synthetic_reports())

@@ -1,4 +1,4 @@
-"""Tests for the network serving tier (protocol, shm transport, servers,
+"""Tests for the network serving tier (protocol, shard pipe, servers,
 autoscaler) and the cluster lifecycle satellites that ride along with it."""
 
 from __future__ import annotations
@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -29,15 +30,13 @@ from repro.net import (
     BinaryClient,
     HttpClient,
     ShardCrashedError,
-    ShmRing,
-    SlotPool,
     build_server,
     protocol,
     run_saturation_benchmark,
     report_as_dict,
     SaturationScenario,
 )
-from repro.net.shm import batch_nbytes
+from repro.serving import EstimationService
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +51,19 @@ def kde_model_dir(tiny_cosine_split, tmp_path_factory):
 @pytest.fixture(scope="module")
 def fitted_kde(tiny_cosine_split):
     return create_estimator("kde", num_samples=64, seed=0).fit(tiny_cosine_split)
+
+
+@pytest.fixture(scope="module")
+def fitted_selnet_ct(tiny_cosine_split, fast_selnet_config):
+    params = asdict(fast_selnet_config)
+    params.update(epochs=2, pretrain_epochs=1, ae_pretrain_epochs=1)
+    return create_estimator("selnet-ct", **params).fit(tiny_cosine_split)
+
+
+def _test_rows(split, num_rows):
+    """``num_rows`` rows of the split's test fold, tiled as often as it takes."""
+    queries = split.test.queries
+    return np.resize(queries, (num_rows, queries.shape[1])), np.resize(split.test.thresholds, num_rows)
 
 
 @pytest.fixture(scope="module")
@@ -149,75 +161,110 @@ class TestProtocol:
 
 
 # ---------------------------------------------------------------------- #
-# Shared-memory transport
-# ---------------------------------------------------------------------- #
-class TestShmRing:
-    def test_batch_roundtrip_through_an_attached_mapping(self, rng):
-        queries = rng.standard_normal((6, 4))
-        thresholds = rng.standard_normal(6)
-        ring = ShmRing.create(num_slots=2, slot_bytes=4096)
-        try:
-            ring.write_batch(1, queries, thresholds)
-            other = ShmRing.attach(ring.name, 2, 4096)  # the worker's view
-            try:
-                got_q, got_t = other.read_batch(1, 6, 4)
-                np.testing.assert_array_equal(got_q, queries)
-                np.testing.assert_array_equal(got_t, thresholds)
-                results = rng.standard_normal(6)
-                other.write_results(1, results)
-                del got_q, got_t  # views pin the mapping; drop before close
-            finally:
-                other.close()
-            np.testing.assert_array_equal(ring.read_results(1, 6), results)
-        finally:
-            ring.close()
-
-    def test_oversized_batch_is_refused(self, rng):
-        ring = ShmRing.create(num_slots=1, slot_bytes=64)
-        try:
-            assert not ring.fits(4, 8)
-            with pytest.raises(ValueError, match="exceeds slot size"):
-                ring.write_batch(0, rng.standard_normal((4, 8)), rng.standard_normal(4))
-        finally:
-            ring.close()
-
-    def test_batch_nbytes_matches_the_layout(self):
-        assert batch_nbytes(3, 5) == 3 * 5 * 8 + 3 * 8
-
-    def test_slot_pool_blocks_until_release_and_times_out(self):
-        pool = SlotPool(1)
-        slot = pool.acquire()
-        with pytest.raises(TimeoutError):
-            pool.acquire(timeout=0.05)
-        pool.release(slot)
-        assert pool.acquire(timeout=0.05) == slot
-        pool.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.acquire(timeout=0.05)
-
-
-# ---------------------------------------------------------------------- #
 # The network shard backend inside a cluster
 # ---------------------------------------------------------------------- #
 class TestNetworkBackend:
-    def test_shm_transport_parity_and_fallback(self, tiny_cosine_split, fitted_kde):
-        """Small batches ride the shm slots, oversized ones fall back to the
-        control pipe — both bit-identical to the in-process estimator."""
-        queries = tiny_cosine_split.test.queries
-        thresholds = tiny_cosine_split.test.thresholds
-        small_slot = batch_nbytes(8, queries.shape[1])  # fits ≤ 8 rows
-        config = ClusterConfig(num_shards=1, backend="network", shm_slot_bytes=small_slot)
-        with EstimationCluster(config) as cluster:
-            cluster.add_model("kde", fitted_kde)
-            small = cluster.estimate("kde", queries[:8], thresholds[:8], use_cache=False)
-            large = cluster.estimate("kde", queries, thresholds, use_cache=False)
-            transport = cluster.stats()["per_shard"][0]["worker"]["transport"]
-        direct = fitted_kde.estimate(queries, thresholds)
-        np.testing.assert_array_equal(small, direct[:8])
-        np.testing.assert_array_equal(large, direct)
-        assert transport["shm_batches"] >= 1
-        assert transport["fallback_batches"] >= 1
-        assert transport["shm_bytes"] == batch_nbytes(8, queries.shape[1])
+    def test_pipe_transport_parity(self, tiny_cosine_split, fitted_kde, fitted_selnet_ct):
+        """A 1-row, a 32-row and an over-1-MiB batch come back from a network
+        shard with a lone in-process service's bits, cached and uncached, and
+        uncached with ``estimate``'s bits."""
+        dim = tiny_cosine_split.test.queries.shape[1]
+        over_one_mib = (1 << 20) // ((dim + 1) * 8) + 1
+        models = {"kde": fitted_kde, "selnet-ct": fitted_selnet_ct}
+        service = EstimationService()
+        with EstimationCluster(ClusterConfig(num_shards=1, backend="network")) as cluster:
+            for name, estimator in models.items():
+                cluster.add_model(name, estimator)
+                service.add_model(name, estimator)
+            for num_rows in (1, 32, over_one_mib):
+                queries, thresholds = _test_rows(tiny_cosine_split, num_rows)
+                for name, estimator in models.items():
+                    for use_cache in (True, False):
+                        served = cluster.estimate(name, queries, thresholds, use_cache=use_cache)
+                        np.testing.assert_array_equal(
+                            served, service.estimate(name, queries, thresholds, use_cache=use_cache)
+                        )
+                    np.testing.assert_array_equal(served, estimator.estimate(queries, thresholds))
+
+    def test_large_batches_sent_before_any_reply_is_read(
+        self, tiny_cosine_split, fitted_selnet_ct
+    ):
+        """One thread sends two batches whose replies overflow the pipe's
+        buffer before it claims either: the shard must not block on a reply
+        nobody reads while the caller blocks sending the next batch."""
+        queries, thresholds = _test_rows(tiny_cosine_split, 100_000)
+        results = []
+        cluster = EstimationCluster(ClusterConfig(num_shards=1, backend="network"))
+        try:
+            cluster.add_model("m", fitted_selnet_ct)
+
+            def _send_both_then_claim() -> None:
+                futures = [
+                    cluster.submit_estimate("m", queries, thresholds, use_cache=False)
+                    for _ in range(2)
+                ]
+                results.extend(future.result() for future in futures)
+
+            sender = threading.Thread(target=_send_both_then_claim, daemon=True)
+            sender.start()
+            sender.join(timeout=30.0)
+            if sender.is_alive():
+                cluster._shards[0].backend._process.kill()  # unblocks the sender
+                sender.join(timeout=10.0)
+                pytest.fail("two large batches sent from one thread deadlocked the shard")
+        finally:
+            cluster.close(drain=False)
+        expected = fitted_selnet_ct.estimate(queries, thresholds)
+        assert len(results) == 2
+        for served in results:
+            np.testing.assert_array_equal(served, expected)
+
+    def test_concurrent_callers_get_their_own_answers(
+        self, tiny_cosine_split, fitted_selnet_ct
+    ):
+        """Threads that send and claim at once each get their own rows'
+        answers: the reader settles replies in the order the sends went out."""
+        queries, thresholds = _test_rows(tiny_cosine_split, 64)
+        calls = {
+            (client, step): (client * 8 + step + np.arange(8)) % len(thresholds)
+            for client in range(6)
+            for step in range(20)
+        }
+        expected = {
+            key: fitted_selnet_ct.estimate(queries[rows], thresholds[rows])
+            for key, rows in calls.items()
+        }
+        failures = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            config = ClusterConfig(num_shards=1, backend="network", queue_capacity=4)
+            with EstimationCluster(config) as cluster:
+                cluster.add_model("m", fitted_selnet_ct)
+
+                def _client(client: int) -> None:
+                    try:
+                        for step in range(20):
+                            rows = calls[client, step]
+                            served = cluster.estimate(
+                                "m", queries[rows], thresholds[rows], use_cache=False
+                            )
+                            np.testing.assert_array_equal(served, expected[client, step])
+                    except Exception as error:  # noqa: BLE001 - reported below
+                        failures.append(error)
+
+                threads = [
+                    threading.Thread(target=_client, args=(client,), daemon=True)
+                    for client in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
 
     def test_typed_errors_cross_the_process_boundary(self, fitted_kde):
         with EstimationCluster(ClusterConfig(num_shards=1, backend="network")) as cluster:

@@ -381,9 +381,8 @@ class TestObservableServer:
         assert by_name["server.estimate"]["transport"] == "binary"
         worker = by_name["worker.estimate"]
         assert worker["role"] == "shard"
-        assert worker["via"] == "shm"
         assert worker["pid"] != by_name["server.estimate"]["pid"]
-        assert "cluster.admission" in by_name and "transport.shm" in by_name
+        assert "cluster.admission" in by_name and "transport.pipe" in by_name
 
     def test_http_trace_header_round_trips(self, traced_server, tiny_cosine_split):
         server, trace_path = traced_server

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import create_estimator
+from repro.cluster import ClusterConfig, EstimationCluster
 from repro.index.partitioner import least_hit_thresholds
 from repro.inference.kernels import ControlPoints
 from repro.inference.precision import DEFAULT_ERROR_BUDGETS
@@ -159,6 +160,27 @@ class TestConsistencyProbe:
                 for threshold, answer in ((t1, first), (1.001 * t1, third)):
                     direct = service.estimate_one("m", query, threshold, use_cache=False)
                     assert abs(answer - direct) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["selnet-ct", "selnet"])
+    def test_inline_and_network_shards_answer_like_one_service(
+        self, name, models, pool, tiny_cosine_split
+    ):
+        """The probe's calls through a two-shard inline cluster and a
+        one-shard network cluster give a lone service's float64 bits."""
+        queries, _ = pool
+        t_max = float(tiny_cosine_split.t_max)
+        service = EstimationService()
+        inline = EstimationCluster(ClusterConfig(num_shards=2))
+        network = EstimationCluster(ClusterConfig(num_shards=1, backend="network"))
+        with inline, network:
+            for target in (service, inline, network):
+                target.add_model("m", models[name])
+            for t1 in (0.1 * t_max, 0.45 * t_max):
+                for query in queries:
+                    for threshold in (t1, 1.6 * t_max, 1.001 * t1):
+                        expected = service.estimate_one("m", query, threshold)
+                        assert inline.estimate_one("m", query, threshold) == expected
+                        assert network.estimate_one("m", query, threshold) == expected
 
 
 class TestControlPointEntries:
