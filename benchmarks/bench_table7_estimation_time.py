@@ -5,6 +5,10 @@ KDE) are the slowest (0.85-4.95 ms), SelNet sits in between and SelNet-ct is
 roughly twice as fast as partitioned SelNet.  The ordering is structural
 (model complexity), so this benchmark runs at the tiny scale by default; set
 ``REPRO_BENCH_TIMING_SCALE=small`` for a full-scale run.
+
+The SelNet rows time the compiled float64 kernel, which is what their
+``estimate`` runs; DNN, RMI and MoE still run their autodiff tape under
+``no_grad``.
 """
 
 from __future__ import annotations

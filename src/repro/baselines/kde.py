@@ -26,7 +26,11 @@ from scipy import special
 from ..data.workload import WorkloadSplit
 from ..distances import DistanceFunction, get_distance
 from ..estimator import SelectivityEstimator
+from ..index import distinct_rows
 from ..registry import register_estimator
+
+#: kernel CDF values one step of :meth:`KDEEstimator.estimate` holds at once
+_CDF_CHUNK_VALUES = 1 << 18
 
 
 def _adaptive_bandwidth(distances: np.ndarray, tail_fraction: float = 0.1) -> float:
@@ -99,19 +103,27 @@ class KDEEstimator(SelectivityEstimator):
         return self
 
     # ------------------------------------------------------------------ #
-    def _estimate_one(self, query: np.ndarray, threshold: float) -> float:
-        distances = self._distance(query, self._sample)
-        bandwidth = self.bandwidth if self.bandwidth is not None else _adaptive_bandwidth(distances)
-        # Gaussian kernel CDF evaluated at the threshold, averaged over centres.
-        z = (threshold - distances) / bandwidth
-        cdf = 0.5 * (1.0 + special.erf(z / np.sqrt(2.0)))
-        return float(self._num_objects * cdf.mean())
-
     def estimate(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
         if self._sample is None or self._distance is None:
             raise RuntimeError("estimator must be fitted before calling estimate()")
         queries = np.asarray(queries, dtype=np.float64)
         thresholds = np.asarray(thresholds, dtype=np.float64)
-        return np.asarray(
-            [self._estimate_one(query, threshold) for query, threshold in zip(queries, thresholds)]
-        )
+        estimates = np.empty(len(thresholds), dtype=np.float64)
+        # The sample distances and the bandwidth depend on the query only:
+        # computed once per run of a query's rows, and every row keeps its
+        # own CDF arithmetic, so the answers are those of a row at a time.
+        first, _ = distinct_rows(queries)
+        ends = np.append(first[1:], len(queries))
+        chunk = max(1, _CDF_CHUNK_VALUES // max(len(self._sample), 1))
+        for run_start, run_end in zip(first.tolist(), ends.tolist()):
+            distances = self._distance(queries[run_start], self._sample)
+            bandwidth = (
+                self.bandwidth if self.bandwidth is not None else _adaptive_bandwidth(distances)
+            )
+            for start in range(run_start, run_end, chunk):
+                rows = slice(start, min(start + chunk, run_end))
+                # Gaussian kernel CDF at each row's threshold, averaged over centres.
+                z = (thresholds[rows, None] - distances) / bandwidth
+                cdf = 0.5 * (1.0 + special.erf(z / np.sqrt(2.0)))
+                estimates[rows] = self._num_objects * cdf.mean(axis=1)
+        return estimates

@@ -1292,7 +1292,7 @@ def _cmd_infer_bench(args) -> int:
             line = f"parity[{tier}]: max relative deviation = {deviation:.3e} (<= {budget:.1e})"
         else:
             deviation = report.max_deviation(tier)
-            line = f"parity: max |compiled - estimate| = {deviation:.3e} (<= {budget:.1e})"
+            line = f"parity: max |compiled - graph| = {deviation:.3e} (<= {budget:.1e})"
         if deviation > budget:
             failures.append(
                 f"{tier}: deviation {deviation:.3e} exceeds budget {budget:.1e}"

@@ -167,7 +167,10 @@ class IncrementalSelNet:
                 optimizer.step()
             model.eval()
             epochs_run += 1
-            self._predictions = None  # the epoch changed the weights
+            # The epoch changed the weights: measure them, not the ones the
+            # estimator's kernel froze.
+            self._predictions = None
+            self.estimator._invalidate_compiled()
             mae = self._validation_mae()
             if mae < best_mae - 1e-9:
                 best_mae = mae

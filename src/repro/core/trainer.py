@@ -314,9 +314,14 @@ class SelNetEstimator(SelectivityEstimator):
         return self
 
     def estimate(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+        """Answers of the float64 compiled kernel, the one serving uses.
+
+        They are bit-equal to the graph-mode ``self.model.predict``, which
+        stays the reference the kernel is checked against.
+        """
         if self.model is None:
             raise RuntimeError("estimator must be fitted before calling estimate()")
-        return self.model.predict(queries, thresholds)
+        return self.compiled().predict(queries, thresholds)
 
     def get_params(self):
         """Flat SelNetConfig fields (the registry's parameter convention)."""

@@ -59,9 +59,10 @@ class SelectivityEstimator(abc.ABC):
     #: give clear shape errors instead of cryptic numpy broadcast failures
     _input_dim: Optional[int] = None
 
-    #: cached compiled inference kernel (see :meth:`compiled`); class-level
-    #: None so unpickled / freshly constructed instances start without one
-    _compiled_kernel = None
+    #: cached compiled inference kernels, one per precision tier (see
+    #: :meth:`compiled`); never pickled, so unpickled, copied and freshly
+    #: constructed instances start without any
+    _compiled_kernels: Optional[Dict[np.dtype, Any]] = None
 
     #: bumped by every weight change (:meth:`_invalidate_compiled`), so a
     #: cache of answers can tell whether the estimator it filled from is
@@ -114,31 +115,44 @@ class SelectivityEstimator(abc.ABC):
     def compiled(self, dtype=np.float64, refresh: bool = False):
         """The frozen pure-NumPy inference kernel for this estimator.
 
-        Compiles lazily on first use and caches the kernel; ``refresh=True``
-        (or an intervening :meth:`fit`, persistence ``load`` or an
-        :meth:`update` that changed the weights, which call
-        :meth:`_invalidate_compiled` and so bump :attr:`generation`)
-        rebuilds it from the current weights.  An :meth:`update` that left
-        the weights alone (``selnet-inc`` without a fine-tune) keeps the
-        kernel.  With the default ``float64`` the kernel's
-        ``predict`` is bit-equal to :meth:`estimate`; ``float32`` trades
-        that for batch throughput under an enforced error budget.  See
+        Compiles lazily on first use and caches one kernel per precision
+        tier, so a float64 caller and a float32 service over one estimator
+        each keep their own; ``refresh=True`` (or an intervening
+        :meth:`fit`, persistence ``load`` or an :meth:`update` that changed
+        the weights, which call :meth:`_invalidate_compiled` and so bump
+        :attr:`generation`) drops every tier and rebuilds this one from the
+        current weights.  An :meth:`update` that left the weights alone
+        (``selnet-inc`` without a fine-tune) keeps the kernels.  The SelNet
+        family's :meth:`estimate` *is* the default ``float64`` kernel's
+        ``predict``, which is bit-equal to the graph-mode ``model.predict``;
+        for every other estimator the kernel's ``predict`` is
+        :meth:`estimate` itself.  ``float32`` trades that equality for batch
+        throughput under an enforced error budget.  See
         :mod:`repro.inference`.
         """
         if refresh:
             self._invalidate_compiled()
-        kernel = self.__dict__.get("_compiled_kernel")
-        if kernel is None or kernel.dtype != np.dtype(dtype):
+        dtype = np.dtype(dtype)
+        kernels = self.__dict__.setdefault("_compiled_kernels", {})
+        kernel = kernels.get(dtype)
+        if kernel is None:
             from .inference import compile_estimator
 
-            kernel = compile_estimator(self, dtype=dtype)
-            self._compiled_kernel = kernel
+            kernel = kernels[dtype] = compile_estimator(self, dtype=dtype)
         return kernel
 
     def _invalidate_compiled(self) -> None:
-        """Drop the cached kernel (weights changed: refit, fine-tune, reload)."""
-        self.__dict__.pop("_compiled_kernel", None)
+        """Drop every cached kernel (weights changed: refit, fine-tune, reload)."""
+        self.__dict__.pop("_compiled_kernels", None)
         self.generation += 1
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Kernels are derived from the weights: a pickle, a deep copy or a
+        # saved ``state.pkl`` recompiles instead of carrying them, at every
+        # depth (``selnet-inc`` holds a SelNet estimator of its own).
+        state = dict(self.__dict__)
+        state.pop("_compiled_kernels", None)
+        return state
 
     # ------------------------------------------------------------------ #
     # Convenience helpers

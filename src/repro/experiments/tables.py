@@ -261,6 +261,10 @@ def run_timing_table(
 ) -> TableResult:
     """Table 7: average estimation time (ms per query) per model and setting.
 
+    Each row times the model's ``estimate``.  For the SelNet rows that is
+    the compiled float64 kernel; DNN, RMI and MoE still run their autodiff
+    tape under ``no_grad``.
+
     Like Table 6, all ``settings x models`` stages form **one** DAG: on a
     cold run the training branches of different settings overlap on the
     pool, while the timing-sensitive evaluations still run exclusively.

@@ -5,8 +5,9 @@ for differentiability; serving optimises for answer latency.  This package
 separates the two: :func:`compile_estimator` freezes any fitted estimator
 into a :class:`CompiledKernel` — flat contiguous weights, in-place NumPy
 forward, batched piecewise-linear evaluation, zero autograd overhead — and
-the serving / cluster tiers answer every request through those kernels, at
-the float64 or float32 precision tier (:mod:`repro.inference.precision`).
+the serving / cluster tiers (and the SelNet family's own ``estimate``)
+answer every request through those kernels, at the float64 or float32
+precision tier (:mod:`repro.inference.precision`).
 
 Quick start::
 
@@ -14,8 +15,9 @@ Quick start::
     from repro.inference import compile_estimator
 
     estimator = create_estimator("selnet-ct", epochs=20).fit(split)
-    kernel = estimator.compiled()          # cached; same as compile_estimator(estimator)
-    kernel.predict(queries, thresholds)    # bit-equal to estimator.estimate(...)
+    kernel = estimator.compiled()          # cached per tier; same as compile_estimator(estimator)
+    kernel.predict(queries, thresholds)    # what estimator.estimate(...) returns, and
+                                           # bit-equal to graph-mode estimator.model.predict(...)
     kernel.curve_values(queries, grid)     # one forward per query, all thresholds
 
 Benchmarks: :func:`run_inference_benchmark` (the ``repro infer-bench``

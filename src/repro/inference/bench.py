@@ -15,13 +15,15 @@ same request stream:
 
 Each arm runs ``repeats`` timed iterations (after warmup), recording p50 /
 p99 latency and mean throughput, plus the maximum absolute deviation of the
-compiled answers from ``estimator.estimate`` — the parity number the CI
-smoke asserts on.  The graph arm is timed only: it runs the tape on every
-row, while ``estimate`` and the kernels evaluate each run of adjacent
-repeated rows once, so its answers can differ from both in the last bits.
-Results
-serialise to ``BENCH_inference.json`` via :func:`write_benchmark_json`,
-seeding the repo's tracked performance trajectory.
+compiled answers from the graph-mode reference — the parity number the CI
+smoke asserts on.  The reference is ``model.predict`` for the SelNet family,
+whose ``estimate`` is the float64 kernel itself, and ``estimate`` for every
+other estimator, whose fallback kernel wraps it.  The graph arm is timed
+only: it runs the tape on every row, while the reference and the kernels
+evaluate each run of adjacent repeated rows once, so its answers can differ
+from both in the last bits.  Results serialise to ``BENCH_inference.json``
+via :func:`write_benchmark_json`, seeding the repo's tracked performance
+trajectory.
 """
 
 from __future__ import annotations
@@ -147,10 +149,11 @@ def _graph_arm(estimator, queries: np.ndarray, thresholds: np.ndarray):
     """A callable reproducing the pre-compile hot path for one batch.
 
     SelNet variants build the full backward tape through ``model.forward``
-    (mirroring the seed's ``predict``).  Estimators without an inner SelNet
-    model run their ordinary ``estimate`` — for those the "graph" arm and
-    the fallback kernel are the same computation (tensor-based baselines
-    apply ``no_grad`` inside ``estimate`` since this refactor), so their
+    (mirroring the seed's ``predict``; their ``estimate`` is the compiled
+    kernel, so it cannot stand for the graph).  Estimators without
+    an inner SelNet model run their ordinary ``estimate`` — for those the
+    "graph" arm and the fallback kernel are the same computation
+    (tensor-based baselines apply ``no_grad`` inside ``estimate``), so their
     reported speedup is honestly ~1x; the compiled path only claims wins
     for the fused kernels.
     """
@@ -219,9 +222,10 @@ def run_inference_benchmark(
     compile (``float64``/``float32`` — see
     :mod:`repro.inference.precision`); the graph arm is timed once per
     batch and shared across tiers, and every tier's deviations are measured
-    against the same float64 ``estimate`` answers.
+    against the same float64 graph-mode answers (``model.predict`` for the
+    SelNet family, ``estimate`` for the rest).
     """
-    from .compiler import compile_estimator
+    from .compiler import inner_selnet_model
     from .precision import parse_tier, relative_deviation
 
     queries = np.asarray(queries, dtype=np.float64)
@@ -240,16 +244,17 @@ def run_inference_benchmark(
     report.metadata.setdefault("dtypes", [tier.name for tier in tiers])
 
     for name, estimator in estimators.items():
-        # Compiled directly (not through estimator.compiled()) so the
-        # estimator's single-slot kernel cache is not thrashed per tier.
-        kernels = [(tier, compile_estimator(estimator, dtype=tier.dtype)) for tier in tiers]
+        kernels = [(tier, estimator.compiled(dtype=tier.dtype)) for tier in tiers]
+        # A SelNet's estimate is its float64 kernel: compare with the graph.
+        model = inner_selnet_model(estimator)
+        graph_predict = estimator.estimate if model is None else model.predict
         for batch_size in batch_sizes:
             index = rng.integers(0, len(thresholds), size=int(batch_size))
             batch_queries = np.ascontiguousarray(queries[index])
             batch_thresholds = np.ascontiguousarray(thresholds[index])
 
             reference = np.asarray(
-                estimator.estimate(batch_queries, batch_thresholds), dtype=np.float64
+                graph_predict(batch_queries, batch_thresholds), dtype=np.float64
             )
             graph_arm = _graph_arm(estimator, batch_queries, batch_thresholds)
             graph_latencies = _time_arm(graph_arm, repeats, warmup)

@@ -4,7 +4,9 @@
 kernel available (see :mod:`repro.inference.kernels`); anything it does not
 recognise gets the generic :class:`GraphFallbackKernel`, so compilation
 never fails for a fitted estimator — the worst case is "same answers,
-no-grad forward".
+no-grad forward".  A SelNet whose network cannot be fused falls back to its
+graph-mode ``model.predict``, not to ``estimate``: the SelNet family's
+``estimate`` is this kernel.
 
 Callers normally go through :meth:`repro.SelectivityEstimator.compiled`,
 which caches the kernel on the estimator and recompiles after ``fit`` /
@@ -77,4 +79,6 @@ def compile_estimator(estimator, dtype=np.float64) -> CompiledKernel:
         # An exotic architecture (e.g. a customised Sequential) that the
         # fused extractor cannot freeze still serves through the fallback.
         pass
-    return GraphFallbackKernel(estimator, dtype=dtype)
+    return GraphFallbackKernel(
+        estimator, dtype=dtype, predict=None if model is None else model.predict
+    )

@@ -7,7 +7,9 @@ is re-expressed as a handful of in-place NumPy calls — no
 bookkeeping.  The arithmetic replays the graph-mode forward operation for
 operation (same operands, same order), so for ``float64`` kernels the
 compiled estimates are bit-equal to ``model.predict``; ``float32`` trades
-that equality for smaller working sets.
+that equality for smaller working sets.  The SelNet family's ``estimate``
+*is* the float64 kernel's ``predict``, and the graph-mode ``model.predict``
+stays the reference every parity check compares the kernel with.
 
 Three kernel families cover every registered estimator:
 
@@ -15,11 +17,15 @@ Three kernel families cover every registered estimator:
   ``selnet-inc``): fused autoencoder-encoder + control-point head with a
   batched piecewise-linear evaluation of Equation 1.
 * :class:`CompiledPartitionedSelNet` — full SelNet: the shared encoder runs
-  once per batch (as in graph mode) and the per-partition curves are fused
-  through one indicator-weighted sum.
+  once per batch (as in graph mode), only the partitions some row
+  activates run their heads, and their curves are evaluated in one
+  batched call over rows × partitions and fused through one
+  indicator-weighted sum.
 * :class:`GraphFallbackKernel` — everything else: delegates to
   ``estimator.estimate`` under :func:`repro.autodiff.no_grad`, so even
-  non-compilable estimators stop paying for backward closures.
+  non-compilable estimators stop paying for backward closures (a SelNet
+  whose network cannot be fused delegates to its graph-mode
+  ``model.predict``, since its ``estimate`` is the kernel).
 
 All kernels share the same surface: ``predict(queries, thresholds)`` for
 aligned pairs and ``curve_values(queries, grid)`` which evaluates every
@@ -468,33 +474,7 @@ class CompiledPartitionedSelNet(ControlPointKernel):
     def evaluate(self, points: ControlPoints, thresholds: np.ndarray) -> np.ndarray:
         thresholds = np.asarray(thresholds, dtype=self.dtype)
         indicators = self.partitioning.indicator_at(points.gates, thresholds)
-        # Every (row, partition) curve in one call: the step is row-wise, so
-        # each value has the bits of a per-partition call.
-        rows, parts, width = points.tau.shape
-        curves = piecewise_linear_batch(
-            points.tau.reshape(rows * parts, width),
-            points.p.reshape(rows * parts, width),
-            np.repeat(thresholds, parts),
-        ).reshape(rows, parts)
-        return self._combine(indicators, lambda k: curves[:, k])
-
-    def _combine(self, indicators: np.ndarray, local_curve) -> np.ndarray:
-        """The indicator-weighted sum of the local curves ``local_curve(k)``.
-
-        Accumulating in partition order keeps the summation order — and
-        therefore the bits — of the graph-mode indicator-weighted sum.
-        """
-        output = np.zeros(len(indicators), dtype=self.dtype)
-        for k in range(self.num_partitions):
-            if not np.any(indicators[:, k]):
-                # No query ball in the batch intersects this partition: its
-                # contribution is exactly zero, so the head never runs.
-                # (Row-level filtering would change the BLAS batch shape and
-                # with it the low-order bits — full evaluation keeps the
-                # active rows bit-equal to graph mode.)
-                continue
-            output += local_curve(k) * indicators[:, k]
-        return np.clip(output, 0.0, None)
+        return self._combine(indicators, self._curves(points.tau, points.p, thresholds))
 
     def predict(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
         queries = np.asarray(queries, dtype=np.float64)
@@ -502,15 +482,46 @@ class CompiledPartitionedSelNet(ControlPointKernel):
         distinct = distinct_rows(queries)
         first, inverse = distinct
         indicators = self.partitioning.indicator_batch(queries, thresholds, distinct)
+        # A partition that no query ball in the batch intersects adds exactly
+        # zero, so its head never runs.  (Row-level filtering would change
+        # the BLAS batch shape and with it the low-order bits: every distinct
+        # query runs each active head.)
+        active = np.flatnonzero(indicators.any(axis=0))
         augmented = self._augment(take_rows(queries, first))
+        locals_ = [self.heads[k].control_points(augmented) for k in active]
+        if not locals_:
+            return np.zeros(len(thresholds), dtype=self.dtype)
+        tau = take_rows(np.stack([tau for tau, _ in locals_], axis=1), inverse)
+        p = take_rows(np.stack([p for _, p in locals_], axis=1), inverse)
+        return self._combine(indicators[:, active], self._curves(tau, p, thresholds))
 
-        def local_curve(k: int) -> np.ndarray:
-            tau, p = self.heads[k].control_points(augmented)
-            return piecewise_linear_batch(
-                take_rows(tau, inverse), take_rows(p, inverse), thresholds
-            )
+    @staticmethod
+    def _curves(tau: np.ndarray, p: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+        """Every (row, partition) curve value of ``(rows, parts, L+2)`` points.
 
-        return self._combine(indicators, local_curve)
+        One call for all of them: the step is row-wise, so each value has
+        the bits of a per-partition call.
+        """
+        rows, parts, width = tau.shape
+        return piecewise_linear_batch(
+            tau.reshape(rows * parts, width),
+            p.reshape(rows * parts, width),
+            np.repeat(thresholds, parts),
+        ).reshape(rows, parts)
+
+    def _combine(self, indicators: np.ndarray, curves: np.ndarray) -> np.ndarray:
+        """The indicator-weighted sum of the curves, column by column.
+
+        Accumulating in partition order keeps the summation order — and
+        therefore the bits — of the graph-mode indicator-weighted sum, to
+        which a partition that no row activates adds exactly zero: such a
+        column is skipped.
+        """
+        output = np.zeros(len(indicators), dtype=self.dtype)
+        for k in range(curves.shape[1]):
+            if np.any(indicators[:, k]):
+                output += curves[:, k] * indicators[:, k]
+        return np.clip(output, 0.0, None)
 
     def describe(self) -> dict:
         info = super().describe()
@@ -525,31 +536,31 @@ class GraphFallbackKernel(CompiledKernel):
     Delegates to ``estimator.estimate`` inside :func:`repro.autodiff.no_grad`
     so tensor-based estimators stop allocating backward closures; purely
     NumPy estimators (KDE, LSH, GBDT...) pass straight through unchanged.
+    A SelNet whose network the extractor refuses passes its graph-mode
+    ``model.predict`` as ``predict`` instead, because its ``estimate`` calls
+    this kernel.
     """
 
     kind = "graph-fallback"
     fuses_curves = False
 
-    def __init__(self, estimator, dtype=np.float64) -> None:
+    def __init__(self, estimator, dtype=np.float64, predict=None) -> None:
         # The fallback records the requested tier but always computes at the
         # estimator's own (float64) precision — its deviation is zero.
         self._resolve_precision(dtype)
         self._estimator = estimator
+        self._predict = estimator.estimate if predict is None else predict
 
     def predict(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
         with no_grad():
-            return np.asarray(
-                self._estimator.estimate(queries, thresholds), dtype=np.float64
-            )
+            return np.asarray(self._predict(queries, thresholds), dtype=np.float64)
 
     def curve_values(self, queries: np.ndarray, grid: np.ndarray) -> np.ndarray:
         queries = np.asarray(queries, dtype=np.float64)
         grid = np.asarray(grid, dtype=np.float64)
         repeated = np.repeat(queries, len(grid), axis=0)
         tiled = np.tile(grid, len(queries))
-        with no_grad():
-            values = np.asarray(self._estimator.estimate(repeated, tiled), dtype=np.float64)
-        return values.reshape(len(queries), len(grid))
+        return self.predict(repeated, tiled).reshape(len(queries), len(grid))
 
     def describe(self) -> dict:
         info = super().describe()

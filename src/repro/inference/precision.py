@@ -5,17 +5,18 @@ in and computes at, together with the error budget the parity gate enforces
 for it:
 
 ``float64``
-    Weights and arithmetic in double precision — bit-equal to the
-    estimator's ``estimate``; the budget is the seed's absolute parity
-    bound.
+    Weights and arithmetic in double precision — bit-equal to graph mode
+    (a SelNet's ``model.predict``, any other estimator's ``estimate``); a
+    SelNet's ``estimate`` is this tier's kernel.  The budget is the seed's
+    absolute parity bound.
 ``float32``
     Weights and arithmetic in single precision.  Matmuls dispatch to BLAS
     ``sgemm`` on half the bytes, which is where the batch-throughput win
-    comes from; estimates agree with ``estimate`` to single precision.
+    comes from; estimates agree with graph mode to single precision.
 
-The float32 budget is a *relative* deviation against the float64
-``estimate``, ``|compiled - estimate| / max(|estimate|, 1)``; float64 is
-gated on the absolute bit-parity bound.  ``repro infer-bench --dtype ...``
+The float32 budget is a *relative* deviation against the float64 graph
+answer, ``|compiled - graph| / max(|graph|, 1)``; float64 is gated on the
+absolute bit-parity bound.  ``repro infer-bench --dtype ...``
 fails beyond them, so a tier's accuracy claim is enforced, not
 aspirational.
 """

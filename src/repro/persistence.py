@@ -122,10 +122,8 @@ def save_estimator(
         save_state(directory / WEIGHTS_FILE, weights)
         metadata["num_weight_arrays"] = len(weights)
 
-    state = dict(vars(estimator))
-    # The compiled inference kernel is derived state (frozen weight copies);
-    # it is rebuilt on load rather than shipped in the pickle.
-    state.pop("_compiled_kernel", None)
+    # Without the compiled kernels, at any depth: they are rebuilt on load.
+    state = estimator.__getstate__()
     with open(directory / STATE_FILE, "wb") as handle:
         pickle.dump(state, handle, protocol=pickle.HIGHEST_PROTOCOL)
     with open(directory / SIDECAR_FILE, "w") as handle:

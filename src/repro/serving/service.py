@@ -504,10 +504,12 @@ class EstimationService:
         """
         self._cache_bytes_gauge.set(float(self.cache.bytes))
         per_model = {name: stats.as_dict() for name, stats in self._stats.items()}
+        # The kernel each model serves at this service's tier, once compiled.
         kernels = {
             name: kernel.describe()
             for name, estimator in self._estimators.items()
-            if (kernel := estimator.__dict__.get("_compiled_kernel")) is not None
+            if (kernel := (estimator._compiled_kernels or {}).get(self._precision.dtype))
+            is not None
         }
         return {
             "models_loaded": sorted(self._estimators),

@@ -73,6 +73,45 @@ class TestKDE:
         with pytest.raises(RuntimeError):
             KDEEstimator().estimate(rng.normal(size=(2, 4)), np.array([0.1, 0.2]))
 
+    @pytest.mark.parametrize("bandwidth", [None, 0.05])
+    def test_batches_answer_like_one_row_at_a_time(
+        self, bandwidth, tiny_cosine_split, tiny_euclidean_split, rng, monkeypatch
+    ):
+        """Distances and bandwidth once per run of a query's rows, the CDF
+        per row: bit-equal to the per-row loop on repeated, interleaved and
+        single-row batches, also when a run spans several CDF chunks."""
+        from repro.baselines import kde as kde_module
+
+        def one_row_at_a_time(estimator, queries, thresholds):
+            answers = []
+            for query, threshold in zip(queries, thresholds):
+                distances = estimator._distance(query, estimator._sample)
+                width = bandwidth if bandwidth is not None else kde_module._adaptive_bandwidth(
+                    distances
+                )
+                z = (threshold - distances) / width
+                cdf = 0.5 * (1.0 + kde_module.special.erf(z / np.sqrt(2.0)))
+                answers.append(float(estimator._num_objects * cdf.mean()))
+            return np.asarray(answers)
+
+        for split in (tiny_cosine_split, tiny_euclidean_split):
+            estimator = KDEEstimator(num_samples=64, bandwidth=bandwidth).fit(split)
+            queries, thresholds = split.test.queries, split.test.thresholds
+            interleaved = rng.integers(0, len(thresholds), size=50)
+            batches = [
+                (queries, thresholds),  # each query's thresholds side by side
+                (queries[interleaved], thresholds[interleaved]),
+                (queries[:1], thresholds[:1]),
+                (np.repeat(queries[:1], 40, axis=0), np.linspace(0.0, split.t_max, 40)),
+            ]
+            for chunk_values in (kde_module._CDF_CHUNK_VALUES, 3 * 64):
+                monkeypatch.setattr(kde_module, "_CDF_CHUNK_VALUES", chunk_values)
+                for batch_queries, batch_thresholds in batches:
+                    expected = one_row_at_a_time(estimator, batch_queries, batch_thresholds)
+                    np.testing.assert_array_equal(
+                        estimator.estimate(batch_queries, batch_thresholds), expected
+                    )
+
     def test_better_than_nothing(self, tiny_cosine_split):
         estimator = KDEEstimator(num_samples=200).fit(tiny_cosine_split)
         out = estimator.estimate(tiny_cosine_split.test.queries, tiny_cosine_split.test.thresholds)

@@ -1,10 +1,12 @@
 """Compiled inference path: kernel parity, no_grad, serving integration.
 
 The contract under test: ``estimator.compiled().predict`` answers within
-1e-12 of graph-mode ``estimate`` for every registered estimator (for the
-fused SelNet kernels the answers are bit-equal), stays correct across
-persistence round-trips and incremental updates, and the serving layer uses
-the compiled kernels by default without changing its answers.
+1e-12 of graph mode for every registered estimator (for the fused SelNet
+kernels the answers are bit-equal), stays correct across persistence
+round-trips and incremental updates, and the serving layer uses the
+compiled kernels by default without changing its answers.  Graph mode is
+``model.predict`` for the SelNet family, whose ``estimate`` is the float64
+kernel itself, and ``estimate`` for every other estimator.
 """
 
 from __future__ import annotations
@@ -36,17 +38,38 @@ from repro.inference import (
     run_inference_benchmark,
     write_benchmark_json,
 )
+from repro.inference.compiler import inner_selnet_model
 from repro.inference.precision import TIER_NAMES, parse_tier, relative_deviation
-from repro.nn import Adam
+from repro.core.incremental import IncrementalSelNet
+from repro.nn import Adam, Dropout
 from repro.serving import EstimationService
 
 PARITY = 1e-12
+SELNET_FAMILY = ("selnet", "selnet-ct", "selnet-ad-ct", "selnet-inc")
 
 
 def _fit(name, tiny_cosine_split, **overrides):
     params = dict(FAST_PARAMS[name], seed=0)
     params.update(overrides)
     return create_estimator(name, **params).fit(tiny_cosine_split)
+
+
+def _graph(estimator, queries, thresholds):
+    """The graph-mode answers a float64 kernel must reproduce.
+
+    A SelNet's ``estimate`` is its float64 kernel, so comparing the kernel
+    with it would compare the kernel with itself: its reference is the
+    graph-mode ``model.predict``.  Every other estimator's fallback kernel
+    wraps ``estimate``, which stays its reference.
+    """
+    model = inner_selnet_model(estimator)
+    predict = estimator.estimate if model is None else model.predict
+    return np.asarray(predict(queries, thresholds))
+
+
+def _kernel_slot(estimator, dtype=np.float64):
+    """The kernel ``estimator`` holds for a tier, without compiling one."""
+    return (estimator._compiled_kernels or {}).get(np.dtype(dtype))
 
 
 # ---------------------------------------------------------------------- #
@@ -58,7 +81,7 @@ class TestCompiledParity:
         estimator = _fit(name, tiny_cosine_split)
         queries = tiny_cosine_split.test.queries
         thresholds = tiny_cosine_split.test.thresholds
-        reference = np.asarray(estimator.estimate(queries, thresholds))
+        reference = _graph(estimator, queries, thresholds)
         kernel = estimator.compiled()
         compiled = kernel.predict(queries, thresholds)
         assert np.max(np.abs(compiled - reference)) <= PARITY
@@ -75,20 +98,25 @@ class TestCompiledParity:
             queries = tiny_cosine_split.test.queries
             thresholds = tiny_cosine_split.test.thresholds
             np.testing.assert_array_equal(
-                kernel.predict(queries, thresholds),
-                np.asarray(estimator.estimate(queries, thresholds)),
+                kernel.predict(queries, thresholds), _graph(estimator, queries, thresholds)
             )
 
     def test_parity_across_batch_sizes(self, tiny_cosine_split):
-        estimator = _fit("selnet-ct", tiny_cosine_split)
-        kernel = estimator.compiled()
+        """Every SelNet variant's float64 kernel, and its ``estimate``,
+        which answers through that kernel, give graph mode's bits."""
         queries = tiny_cosine_split.test.queries
         thresholds = tiny_cosine_split.test.thresholds
-        for size in (1, 2, 7, len(thresholds)):
-            q, t = queries[:size], thresholds[:size]
-            np.testing.assert_array_equal(
-                kernel.predict(q, t), np.asarray(estimator.estimate(q, t))
-            )
+        for name in SELNET_FAMILY:
+            estimator = _fit(name, tiny_cosine_split)
+            kernel = estimator.compiled()
+            for size in (1, 2, 7, 32, len(thresholds)):
+                q, t = queries[:size], thresholds[:size]
+                graph = _graph(estimator, q, t)
+                np.testing.assert_array_equal(kernel.predict(q, t), graph)
+                np.testing.assert_array_equal(estimator.estimate(q, t), graph)
+            inner = estimator.state.estimator if name == "selnet-inc" else estimator
+            fused = CompiledPartitionedSelNet if name == "selnet" else CompiledSelNet
+            assert isinstance(_kernel_slot(inner), fused)
 
     def test_unfitted_estimator_compiles_to_fallback(self):
         estimator = create_estimator("selnet-ct")
@@ -117,7 +145,7 @@ class TestCompiledParity:
         assert kernel32.dtype == np.dtype(np.float32)
         queries = tiny_cosine_split.test.queries
         thresholds = tiny_cosine_split.test.thresholds
-        reference = np.asarray(estimator.estimate(queries, thresholds))
+        reference = _graph(estimator, queries, thresholds)
         out = kernel32.predict(queries, thresholds)
         scale = np.maximum(np.abs(reference), 1.0)
         assert np.max(np.abs(out - reference) / scale) < 1e-3
@@ -141,9 +169,74 @@ class TestCompiledParity:
             values = kernel.curve_values(queries, grid)
             assert values.shape == (3, len(grid))
             for row, query in enumerate(queries):
-                expected = np.asarray(estimator.selectivity_curve(query, grid))
-                scale = np.maximum(np.abs(expected), 1.0)
-                assert np.max(np.abs(values[row] - expected) / scale) < 1e-9
+                rows = np.repeat(query[None, :], len(grid), axis=0)
+                for expected in (
+                    np.asarray(estimator.selectivity_curve(query, grid)),
+                    _graph(estimator, rows, grid),
+                ):
+                    scale = np.maximum(np.abs(expected), 1.0)
+                    assert np.max(np.abs(values[row] - expected) / scale) < 1e-9
+
+
+# ---------------------------------------------------------------------- #
+# The SelNet family's estimate is the float64 kernel
+# ---------------------------------------------------------------------- #
+class TestEstimateIsTheKernel:
+    @pytest.mark.parametrize("name", ["selnet", "selnet-ct", "selnet-inc"])
+    def test_unfusable_network_answers_through_graph_mode(self, name, tiny_cosine_split):
+        """A network the extractor refuses compiles to the fallback, which
+        must run the graph-mode model: the SelNet ``estimate`` it would
+        otherwise call is the kernel itself."""
+        estimator = _fit(name, tiny_cosine_split)
+        model = inner_selnet_model(estimator)
+        local = model.local_models[0] if name == "selnet" else model
+        local.head.tau_generator.network.append(Dropout(0.1))
+        model.eval()
+        estimator._invalidate_compiled()
+        if name == "selnet-inc":
+            estimator.state.estimator._invalidate_compiled()
+        kernel = estimator.compiled()
+        assert isinstance(kernel, GraphFallbackKernel)
+        queries = tiny_cosine_split.test.queries
+        thresholds = tiny_cosine_split.test.thresholds
+        expected = model.predict(queries, thresholds)
+        np.testing.assert_array_equal(estimator.estimate(queries, thresholds), expected)
+        np.testing.assert_array_equal(kernel.predict(queries, thresholds), expected)
+        grid = np.linspace(0.0, float(tiny_cosine_split.t_max), 5)
+        np.testing.assert_array_equal(
+            kernel.curve_values(queries[:2], grid),
+            model.predict(np.repeat(queries[:2], len(grid), axis=0), np.tile(grid, 2)).reshape(
+                2, len(grid)
+            ),
+        )
+
+    def test_each_tier_compiles_once(self, tiny_cosine_split, monkeypatch):
+        """A float64 ``estimate`` caller and a float32 service over one
+        estimator keep a kernel each instead of evicting each other's."""
+        import repro.inference
+
+        estimator = _fit("selnet-ct", tiny_cosine_split)
+        compiled_tiers = []
+        compile_estimator_ = repro.inference.compile_estimator
+
+        def counting(target, dtype=np.float64):
+            compiled_tiers.append(np.dtype(dtype).name)
+            return compile_estimator_(target, dtype=dtype)
+
+        monkeypatch.setattr(repro.inference, "compile_estimator", counting)
+        service = EstimationService(kernel_dtype="float32")
+        service.add_model("m", estimator)
+        queries = tiny_cosine_split.test.queries[:8]
+        thresholds = tiny_cosine_split.test.thresholds[:8]
+        for _ in range(3):
+            estimator.estimate(queries, thresholds)
+            service.estimate("m", queries, thresholds)
+            service.estimate("m", queries, thresholds, use_cache=False)
+        assert compiled_tiers == ["float64", "float32"]
+        assert service.stats()["kernels"]["m"]["precision"] == "float32"
+        estimator._invalidate_compiled()
+        assert estimator._compiled_kernels is None
+        assert "m" not in service.stats()["kernels"]
 
 
 # ---------------------------------------------------------------------- #
@@ -160,20 +253,45 @@ class TestCompiledLifecycle:
         estimator.save(path)
         loaded = load_estimator(path)
         # load recompiles eagerly: the kernel is attached, fresh, and exact.
-        kernel = loaded.__dict__.get("_compiled_kernel")
+        kernel = _kernel_slot(loaded)
         assert isinstance(kernel, CompiledSelNet)
         np.testing.assert_array_equal(kernel.predict(queries, thresholds), reference)
 
     def test_kernel_is_not_pickled(self, tiny_cosine_split, tmp_path):
+        """No kernel at any depth: ``selnet-inc``'s inner SelNet estimator
+        compiles one while it fits (its baseline validation MAE)."""
         import pickle
 
-        estimator = _fit("kde", tiny_cosine_split)
-        estimator.compiled()
-        path = tmp_path / "model"
-        estimator.save(path)
-        with open(path / "state.pkl", "rb") as handle:
-            state = pickle.load(handle)
-        assert "_compiled_kernel" not in state
+        found = []
+
+        class Finder(pickle.Unpickler):
+            def find_class(self, module, qualname):
+                if module == "repro.inference.kernels":
+                    found.append(qualname)
+                return super().find_class(module, qualname)
+
+        for name in ("kde", "selnet", "selnet-inc"):
+            estimator = _fit(name, tiny_cosine_split)
+            estimator.compiled()
+            estimator.compiled(dtype=np.float32)
+            holders = [estimator]
+            if name == "selnet-inc":
+                holders.append(estimator.state.estimator)
+                assert _kernel_slot(holders[-1]) is not None
+            path = tmp_path / name
+            estimator.save(path)
+            with open(path / "state.pkl", "rb") as handle:
+                state = pickle.load(handle)
+            assert "_compiled_kernels" not in state
+            if name == "selnet-inc":
+                assert state["state"].estimator._compiled_kernels is None
+            # Nothing in the pickle is a kernel; the estimators keep theirs.
+            with open(path / "state.pkl", "rb") as handle:
+                Finder(handle).load()
+            assert found == []
+            for holder in holders:
+                assert _kernel_slot(holder) is not None
+            assert _kernel_slot(estimator, np.float32) is not None
 
     def test_update_recompiles_selnet_inc(self, tiny_cosine_split, rng):
         estimator = _fit(
@@ -193,10 +311,50 @@ class TestCompiledLifecycle:
 
         fresh_kernel = estimator.compiled()
         assert fresh_kernel is not stale_kernel
-        after = np.asarray(estimator.estimate(queries, thresholds))
+        after = _graph(estimator, queries, thresholds)
         np.testing.assert_array_equal(fresh_kernel.predict(queries, thresholds), after)
         # the fine-tune changed the weights, so the stale kernel is provably stale
         assert not np.array_equal(before, after)
+
+    def test_fine_tune_measures_each_epoch_with_its_own_weights(
+        self, tiny_cosine_split, rng, monkeypatch
+    ):
+        """Every validation MAE of a forced fine-tune is the graph-mode MAE
+        of the weights at that moment, not of the weights a kernel froze
+        before the epoch, and the reported MAE is that of the kept weights."""
+        estimator = _fit(
+            "selnet-inc",
+            tiny_cosine_split,
+            update_max_epochs=4,
+            update_mae_drift_threshold=-1.0,
+        )
+        state = estimator.state
+
+        def graph_mae():
+            validation = state.validation
+            predictions = state.estimator.model.predict(
+                validation.queries, validation.thresholds
+            )
+            return float(np.mean(np.abs(predictions - validation.selectivities)))
+
+        measured = []
+        validation_mae = IncrementalSelNet._validation_mae
+
+        def checked(self):
+            mae = validation_mae(self)
+            measured.append((mae, graph_mae()))
+            return mae
+
+        monkeypatch.setattr(IncrementalSelNet, "_validation_mae", checked)
+        queries = tiny_cosine_split.test.queries
+        (report,) = estimator.update(inserts=rng.standard_normal((3, queries.shape[1])))
+        assert report.retrained and report.fine_tune_epochs >= 1
+        # The drift check, then one measurement per epoch.
+        assert len(measured) == 1 + report.fine_tune_epochs
+        for mae, graph in measured:
+            assert mae == graph
+        assert report.validation_mae_after == min(mae for mae, _ in measured)
+        assert report.validation_mae_after == graph_mae()
 
     @pytest.mark.parametrize("name", ["selnet-ct", "selnet"])
     def test_kernel_keeps_the_weights_it_was_compiled_from(self, name, tiny_cosine_split, rng):
@@ -236,7 +394,7 @@ class TestCompiledLifecycle:
         reports = estimator.update(inserts=rng.standard_normal((3, queries.shape[1])))
         assert reports and reports[0].retrained
 
-        reference = np.asarray(estimator.estimate(queries, thresholds))
+        reference = _graph(estimator, queries, thresholds)
         for name in TIER_NAMES:
             tier = parse_tier(name)
             kernel = estimator.compiled(dtype=tier.dtype)
@@ -251,14 +409,13 @@ class TestCompiledLifecycle:
         estimator = _fit("selnet-ct", tiny_cosine_split)
         kernel = estimator.compiled()
         estimator.fit(tiny_cosine_split)
-        assert estimator.__dict__.get("_compiled_kernel") is None
+        assert estimator._compiled_kernels is None
         fresh = estimator.compiled()
         assert fresh is not kernel
         queries = tiny_cosine_split.test.queries
         thresholds = tiny_cosine_split.test.thresholds
         np.testing.assert_array_equal(
-            fresh.predict(queries, thresholds),
-            np.asarray(estimator.estimate(queries, thresholds)),
+            fresh.predict(queries, thresholds), _graph(estimator, queries, thresholds)
         )
 
 
@@ -487,7 +644,7 @@ class TestDistinctQueryEvaluation:
         budget = parse_tier("float32").budget
         for query in queries[::10]:
             rows = np.repeat(query[None, :], len(thresholds), axis=0)
-            graph = np.asarray(estimator.estimate(rows, thresholds))
+            graph = _graph(estimator, rows, thresholds)
             assert np.all(np.diff(graph) >= 0.0)
             np.testing.assert_array_equal(kernel.predict(rows, thresholds), graph)
             single = kernel32.predict(rows, thresholds)
@@ -510,8 +667,8 @@ class TestDistinctQueryEvaluation:
             else:
                 output = model.forward(Tensor(queries), thresholds)
         expected = np.clip(output.data, 0.0, None)
+        np.testing.assert_array_equal(model.predict(queries, thresholds), expected)
         np.testing.assert_array_equal(estimator.estimate(queries, thresholds), expected)
-        np.testing.assert_array_equal(estimator.compiled().predict(queries, thresholds), expected)
 
     @pytest.mark.parametrize("name", ["selnet", "selnet-ct"])
     @pytest.mark.parametrize("dtype", TIER_NAMES)
@@ -556,7 +713,7 @@ class TestServingUsesCompiledKernels:
         queries = tiny_cosine_split.test.queries
         thresholds = tiny_cosine_split.test.thresholds
         served = service.estimate("selnet", queries, thresholds, use_cache=False)
-        np.testing.assert_array_equal(served, np.asarray(estimator.estimate(queries, thresholds)))
+        np.testing.assert_array_equal(served, _graph(estimator, queries, thresholds))
         assert service.stats()["kernels"]["selnet"]["kind"] == "selnet"
 
     def test_cached_path_fills_misses_through_fused_curves(
@@ -598,8 +755,9 @@ class TestInferenceBenchmark:
         assert "compiled (pure-NumPy kernel)" in report.text
 
     def test_float64_parity_is_exact_on_adjacent_repeated_rows(self, tiny_cosine_split):
-        """The float64 deviation compares the kernel with ``estimate``, which
-        both evaluate a run of adjacent repeated rows once: it reads 0."""
+        """The float64 deviation compares the kernel with graph-mode
+        ``model.predict``, which both evaluate a run of adjacent repeated
+        rows once: it reads 0."""
         estimator = _fit("selnet-ct", tiny_cosine_split)
         # Batches drawn from a three-row pool hold long runs of one query.
         report = run_inference_benchmark(
@@ -637,6 +795,6 @@ class TestInferenceBenchmark:
         assert payload["metadata"]["smoke"] is True
         assert {row["estimator"] for row in payload["rows"]} == {"kde-model"}
         captured = capsys.readouterr()
-        assert "parity: max |compiled - estimate|" in captured.out
+        assert "parity: max |compiled - graph|" in captured.out
         with pytest.raises(SystemExit, match="unknown precision tier 'bogus'"):
             main(["infer-bench", str(model_path), "--smoke", "--dtype", "float64,bogus"])

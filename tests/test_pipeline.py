@@ -543,7 +543,8 @@ class TestIncrementalCompiledInvalidation:
         queries = split.test.queries[:6]
         thresholds = split.test.thresholds[:6]
         compiled = estimator.compiled().predict(queries, thresholds)
-        graph = estimator.estimate(queries, thresholds)
+        # Graph mode is model.predict: estimate is the compiled kernel.
+        graph = estimator.model.predict(queries, thresholds)
         assert np.allclose(compiled, graph, atol=1e-9)
 
 

@@ -43,6 +43,7 @@ def models(tiny_cosine_split, fast_selnet_config):
     params.update(epochs=2, pretrain_epochs=1, ae_pretrain_epochs=1)
     return {
         "selnet-ct": create_estimator("selnet-ct", **params).fit(tiny_cosine_split),
+        "selnet-ad-ct": create_estimator("selnet-ad-ct", **params).fit(tiny_cosine_split),
         "selnet": create_estimator("selnet", **dict(params, num_partitions=3)).fit(
             tiny_cosine_split
         ),
@@ -160,6 +161,28 @@ class TestConsistencyProbe:
                 for threshold, answer in ((t1, first), (1.001 * t1, third)):
                     direct = service.estimate_one("m", query, threshold, use_cache=False)
                     assert abs(answer - direct) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["selnet", "selnet-ct", "selnet-ad-ct", "selnet-inc"])
+    def test_estimator_paths_answer_like_one_service(self, name, models, pool, tiny_cosine_split):
+        """One answer per (query, t), whichever path asks: the probe's
+        thresholds through ``estimate_one`` and a threshold grid through
+        ``selectivity_curve`` give a lone service's cached float64 bits."""
+        queries, _ = pool
+        estimator = models[name]
+        t_max = float(tiny_cosine_split.t_max)
+        grid = np.linspace(0.0, 1.2 * t_max, 5)
+        service = EstimationService()
+        service.add_model("m", estimator)
+        for query in queries:
+            for t1 in (0.1 * t_max, 0.45 * t_max):
+                for threshold in (t1, 1.6 * t_max, 1.001 * t1):
+                    expected = service.estimate_one("m", query, threshold)
+                    assert estimator.estimate_one(query, threshold) == expected
+            rows = np.repeat(query[None, :], len(grid), axis=0)
+            np.testing.assert_array_equal(
+                estimator.selectivity_curve(query, grid), service.estimate("m", rows, grid)
+            )
+        assert service.cache.hits > 0
 
     @pytest.mark.parametrize("name", ["selnet-ct", "selnet"])
     def test_inline_and_network_shards_answer_like_one_service(
