@@ -19,9 +19,6 @@ from repro.net import SaturationScenario, run_saturation_benchmark
 SCENARIOS = (
     SaturationScenario(name="fixed-1shard", num_shards=1),
     SaturationScenario(name="fixed-2shard", num_shards=2),
-    SaturationScenario(
-        name="autoscale-1to4", num_shards=1, autoscale=True, min_shards=1, max_shards=4
-    ),
 )
 OFFERED_LOADS = (250.0, 1000.0, 4000.0)
 DURATION_SECONDS = 1.0
@@ -64,10 +61,6 @@ def _format(reports) -> str:
 def test_net_saturation(tiny_scale, save_result, benchmark):
     reports = run_once(benchmark, lambda: _sweep(tiny_scale))
     save_result("net_saturation", _format(reports))
-    by_name = {report.scenario: report for report in reports}
     for report in reports:
         assert report.knee_rps > 0
         assert all(point.batches_completed > 0 for point in report.points)
-    assert by_name["fixed-2shard"].final_shards == 2
-    autoscaled = by_name["autoscale-1to4"]
-    assert autoscaled.final_shards >= 1

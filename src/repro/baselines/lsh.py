@@ -19,14 +19,19 @@ estimator is consistent.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..data.workload import WorkloadSplit
 from ..distances import cosine_distance, normalize_rows
 from ..estimator import SelectivityEstimator
+from ..index import distinct_rows
 from ..registry import register_estimator
+
+#: sample-distance comparisons one step of :meth:`LSHEstimator.estimate`
+#: holds at once
+_HIT_CHUNK_VALUES = 1 << 18
 
 
 @register_estimator(
@@ -78,8 +83,10 @@ class LSHEstimator(SelectivityEstimator):
         return self
 
     # ------------------------------------------------------------------ #
-    def _estimate_one(self, query: np.ndarray, threshold: float) -> float:
-        query = np.asarray(query, dtype=np.float64)
+    def _sample_strata(self, query: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(distances, starts, rates)`` of ``query``'s stratified sample:
+        stratum ``i``'s sampled objects' distances to ``query`` start at
+        ``distances[starts[i]]`` and were drawn at rate ``rates[i]``."""
         query = query / max(np.linalg.norm(query), 1e-12)
         query_signature = (query @ self._hyperplanes) > 0.0
         hamming = np.count_nonzero(self._signatures != query_signature[None, :], axis=1)
@@ -96,14 +103,15 @@ class LSHEstimator(SelectivityEstimator):
         # likely to contain ball members, so they receive a larger share of
         # the sampling budget.  Weight decays geometrically with distance.
         strata_weights = 0.5 ** np.arange(self.num_hash_bits + 1)
-        estimate = 0.0
         budget = self.num_samples
         # Allocate the budget proportionally to stratum weight * stratum size.
         stratum_sizes = np.bincount(hamming, minlength=self.num_hash_bits + 1)
         allocation_scores = strata_weights * stratum_sizes
         total_score = allocation_scores.sum()
         if total_score <= 0:
-            return 0.0
+            return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)
+        distances: List[np.ndarray] = []
+        rates: List[float] = []
         for stratum, size in enumerate(stratum_sizes):
             if size == 0:
                 continue
@@ -111,17 +119,31 @@ class LSHEstimator(SelectivityEstimator):
             stratum_budget = min(max(stratum_budget, 1), int(size))
             members = np.where(hamming == stratum)[0]
             sampled = sampler.choice(members, size=stratum_budget, replace=False)
-            distances = cosine_distance(query, self._data[sampled])
-            hits = np.count_nonzero(distances <= threshold)
-            sampling_rate = stratum_budget / size
-            estimate += hits / sampling_rate
-        return float(estimate)
+            distances.append(cosine_distance(query, self._data[sampled]))
+            rates.append(stratum_budget / size)
+        starts = np.cumsum([0] + [len(part) for part in distances[:-1]])
+        return np.concatenate(distances), starts, np.asarray(rates)
 
     def estimate(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
         if self._data is None:
             raise RuntimeError("estimator must be fitted before calling estimate()")
         queries = np.asarray(queries, dtype=np.float64)
         thresholds = np.asarray(thresholds, dtype=np.float64)
-        return np.asarray(
-            [self._estimate_one(query, threshold) for query, threshold in zip(queries, thresholds)]
-        )
+        estimates = np.zeros(len(thresholds), dtype=np.float64)
+        # The signature, strata and sample depend on the query only: drawn
+        # once per run of a query's rows.  Each row still adds its strata's
+        # inverse-rate hit counts left to right (``cumsum``), so the answers
+        # are those of a row at a time.
+        first, _ = distinct_rows(queries)
+        ends = np.append(first[1:], len(queries))
+        for run_start, run_end in zip(first.tolist(), ends.tolist()):
+            distances, starts, rates = self._sample_strata(queries[run_start])
+            if len(rates) == 0:
+                continue
+            chunk = max(1, _HIT_CHUNK_VALUES // len(distances))
+            for start in range(run_start, run_end, chunk):
+                rows = slice(start, min(start + chunk, run_end))
+                inside = distances <= thresholds[rows, None]
+                hits = np.add.reduceat(inside, starts, axis=1, dtype=np.int64)
+                estimates[rows] = np.cumsum(hits / rates, axis=1)[:, -1]
+        return estimates

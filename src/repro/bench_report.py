@@ -96,7 +96,7 @@ def _net_lines(data: Dict[str, Any]) -> List[str]:
         lines.append(
             f"  {scenario['scenario']:<14} {_knee_bracket(scenario):<52} "
             f"peak {scenario['peak_achieved_rps']:>8,.0f} rps   "
-            f"final shards {scenario.get('final_shards', '?')}"
+            f"shards {scenario.get('num_shards', '?')}"
         )
     return lines or ["  (no scenarios)"]
 

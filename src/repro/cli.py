@@ -19,7 +19,7 @@ Usage::
     repro infer-bench models/selnet-faces --output BENCH_inference.json
     repro oracle-bench --n 50000 --dim 128 --num-workers 4 --output BENCH_oracle.json
 
-    repro serve --from-store .repro-artifacts --port 8585 --autoscale
+    repro serve --from-store .repro-artifacts --port 8585 --shards 2
     repro saturate models/selnet-faces --output BENCH_net.json
 
 (``repro`` is the console script installed by ``setup.py``; ``python -m
@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="binary-protocol port (default: HTTP port + 1; negative disables)",
     )
-    serve_parser.add_argument("--shards", type=int, default=1, help="initial worker shards")
+    serve_parser.add_argument("--shards", type=int, default=1, help="worker shards")
     serve_parser.add_argument(
         "--backend",
         choices=("inline", "network"),
@@ -532,11 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission control when a shard queue is full",
     )
     serve_parser.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="scale shards elastically on queue pressure",
-    )
-    serve_parser.add_argument(
         "--kernel-dtype",
         choices=("float64", "float32"),
         default=None,
@@ -549,8 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="byte budget for each shard's curve cache (default: unbounded)",
     )
-    serve_parser.add_argument("--min-shards", type=int, default=1)
-    serve_parser.add_argument("--max-shards", type=int, default=4)
     serve_parser.add_argument(
         "--max-seconds",
         type=float,
@@ -613,9 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     saturate_parser.add_argument("--batch", type=int, default=32, help="rows per request batch")
     saturate_parser.add_argument(
         "--connections", type=int, default=4, help="concurrent sender connections"
-    )
-    saturate_parser.add_argument(
-        "--max-shards", type=int, default=4, help="autoscaler ceiling for the elastic scenario"
     )
     saturate_parser.add_argument(
         "--output",
@@ -1384,9 +1374,6 @@ def _cmd_serve(args) -> int:
         backend=args.backend,
         queue_capacity=args.queue_capacity,
         overload_policy=args.policy,
-        autoscale=args.autoscale,
-        min_shards=args.min_shards,
-        max_shards=args.max_shards,
         kernel_dtype=args.kernel_dtype,
         cache_max_bytes=args.cache_max_bytes,
     )
@@ -1397,8 +1384,7 @@ def _cmd_serve(args) -> int:
         if server.binary_address is not None:
             bhost, bport = server.binary_address
             print(f"  binary protocol   : {bhost}:{bport}", flush=True)
-        print(f"  backend / shards  : {args.backend} x {args.shards}"
-              + (f" (autoscale {args.min_shards}-{args.max_shards})" if args.autoscale else ""))
+        print(f"  backend / shards  : {args.backend} x {args.shards}")
         if args.kernel_dtype or args.cache_max_bytes:
             print(
                 f"  precision         : kernel={args.kernel_dtype or 'float64'} "
@@ -1439,26 +1425,16 @@ def _cmd_saturate(args) -> int:
     if args.smoke:
         loads = (200.0, 800.0)
         duration, batch, connections = 0.5, 16, 2
-        max_shards = min(args.max_shards, 2)
     else:
         try:
             loads = tuple(float(part) for part in args.loads.split(",") if part)
         except ValueError:
             raise SystemExit(f"--loads expects comma-separated numbers, got {args.loads!r}")
         duration, batch, connections = args.duration, args.batch, args.connections
-        max_shards = args.max_shards
 
     scenarios = [
         SaturationScenario(name="fixed-1shard", backend="network", num_shards=1),
         SaturationScenario(name="fixed-2shard", backend="network", num_shards=2),
-        SaturationScenario(
-            name="autoscale",
-            backend="network",
-            num_shards=1,
-            autoscale=True,
-            min_shards=1,
-            max_shards=max_shards,
-        ),
     ]
     reports = []
     for scenario in scenarios:

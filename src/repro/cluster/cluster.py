@@ -284,7 +284,10 @@ class ClusterEstimateFuture:
 
 
 class EstimationCluster:
-    """N sharded estimation workers behind one scatter–gather facade."""
+    """N sharded estimation workers behind one scatter–gather facade.
+
+    The shard count is fixed for the cluster's whole life.
+    """
 
     def __init__(self, config: Optional[ClusterConfig] = None, **overrides) -> None:
         if config is None:
@@ -292,22 +295,13 @@ class EstimationCluster:
         elif overrides:
             raise TypeError("pass either a ClusterConfig or keyword overrides, not both")
         self.config = config
-        self._backend_cls = _resolve_backend(config.backend)
         self._lock = threading.RLock()
         self.metrics = MetricsRegistry()
-        self._scale_counter = self.metrics.counter(
-            "repro_cluster_scale_events_total",
-            "Cluster resizes, labeled by direction",
-            ("direction",),
-        )
         self.router = ShardRouter(config.num_shards)
+        backend_cls = _resolve_backend(config.backend)
         self._shards = [
-            _Shard(i, self._backend_cls(config), self.metrics)
-            for i in range(config.num_shards)
+            _Shard(i, backend_cls(config), self.metrics) for i in range(config.num_shards)
         ]
-        self._next_shard_id = config.num_shards
-        self._model_payloads: Dict[str, bytes] = {}
-        self._scale_events: List[Dict[str, Any]] = []
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -332,13 +326,12 @@ class EstimationCluster:
             if self._closed:
                 return
             self._closed = True
-            shards = list(self._shards)
         error = (
             None
             if drain
             else ClusterClosedError("cluster closed before this call completed")
         )
-        for shard in shards:
+        for shard in self._shards:
             shard.drain_all(cancel_error=error)
             shard.backend.close()
 
@@ -348,62 +341,6 @@ class EstimationCluster:
 
     def queue_depths(self) -> List[int]:
         return [shard.queue_depth for shard in self._shards]
-
-    # ------------------------------------------------------------------ #
-    # Elasticity
-    # ------------------------------------------------------------------ #
-    def scale_to(self, num_shards: int) -> int:
-        """Grow or shrink the cluster to ``num_shards`` worker shards.
-
-        Scaling up spawns fresh backends (warming from ``model_dir`` /
-        receiving replicas of every in-memory model) and scaling down
-        retires the highest-numbered shards; either way the consistent-hash
-        ring is rebuilt, so only ~``1/num_shards`` of the keyspace remaps.
-        Retired shards are *drained*: their in-flight calls are settled (the
-        results stay cached in each call's future for whoever holds it), so
-        a rebalance never drops or duplicates a response.  Returns the new
-        shard count.
-        """
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        removed: List[_Shard] = []
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("cluster is closed")
-            current = len(self._shards)
-            if num_shards == current:
-                return current
-            if num_shards > current:
-                for _ in range(current, num_shards):
-                    backend = self._backend_cls(self.config)
-                    for name, payload in self._model_payloads.items():
-                        backend.add_model(name, payload).result()
-                    self._shards.append(
-                        _Shard(self._next_shard_id, backend, self.metrics)
-                    )
-                    self._next_shard_id += 1
-            else:
-                removed = self._shards[num_shards:]
-                del self._shards[num_shards:]
-            # Swap the ring before draining: no new work can reach a
-            # retiring shard once the router stops naming it.
-            self.router = ShardRouter(num_shards)
-            direction = "up" if num_shards > current else "down"
-            self._scale_counter.labels(direction=direction).inc()
-            self.metrics.gauge(
-                "repro_cluster_num_shards", "Current shard count"
-            ).set(num_shards)
-            self._scale_events.append(
-                {
-                    "at": time.time(),
-                    "from_shards": current,
-                    "to_shards": num_shards,
-                }
-            )
-        for shard in removed:
-            shard.drain_all()
-            shard.backend.close()
-        return num_shards
 
     # ------------------------------------------------------------------ #
     # Admission control
@@ -451,11 +388,7 @@ class EstimationCluster:
         boundary.
         """
         payload = pickle.dumps(estimator, protocol=pickle.HIGHEST_PROTOCOL)
-        with self._lock:
-            # Remembered so shards spawned later (scale_to) get a replica too.
-            self._model_payloads[name] = payload
-            shards = list(self._shards)
-        for future in [shard.backend.add_model(name, payload) for shard in shards]:
+        for future in [shard.backend.add_model(name, payload) for shard in self._shards]:
             future.result()
 
     # ------------------------------------------------------------------ #
@@ -484,10 +417,10 @@ class EstimationCluster:
                 f"expected aligned (n, dim) queries and (n,) thresholds, got "
                 f"{queries.shape} and {thresholds.shape}"
             )
-        # Routing, admission and submission are one atomic step: a
-        # concurrent ``scale_to`` must not retire a shard between this
-        # batch being routed to it and being handed to its backend, and
-        # admission is all-or-nothing per batch (see ``_admit_all``).
+        # Admission and submission are one atomic step: two concurrent
+        # batches must not both pass a shard's depth check for its last free
+        # slot and overfill its bounded queue, and admission is
+        # all-or-nothing per batch (see ``_admit_all``).
         with self._lock:
             if self._closed:
                 raise RuntimeError("cluster is closed")
@@ -590,11 +523,8 @@ class EstimationCluster:
         high-water), sub-batch latency percentiles and the worker's own
         service stats (cache hit rate, per-model counters).
         """
-        with self._lock:
-            shards = list(self._shards)
-            scale_events = list(self._scale_events)
         per_shard: List[Dict[str, Any]] = []
-        for shard in shards:
+        for shard in self._shards:
             worker = shard.backend.stats().result()
             depth = shard.queue_depth
             shard.queue_gauge.set(depth)
@@ -617,8 +547,7 @@ class EstimationCluster:
         return {
             "backend": self.config.backend,
             "router": self.router.describe(),
-            "num_shards": len(shards),
-            "scale_events": scale_events,
+            "num_shards": len(self._shards),
             "queue_capacity": self.config.queue_capacity,
             "overload_policy": self.config.overload_policy,
             "total_requests": total_requests,

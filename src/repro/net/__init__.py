@@ -1,4 +1,4 @@
-"""The network serving tier: sockets, process shards, autoscaling.
+"""The network serving tier: sockets, process shards, saturation sweeps.
 
 This package turns the sharded :class:`~repro.cluster.EstimationCluster`
 into a real service:
@@ -11,13 +11,10 @@ into a real service:
   :mod:`repro.net.client` — length-prefixed binary frames and JSON/HTTP
   endpoints (``/estimate``, ``/update``, ``/models``, ``/models/reload``,
   ``/stats``, ``/healthz``) behind ``repro serve``;
-* :mod:`repro.net.autoscaler` — queue-pressure elasticity with hysteresis
-  between ``min_shards`` and ``max_shards``;
 * :mod:`repro.net.saturate` — the ``repro saturate`` open-loop saturation
   benchmark (offered-vs-achieved load curves, knee detection).
 """
 
-from .autoscaler import Autoscaler, AutoscalerConfig
 from .backend import NetworkShardBackend, ShardCrashedError, ShardRequestError
 from .client import BinaryClient, HttpClient
 from .protocol import ProtocolError, RemoteError
@@ -40,8 +37,6 @@ __all__ = [
     "NetworkShardBackend",
     "ShardCrashedError",
     "ShardRequestError",
-    "Autoscaler",
-    "AutoscalerConfig",
     "ProtocolError",
     "RemoteError",
     "ServeApp",

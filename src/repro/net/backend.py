@@ -113,8 +113,9 @@ class NetworkShardBackend:
             args=(
                 child_conn,
                 self._service_kwargs,
-                # The frontend's trace sink config rides along at spawn, so
-                # autoscaled shards created mid-run trace like the originals.
+                # The frontend's trace sink config rides along at spawn: the
+                # worker reopens that sink under its own role, whatever the
+                # start method.
                 obstrace.trace_config(),
             ),
             daemon=True,

@@ -63,6 +63,7 @@ FLAG_USE_CACHE = 1
 FLAG_TRACE = 2
 #: query/threshold payload is little-endian float32 (results stay float64)
 FLAG_DTYPE32 = 4
+_KNOWN_FLAGS = FLAG_USE_CACHE | FLAG_TRACE | FLAG_DTYPE32
 
 #: trace IDs are 16 hex chars; cap defensively against garbage flags
 MAX_TRACE_BYTES = 64
@@ -164,8 +165,18 @@ def pack_control_request(op: int) -> bytes:
     return struct.pack(">B", op)
 
 
+def _decode_text(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ProtocolError(f"{what} is not valid UTF-8: {error}") from None
+
+
 def parse_request(payload: bytes) -> Tuple[int, Optional[Dict[str, Any]]]:
-    """Decode a request frame into ``(opcode, fields)`` (server side)."""
+    """Decode a request frame into ``(opcode, fields)`` (server side).
+
+    Raises :class:`ProtocolError` for every malformed estimate frame.
+    """
     if not payload:
         raise ProtocolError("empty request payload")
     op = payload[0]
@@ -174,9 +185,14 @@ def parse_request(payload: bytes) -> Tuple[int, Optional[Dict[str, Any]]]:
     if len(payload) < 4:
         raise ProtocolError("truncated estimate header")
     _, flags, model_len = struct.unpack_from(">BBH", payload, 0)
-    offset = 4
-    model = payload[offset : offset + model_len].decode("utf-8")
-    offset += model_len
+    if flags & ~_KNOWN_FLAGS:
+        raise ProtocolError(f"unknown estimate flag bits {flags & ~_KNOWN_FLAGS:#04x}")
+    offset = 4 + model_len
+    if len(payload) < offset + 8:
+        raise ProtocolError(
+            f"estimate frame of {len(payload)} bytes ends inside its model name or shape"
+        )
+    model = _decode_text(payload[4:offset], "model name")
     n, dim = struct.unpack_from(">II", payload, offset)
     offset += 8
     wire = _F32 if flags & FLAG_DTYPE32 else _F64
@@ -189,7 +205,7 @@ def parse_request(payload: bytes) -> Tuple[int, Optional[Dict[str, Any]]]:
             raise ProtocolError(
                 f"trace flag set but trailer is {len(trailer)} bytes"
             )
-        trace = trailer.decode("utf-8")
+        trace = _decode_text(trailer, "trace id")
     elif len(payload) != expected:
         raise ProtocolError(
             f"estimate frame is {len(payload)} bytes, expected {expected}"

@@ -6,10 +6,10 @@ against it: batches are dispatched on a fixed wall-clock schedule —
 independent of how fast the server answers, which is what makes the loop
 *open* — by a pool of sender threads each holding its own persistent
 :class:`~repro.net.client.BinaryClient` connection.  For every offered rate
-the sweep records the *achieved* rate, batch-latency percentiles, shed
-counts and the shard count the autoscaler settled on; the **knee** of a
-scenario is the highest offered rate the tier still sustains (achieved ≥
-``KNEE_EFFICIENCY`` × offered).  Results land in ``BENCH_net.json``.
+the sweep records the *achieved* rate, batch-latency percentiles and shed
+counts; the **knee** of a scenario is the highest offered rate the tier
+still sustains (achieved ≥ ``KNEE_EFFICIENCY`` × offered).  Results land in
+``BENCH_net.json``.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ class SaturationScenario:
     num_shards: int = 1
     queue_capacity: int = 8
     overload_policy: str = "block"
-    autoscale: bool = False
-    min_shards: int = 1
-    max_shards: int = 4
 
 
 @dataclass
@@ -57,7 +54,6 @@ class LoadPoint:
     p50_latency_ms: float
     p95_latency_ms: float
     p99_latency_ms: float
-    num_shards: int
 
 
 @dataclass
@@ -66,29 +62,27 @@ class SaturationReport:
 
     scenario: str
     backend: str
+    num_shards: int
     batch_size: int
     connections: int
     points: List[LoadPoint] = field(default_factory=list)
     knee_rps: float = 0.0
     peak_achieved_rps: float = 0.0
-    scale_events: List[Dict[str, Any]] = field(default_factory=list)
-    final_shards: int = 0
 
     @property
     def text(self) -> str:
         lines = [
             f"saturate: scenario={self.scenario} backend={self.backend} "
-            f"batch={self.batch_size} connections={self.connections}",
+            f"shards={self.num_shards} batch={self.batch_size} "
+            f"connections={self.connections}",
             f"  knee: {self.knee_rps:,.0f} requests/s sustained "
-            f"(peak achieved {self.peak_achieved_rps:,.0f} r/s, "
-            f"{self.final_shards} shard(s) at end, "
-            f"{len(self.scale_events)} scale event(s))",
+            f"(peak achieved {self.peak_achieved_rps:,.0f} r/s)",
         ]
         for point in self.points:
             lines.append(
                 f"  offered {point.offered_rps:>9,.0f} r/s -> achieved "
                 f"{point.achieved_rps:>9,.0f} r/s  p99 {point.p99_latency_ms:7.1f} ms  "
-                f"shards {point.num_shards}  shed {point.batches_shed}"
+                f"shed {point.batches_shed}"
             )
         return "\n".join(lines)
 
@@ -201,20 +195,17 @@ def run_saturation_benchmark(
         backend=scenario.backend,
         queue_capacity=scenario.queue_capacity,
         overload_policy=scenario.overload_policy,
-        autoscale=scenario.autoscale,
-        min_shards=scenario.min_shards,
-        max_shards=scenario.max_shards,
     )
     report = SaturationReport(
         scenario=scenario.name,
         backend=scenario.backend,
+        num_shards=scenario.num_shards,
         batch_size=batch_size,
         connections=connections,
     )
     with server:
-        cluster = server.app.cluster
         if estimator is not None:
-            cluster.add_model(model, estimator)
+            server.app.cluster.add_model(model, estimator)
         address = server.binary_address
         assert address is not None
         # Warm-up: fill curve caches / compiled kernels off the clock.
@@ -236,11 +227,7 @@ def run_saturation_benchmark(
                 connections=connections,
                 seed=seed,
             )
-            point["num_shards"] = cluster.num_shards
             report.points.append(LoadPoint(**point))
-        stats = cluster.stats()
-        report.scale_events = stats["scale_events"]
-        report.final_shards = stats["num_shards"]
     sustained = [
         p.offered_rps for p in report.points
         if p.achieved_rps >= KNEE_EFFICIENCY * p.offered_rps

@@ -1,8 +1,7 @@
 """The network serving tier: HTTP (JSON) and binary TCP front ends.
 
 :class:`ServeApp` is the transport-agnostic application object — it owns the
-:class:`~repro.cluster.EstimationCluster`, an optional
-:class:`~repro.net.autoscaler.Autoscaler` and a model *catalog* (a
+:class:`~repro.cluster.EstimationCluster` and a model *catalog* (a
 zero-capacity :class:`~repro.serving.EstimationService` used purely to list
 and describe on-disk artifacts from their sidecars, never to load weights).
 Two servers front it:
@@ -18,8 +17,8 @@ Two servers front it:
 Both map failures to transport-appropriate errors: an overloaded cluster
 (shed admission) becomes HTTP 503 / a typed ``STATUS_ERROR`` frame, an
 unknown model 404, a malformed batch 400.  :class:`NetServer` bundles the
-two servers plus the autoscaler thread behind one ``start`` / ``stop`` pair
-— the object ``repro serve`` runs.
+two servers behind one ``start`` / ``stop`` pair — the object ``repro
+serve`` runs.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from ..cluster import ClusterConfig, ClusterOverloadedError, EstimationCluster
 from ..obs import MetricsRegistry, MetricsSnapshot, aggregate_histogram, histogram_percentile
 from ..obs import trace as obstrace
 from ..serving import EstimationService
-from .autoscaler import Autoscaler, AutoscalerConfig
 from . import protocol
 
 #: histogram families surfaced as the per-layer latency summary in /stats
@@ -52,13 +50,8 @@ _LAYER_HISTOGRAMS = {
 class ServeApp:
     """Transport-agnostic serving application over one estimation cluster."""
 
-    def __init__(
-        self,
-        cluster: EstimationCluster,
-        autoscaler: Optional[Autoscaler] = None,
-    ) -> None:
+    def __init__(self, cluster: EstimationCluster) -> None:
         self.cluster = cluster
-        self.autoscaler = autoscaler
         model_dir = cluster.config.model_dir
         self.catalog = EstimationService(model_dir=model_dir, cache_capacity=0)
         self.started_at = time.time()
@@ -125,7 +118,7 @@ class ServeApp:
     def stats(self) -> Dict[str, Any]:
         self._count("stats")
         cluster_stats = self.cluster.stats()
-        payload = {
+        return {
             "uptime_seconds": time.time() - self.started_at,
             "endpoints": self.request_counts,
             "cluster": cluster_stats,
@@ -135,9 +128,6 @@ class ServeApp:
             ),
             "layers": self._layer_summary(cluster_stats),
         }
-        if self.autoscaler is not None:
-            payload["autoscaler"] = self.autoscaler.describe()
-        return payload
 
     def _layer_summary(self, cluster_stats: Dict[str, Any]) -> Dict[str, Any]:
         """p50/p99 + count per latency histogram, across all shards/models."""
@@ -230,12 +220,21 @@ class _HttpHandler(BaseHTTPRequestHandler):
             {"error": type(error).__name__, "message": str(error)},
         )
 
-    def _read_json_body(self) -> Any:
+    def _read_json_body(self, *required: str) -> Dict[str, Any]:
+        """The request's JSON object; ``ValueError`` (400) when it is not
+        one or lacks a ``required`` key, so a missing key never reads as an
+        unknown model (``KeyError``, 404)."""
         length = int(self.headers.get("Content-Length", 0))
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValueError("empty request body; expected JSON")
-        return json.loads(raw.decode("utf-8"))
+        body = json.loads(raw.decode("utf-8"))
+        if not isinstance(body, dict):
+            raise ValueError(f"request body must be a JSON object, got {type(body).__name__}")
+        missing = [key for key in required if key not in body]
+        if missing:
+            raise ValueError(f"request body lacks {', '.join(map(repr, missing))}")
+        return body
 
     def _send_text(self, status: int, body: str, trace_id: Optional[str] = None) -> None:
         data = body.encode("utf-8")
@@ -272,7 +271,7 @@ class _HttpHandler(BaseHTTPRequestHandler):
             trace_id = obstrace.new_trace_id()
         try:
             if self.path == "/estimate":
-                body = self._read_json_body()
+                body = self._read_json_body("model", "queries", "thresholds")
                 queries = np.asarray(body["queries"], dtype=np.float64)
                 thresholds = np.asarray(body["thresholds"], dtype=np.float64)
                 with obstrace.trace_context(trace_id), obstrace.span(
@@ -287,7 +286,7 @@ class _HttpHandler(BaseHTTPRequestHandler):
                     response["trace_id"] = trace_id
                 self._send_json(200, response, trace_id=trace_id)
             elif self.path == "/update":
-                body = self._read_json_body()
+                body = self._read_json_body("model")
                 inserts = body.get("inserts")
                 if inserts is not None:
                     inserts = np.asarray(inserts, dtype=np.float64)
@@ -376,7 +375,7 @@ class BinaryEstimationServer(socketserver.ThreadingTCPServer):
 # The bundle `repro serve` runs
 # ---------------------------------------------------------------------- #
 class NetServer:
-    """HTTP + binary servers + autoscaler behind one start/stop pair.
+    """HTTP + binary servers behind one start/stop pair.
 
     ``port`` serves HTTP; the binary protocol listens on ``port + 1`` unless
     ``binary_port`` says otherwise (``0`` picks an ephemeral port, handy for
@@ -424,15 +423,11 @@ class NetServer:
             )
             thread.start()
             self._threads.append(thread)
-        if self.app.autoscaler is not None:
-            self.app.autoscaler.start()
 
     def stop(self) -> None:
         if not self._started:
             return
         self._started = False
-        if self.app.autoscaler is not None:
-            self.app.autoscaler.stop()
         self.http_server.shutdown()
         self.http_server.server_close()
         if self.binary_server is not None:
@@ -460,12 +455,9 @@ def build_server(
     backend: str = "network",
     queue_capacity: int = 8,
     overload_policy: str = "block",
-    autoscale: bool = False,
-    min_shards: int = 1,
-    max_shards: int = 4,
     **cluster_overrides,
 ) -> NetServer:
-    """Assemble cluster + autoscaler + servers (the ``repro serve`` recipe)."""
+    """Assemble cluster + servers (the ``repro serve`` recipe)."""
     cluster = EstimationCluster(
         ClusterConfig(
             num_shards=num_shards,
@@ -476,10 +468,4 @@ def build_server(
             **cluster_overrides,
         )
     )
-    autoscaler = None
-    if autoscale:
-        autoscaler = Autoscaler(
-            cluster,
-            AutoscalerConfig(min_shards=min_shards, max_shards=max_shards),
-        )
-    return NetServer(ServeApp(cluster, autoscaler), host=host, port=port, binary_port=binary_port)
+    return NetServer(ServeApp(cluster), host=host, port=port, binary_port=binary_port)

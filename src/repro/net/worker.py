@@ -3,9 +3,9 @@
 ``shard_main`` is the entry point the ``network`` backend spawns one process
 per shard for.  The worker owns a full :class:`~repro.serving.
 EstimationService` (its own model store and curve cache), warms every
-disk-backed model at spawn (so a freshly autoscaled shard serves its first
-request without paying model-load latency), then answers the messages on
-its pipe in FIFO order:
+disk-backed model at spawn (so a shard serves its first request without
+paying model-load latency), then answers the messages on its pipe in FIFO
+order:
 
 ``estimate``
     The batch's queries and thresholds arrive inside the message; the

@@ -275,7 +275,7 @@ class MetricFamily:
 class MetricsRegistry:
     """A set of metric families; the unit that snapshots and merges.
 
-    Each component (service, cluster, transport backend, store, autoscaler)
+    Each component (service, cluster, transport backend, store, app)
     owns its own registry, so two instances in one process never alias
     counters; cross-component and cross-process views are built by merging
     snapshots, stamping distinguishing labels on as needed.

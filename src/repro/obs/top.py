@@ -99,20 +99,6 @@ def render_dashboard(
             )
         lines.append("")
 
-    autoscaler = stats.get("autoscaler")
-    if autoscaler:
-        lines.append(
-            f"autoscaler  {autoscaler.get('num_shards', '?')} shards in "
-            f"[{autoscaler.get('min_shards', '?')}, {autoscaler.get('max_shards', '?')}] · "
-            f"{autoscaler.get('observations', 0)} observations"
-        )
-        for action in autoscaler.get("actions", [])[-4:]:
-            lines.append(
-                f"  scale {action.get('action', '?'):<6} -> {action.get('num_shards', '?')} shard(s) "
-                f"(queue fill {action.get('mean_queue_fill', 0.0):.2f})"
-            )
-        lines.append("")
-
     endpoints = stats.get("endpoints", {})
     if endpoints:
         summary = "  ".join(f"{name}={count}" for name, count in sorted(endpoints.items()))

@@ -139,6 +139,38 @@ class TestLSH:
         )
         assert np.all(np.diff(curve) >= -1e-9)
 
+    @pytest.mark.parametrize("num_samples", [150, 37])
+    def test_batches_answer_like_one_row_at_a_time(
+        self, num_samples, tiny_cosine_split, rng, monkeypatch
+    ):
+        """Signature, strata and sample once per run of a query's rows, the
+        hit counts per row: bit-equal to one-row calls on repeated,
+        interleaved and single-row batches, also when a run spans several
+        comparison chunks."""
+        from repro.baselines import lsh as lsh_module
+
+        estimator = LSHEstimator(num_hash_bits=10, num_samples=num_samples).fit(
+            tiny_cosine_split
+        )
+        queries, thresholds = tiny_cosine_split.test.queries, tiny_cosine_split.test.thresholds
+        interleaved = rng.integers(0, len(thresholds), size=50)
+        batches = [
+            (queries, thresholds),  # each query's thresholds side by side
+            (queries[interleaved], thresholds[interleaved]),
+            (queries[:1], thresholds[:1]),
+            (np.repeat(queries[:1], 40, axis=0), np.linspace(0.0, tiny_cosine_split.t_max, 40)),
+        ]
+        for chunk_values in (lsh_module._HIT_CHUNK_VALUES, 3 * num_samples):
+            monkeypatch.setattr(lsh_module, "_HIT_CHUNK_VALUES", chunk_values)
+            for batch_queries, batch_thresholds in batches:
+                expected = [
+                    estimator.estimate(query[None, :], threshold[None])[0]
+                    for query, threshold in zip(batch_queries, batch_thresholds)
+                ]
+                np.testing.assert_array_equal(
+                    estimator.estimate(batch_queries, batch_thresholds), expected
+                )
+
     def test_full_budget_is_exact(self, tiny_cosine_split):
         """With the sampling budget covering the database the estimate is exact."""
         n = tiny_cosine_split.dataset.num_vectors

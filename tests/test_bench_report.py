@@ -22,15 +22,15 @@ def _inference_row(estimator, batch_size, speedup, dtype="float64"):
     }
 
 
-def _scenario(name, points, knee_rps):
+def _scenario(name, points, knee_rps, num_shards=1):
     return {
         "scenario": name,
+        "num_shards": num_shards,
         "points": [
             {"offered_rps": offered, "achieved_rps": achieved} for offered, achieved in points
         ],
         "knee_rps": knee_rps,
         "peak_achieved_rps": max(achieved for _, achieved in points),
-        "final_shards": 1,
     }
 
 
@@ -48,7 +48,7 @@ def _synthetic_reports():
         "BENCH_net.json": {
             "scenarios": [
                 _scenario("grid", [(1000.0, 1001.0), (4000.0, 3990.0), (16000.0, 9000.0)], 4000.0),
-                _scenario("unsaturated", [(1000.0, 1000.0), (2000.0, 1999.0)], 2000.0),
+                _scenario("unsaturated", [(1000.0, 1000.0), (2000.0, 1999.0)], 2000.0, 2),
                 _scenario("overloaded", [(1000.0, 500.0), (2000.0, 600.0)], 600.0),
                 {"scenario": "empty", "points": [], "knee_rps": 0.0, "peak_achieved_rps": 0.0},
             ],
@@ -80,6 +80,15 @@ class TestFormatTrajectory:
         assert "knee sustained 2,000, the top of the grid" in text
         assert "knee below the grid: not 1,000 (achieved 500)" in text
         assert "empty          knee 0 rps" in text
+
+    def test_each_scenario_prints_its_shard_count(self):
+        lines = format_trajectory(_synthetic_reports()).splitlines()
+        shards = {
+            line.split()[0]: line.rsplit("shards ", 1)[1]
+            for line in lines
+            if line.lstrip().startswith(("grid", "unsaturated", "empty"))
+        }
+        assert shards == {"grid": "1", "unsaturated": "2", "empty": "?"}
 
     def test_every_executor_cold_time_and_its_ratio(self):
         lines = format_trajectory(_synthetic_reports()).splitlines()

@@ -1,5 +1,6 @@
 """Tests for the network serving tier (protocol, shard pipe, servers,
-autoscaler) and the cluster lifecycle satellites that ride along with it."""
+saturation sweep) and the cluster lifecycle satellites that ride along with
+it."""
 
 from __future__ import annotations
 
@@ -14,6 +15,9 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import create_estimator
 from repro.cli import main
@@ -25,8 +29,6 @@ from repro.cluster import (
 )
 from repro.estimator import UpdateNotSupportedError
 from repro.net import (
-    Autoscaler,
-    AutoscalerConfig,
     BinaryClient,
     HttpClient,
     ShardCrashedError,
@@ -77,6 +79,41 @@ def net_server(kde_model_dir):
     server.stop()
 
 
+@st.composite
+def _estimate_requests(draw):
+    """Keyword arguments of one :func:`protocol.pack_estimate_request` call."""
+    num_rows, dim = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from(["float64", "float32"]))
+    values = st.floats(width=32 if dtype == "float32" else 64)
+    text = st.characters(codec="utf-8")
+    return {
+        "model": draw(st.text(text, max_size=12)),
+        "queries": draw(hnp.arrays(np.float64, (num_rows, dim), elements=values)),
+        "thresholds": draw(hnp.arrays(np.float64, num_rows, elements=values)),
+        "use_cache": draw(st.booleans()),
+        "trace_id": draw(st.none() | st.text(text, min_size=1, max_size=16)),
+        "dtype": dtype,
+    }
+
+
+@st.composite
+def _damaged_frames(draw):
+    """A packed estimate request with bytes overwritten, cut short or appended."""
+    frame = bytearray(protocol.pack_estimate_request(**draw(_estimate_requests())))
+    for _ in range(draw(st.integers(0, 3))):
+        frame[draw(st.integers(0, len(frame) - 1))] = draw(st.integers(0, 255))
+    cut = draw(st.integers(0, len(frame)))
+    return bytes(frame[:cut]) + draw(st.binary(max_size=8))
+
+
+def _estimate_header(flags: int, model: bytes, num_rows: int, dim: int) -> bytes:
+    return (
+        struct.pack(">BBH", protocol.OP_ESTIMATE, flags, len(model))
+        + model
+        + struct.pack(">II", num_rows, dim)
+    )
+
+
 # ---------------------------------------------------------------------- #
 # Wire protocol
 # ---------------------------------------------------------------------- #
@@ -113,6 +150,48 @@ class TestProtocol:
             protocol.pack_estimate_request(
                 "kde", rng.standard_normal((4, 3)), rng.standard_normal(5)
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(request=_estimate_requests())
+    def test_packed_request_round_trips_bit_for_bit(self, request):
+        op, fields = protocol.parse_request(protocol.pack_estimate_request(**request))
+        wire = np.dtype(request["dtype"])
+        assert op == protocol.OP_ESTIMATE
+        assert fields["model"] == request["model"]
+        assert fields["use_cache"] is request["use_cache"]
+        assert fields["trace"] == request["trace_id"]
+        assert fields["dtype"] == request["dtype"]
+        for name in ("queries", "thresholds"):
+            assert fields[name].shape == request[name].shape
+            assert fields[name].tobytes() == request[name].astype(wire).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.binary(max_size=64) | _damaged_frames())
+    def test_any_bytes_parse_or_raise_protocol_error(self, payload):
+        try:
+            protocol.parse_request(payload)
+        except protocol.ProtocolError:
+            pass
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # the model name runs past the frame's end
+            struct.pack(">BBH", protocol.OP_ESTIMATE, protocol.FLAG_USE_CACHE, 50) + b"kde",
+            # the shape runs past the frame's end
+            _estimate_header(protocol.FLAG_USE_CACHE, b"kde", 0, 1)[:-3],
+            # a model name that is not UTF-8
+            _estimate_header(protocol.FLAG_USE_CACHE, b"\xff\xfe", 0, 1),
+            # a trace ID that is not UTF-8
+            _estimate_header(protocol.FLAG_TRACE, b"kde", 0, 1) + b"\xc3",
+            # a flag bit above FLAG_DTYPE32
+            _estimate_header(protocol.FLAG_DTYPE32 << 1, b"kde", 0, 1),
+        ],
+        ids=["model-past-end", "shape-past-end", "model-utf8", "trace-utf8", "unknown-flag"],
+    )
+    def test_malformed_estimate_frames_raise_protocol_error(self, payload):
+        with pytest.raises(protocol.ProtocolError):
+            protocol.parse_request(payload)
 
     def test_control_requests(self):
         for op in (protocol.OP_STATS, protocol.OP_MODELS, protocol.OP_RELOAD, protocol.OP_PING):
@@ -389,6 +468,43 @@ class TestSocketServers:
             urllib.request.urlopen(f"http://{host}:{port}/no-such-path", timeout=10)
         assert info.value.code == 404
 
+    def test_bodies_that_break_the_schema_answer_400(self, fitted_kde, tiny_cosine_split):
+        """A body that is not a JSON object or lacks a required key is a bad
+        request (400); only a well-formed request naming an unknown model
+        answers 404."""
+        server = build_server(None, port=0, binary_port=None, num_shards=1, backend="inline")
+        with server:
+            server.app.cluster.add_model("kde", fitted_kde)
+            host, port = server.http_address
+
+            def status(path, body):
+                request = urllib.request.Request(
+                    f"http://{host}:{port}{path}",
+                    data=json.dumps(body).encode("utf-8"),
+                    headers={"Content-Type": "application/json"},
+                )
+                try:
+                    with urllib.request.urlopen(request, timeout=10) as response:
+                        return response.status
+                except urllib.error.HTTPError as error:
+                    return error.code
+
+            estimate = {
+                "model": "kde",
+                "queries": tiny_cosine_split.test.queries[:2].tolist(),
+                "thresholds": tiny_cosine_split.test.thresholds[:2].tolist(),
+            }
+            assert status("/estimate", estimate) == 200
+            assert status("/estimate", [estimate]) == 400
+            assert status("/estimate", "kde") == 400
+            for key in estimate:
+                partial = {name: value for name, value in estimate.items() if name != key}
+                assert status("/estimate", partial) == 400, key
+            assert status("/estimate", dict(estimate, model="nope")) == 404
+            assert status("/update", [estimate]) == 400
+            assert status("/update", {"deletes": [0]}) == 400
+            assert status("/update", {"model": "nope", "deletes": [0]}) == 404
+
     def test_shed_decision_survives_the_wire(self, fitted_kde, tiny_cosine_split):
         queries = tiny_cosine_split.test.queries[:4]
         thresholds = tiny_cosine_split.test.thresholds[:4]
@@ -436,149 +552,6 @@ class TestSocketServers:
             np.testing.assert_array_equal(
                 http.estimate("kde", queries, thresholds, use_cache=False), expected_v2
             )
-
-
-# ---------------------------------------------------------------------- #
-# Autoscaler
-# ---------------------------------------------------------------------- #
-class _StubCluster:
-    """Just enough cluster surface for deterministic autoscaler unit tests."""
-
-    def __init__(self, queue_capacity: int = 4) -> None:
-        self.config = ClusterConfig(num_shards=1, queue_capacity=queue_capacity)
-        self.depths = [0]
-        self.num_shards = 1
-        self.scale_calls = []
-
-    def queue_depths(self):
-        return list(self.depths)
-
-    def scale_to(self, num_shards: int) -> int:
-        self.scale_calls.append(num_shards)
-        self.num_shards = num_shards
-        self.depths = (self.depths + [0] * num_shards)[:num_shards]
-        return num_shards
-
-
-def _ticking_clock():
-    state = [0.0]
-
-    def clock() -> float:
-        state[0] += 1.0
-        return state[0]
-
-    return clock
-
-
-class TestAutoscaler:
-    def test_scales_up_only_after_patience(self):
-        cluster = _StubCluster(queue_capacity=4)
-        scaler = Autoscaler(
-            cluster,
-            AutoscalerConfig(min_shards=1, max_shards=3, patience_up=2, cooldown_seconds=0.0),
-            clock=_ticking_clock(),
-        )
-        cluster.depths = [4]  # fill 1.0 > high watermark
-        first = scaler.observe()
-        assert first["action"] is None and first["up_streak"] == 1
-        second = scaler.observe()
-        assert second["action"] == "up"
-        assert cluster.scale_calls == [2]
-
-    def test_cooldown_spaces_consecutive_actions(self):
-        cluster = _StubCluster(queue_capacity=4)
-        scaler = Autoscaler(
-            cluster,
-            AutoscalerConfig(
-                min_shards=1, max_shards=4, patience_up=1, cooldown_seconds=5.0
-            ),
-            clock=_ticking_clock(),  # one second per observation
-        )
-        actions = []
-        for _ in range(7):
-            cluster.depths = [4] * cluster.num_shards  # keep every queue full
-            actions.append(scaler.observe()["action"])
-        # First tick acts; the next four (seconds 2..5) sit in cooldown.
-        assert actions[0] == "up"
-        assert actions.count("up") == 2
-        assert cluster.scale_calls == [2, 3]
-
-    def test_scales_down_slowly_and_respects_min_shards(self):
-        cluster = _StubCluster(queue_capacity=4)
-        cluster.num_shards = 2
-        cluster.depths = [0, 0]
-        scaler = Autoscaler(
-            cluster,
-            AutoscalerConfig(
-                min_shards=1, max_shards=4, patience_down=3, cooldown_seconds=0.0
-            ),
-            clock=_ticking_clock(),
-        )
-        actions = [scaler.observe()["action"] for _ in range(6)]
-        assert actions[:3] == [None, None, "down"]
-        assert cluster.num_shards == 1
-        assert "down" not in actions[3:], "never shrinks below min_shards"
-
-    def test_pressure_flip_resets_the_streak(self):
-        cluster = _StubCluster(queue_capacity=4)
-        scaler = Autoscaler(
-            cluster,
-            AutoscalerConfig(min_shards=1, max_shards=2, patience_up=2, cooldown_seconds=0.0),
-            clock=_ticking_clock(),
-        )
-        cluster.depths = [4]
-        scaler.observe()
-        cluster.depths = [0]  # pressure vanishes before patience is met
-        idle = scaler.observe()
-        assert idle["up_streak"] == 0 and idle["action"] is None
-        assert cluster.scale_calls == []
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AutoscalerConfig(min_shards=3, max_shards=2)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(low_queue_fill=0.6, high_queue_fill=0.5)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(patience_up=0)
-
-    def test_scaling_a_live_cluster_drops_no_responses(
-        self, tiny_cosine_split, fitted_kde
-    ):
-        """Acceptance: scale up under pressure, drain when idle, and every
-        submitted batch still gathers exactly its own correct results."""
-        queries = tiny_cosine_split.test.queries
-        thresholds = tiny_cosine_split.test.thresholds
-        direct = fitted_kde.estimate(queries, thresholds)
-        config = ClusterConfig(num_shards=1, queue_capacity=4)
-        with EstimationCluster(config) as cluster:
-            cluster.add_model("kde", fitted_kde)
-            scaler = Autoscaler(
-                cluster,
-                AutoscalerConfig(
-                    min_shards=1, max_shards=2, patience_up=2, patience_down=3,
-                    cooldown_seconds=0.0,
-                ),
-                clock=_ticking_clock(),
-            )
-            futures = [
-                cluster.submit_estimate("kde", queries, thresholds, use_cache=False)
-                for _ in range(3)
-            ]
-            scaler.observe()
-            burst = scaler.observe()
-            assert burst["action"] == "up" and cluster.num_shards == 2
-            for future in futures:  # submitted before the scale-up
-                np.testing.assert_array_equal(future.result(), direct)
-            # Work submitted after the rebalance lands on the wider ring.
-            np.testing.assert_array_equal(
-                cluster.estimate("kde", queries, thresholds, use_cache=False), direct
-            )
-            idle = [scaler.observe()["action"] for _ in range(3)]
-            assert idle[-1] == "down" and cluster.num_shards == 1
-            np.testing.assert_array_equal(
-                cluster.estimate("kde", queries, thresholds, use_cache=False), direct
-            )
-            assert len(cluster.stats()["scale_events"]) == 2
 
 
 # ---------------------------------------------------------------------- #
@@ -710,7 +683,7 @@ class TestSaturation:
         )
         assert report.points[0].batches_completed > 0
         assert report.knee_rps > 0
-        assert report.final_shards == 1
+        assert report.num_shards == 1
         payload = json.dumps(report_as_dict(report))
         assert "achieved_rps" in payload
         assert "knee" in report.text

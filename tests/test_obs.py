@@ -466,15 +466,6 @@ class TestTopDashboard:
                     }
                 ],
             },
-            "autoscaler": {
-                "min_shards": 1,
-                "max_shards": 4,
-                "num_shards": 2,
-                "observations": 10,
-                "actions": [
-                    {"action": "up", "num_shards": 2, "mean_queue_fill": 0.8}
-                ],
-            },
         }
 
     def test_render_contains_each_section(self):
@@ -482,7 +473,6 @@ class TestTopDashboard:
         assert "repro top" in frame and "backend network" in frame
         assert "75.0%" in frame  # cache hit rate
         assert "server.request" in frame
-        assert "scale up" in frame
         assert "estimate=100" in frame
 
     def test_rates_derive_from_previous_frame(self):
