@@ -15,7 +15,10 @@ then — using nothing but :mod:`urllib` —
    other estimator is cached),
 6. sends SIGINT, asserts the server exits cleanly with status 0, and checks
    the ``--trace-out`` JSONL holds spans from both the frontend (``main``)
-   and shard-worker processes sharing a trace ID.
+   and shard-worker processes sharing a trace ID,
+7. boots a fresh server several times and sends SIGINT the moment it prints
+   its ``endpoints`` line, as a supervisor that stops a server as soon as
+   it is ready would: every run must exit 0 with no traceback.
 
 Exits non-zero (with the server's output) on any failed step, so a CI job
 can call it directly::
@@ -37,6 +40,8 @@ import time
 import urllib.request
 
 SHARDS = 2
+#: fresh servers interrupted the moment they report ready (step 7)
+READY_STOPS = 8
 
 
 def _call(base: str, path: str, body=None, timeout: float = 30.0):
@@ -65,6 +70,46 @@ def _fail(proc: subprocess.Popen, message: str) -> "NoReturn":  # noqa: F821
     sys.exit(f"net smoke FAILED: {message}\n--- server output ---\n{output}")
 
 
+def _stop_at_ready(command, deadline: float) -> None:
+    """Interrupt ``READY_STOPS`` fresh servers the moment each prints its
+    endpoints line; each must exit 0 with no traceback.
+
+    The server shares this process's one CPU at the lowest priority, so
+    reading its line preempts it and the SIGINT can land before the line's
+    ``print`` returns.  A banner printed outside the server's interrupt
+    handler failed about one run in three this way (every check of eight
+    runs failed), and about one run in forty at the server's normal
+    priority."""
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
+    if affinity is not None:
+        os.sched_setaffinity(0, {min(affinity)})
+    try:
+        for attempt in range(READY_STOPS):
+            proc = subprocess.Popen(
+                command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                start_new_session=True, preexec_fn=lambda: os.nice(19),
+            )
+            for line in proc.stdout:
+                if "endpoints" in line:
+                    proc.send_signal(signal.SIGINT)
+                    break
+                if time.monotonic() > deadline:
+                    _fail(proc, "server never printed its endpoints line")
+            try:
+                output, _ = proc.communicate(timeout=max(deadline - time.monotonic(), 1.0))
+            except subprocess.TimeoutExpired:
+                _fail(proc, f"server did not exit after SIGINT at ready (run {attempt + 1})")
+            if proc.returncode != 0 or "Traceback" in output:
+                sys.exit(
+                    f"net smoke FAILED: SIGINT at ready gave status {proc.returncode} "
+                    f"(run {attempt + 1} of {READY_STOPS})\n--- server output ---\n{output}"
+                )
+    finally:
+        if affinity is not None:
+            os.sched_setaffinity(0, affinity)
+    print(f"SIGINT at ready OK ({READY_STOPS} runs exited 0 with no traceback)")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -87,13 +132,12 @@ def main() -> None:
         handle, trace_out = tempfile.mkstemp(prefix="net-smoke-trace-", suffix=".jsonl")
         os.close(handle)
 
+    serve = [
+        sys.executable, "-m", "repro", "serve", args.model_dir,
+        "--port", "0", "--binary-port", "-2", "--backend", "network", "--shards", str(SHARDS),
+    ]
     proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve", args.model_dir,
-            "--port", "0", "--binary-port", "-2",
-            "--backend", "network", "--shards", str(SHARDS),
-            "--trace-out", trace_out, "--trace-sample", "1.0",
-        ],
+        serve + ["--trace-out", trace_out, "--trace-sample", "1.0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -210,7 +254,10 @@ def main() -> None:
     print(f"trace artifact OK ({len(spans)} spans, {len(crossed)} cross-process traces)")
     if cleanup_trace:
         os.unlink(trace_out)
-    print("clean shutdown; net smoke OK")
+    print("clean shutdown")
+
+    _stop_at_ready(serve, time.monotonic() + args.timeout)  # 7.
+    print("net smoke OK")
 
 
 if __name__ == "__main__":

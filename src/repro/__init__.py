@@ -62,18 +62,6 @@ from .distances import get_distance
 from .estimator import SelectivityEstimator, UpdateNotSupportedError
 from .exact import BlockedOracle, DeltaOracle, ReferenceOracle
 from .persistence import load_estimator, read_metadata, save_estimator
-from .pipeline import (
-    ArtifactStore,
-    DatasetSpec,
-    EvalSpec,
-    ExperimentSpec,
-    PipelineRunner,
-    TrainSpec,
-    WorkloadSpec,
-    get_active_store,
-    set_active_store,
-    use_store,
-)
 from .registry import (
     EstimatorSpec,
     available_estimators,
@@ -128,3 +116,26 @@ __all__ = [
     "get_active_store",
     "__version__",
 ]
+
+#: resolved on first access (PEP 562): the pipeline and the store load only
+#: in processes that run experiments, not in every build, load or server
+_PIPELINE_EXPORTS = {
+    "ArtifactStore",
+    "DatasetSpec",
+    "WorkloadSpec",
+    "TrainSpec",
+    "EvalSpec",
+    "ExperimentSpec",
+    "PipelineRunner",
+    "use_store",
+    "set_active_store",
+    "get_active_store",
+}
+
+
+def __getattr__(name: str):
+    if name in _PIPELINE_EXPORTS:
+        from . import pipeline
+
+        return getattr(pipeline, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

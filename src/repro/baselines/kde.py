@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from ..data.workload import WorkloadSplit
 from ..distances import DistanceFunction, get_distance
@@ -106,6 +105,10 @@ class KDEEstimator(SelectivityEstimator):
     def estimate(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
         if self._sample is None or self._distance is None:
             raise RuntimeError("estimator must be fitted before calling estimate()")
+        # Imported here, not at module top: registering the baselines (which
+        # every SelNet build and model load does) must not load scipy.
+        from scipy import special
+
         queries = np.asarray(queries, dtype=np.float64)
         thresholds = np.asarray(thresholds, dtype=np.float64)
         estimates = np.empty(len(thresholds), dtype=np.float64)

@@ -42,35 +42,31 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
 
-from .experiments import (
-    figure3_dln_vs_selnet,
-    figure4_control_points,
-    figure5_updates,
-    get_scale,
-    run_ablation_table,
-    run_accuracy_table,
-    run_control_point_sweep,
-    run_monotonicity_table,
-    run_partition_method_table,
-    run_partition_size_sweep,
-    run_timing_table,
-)
+from . import experiments
+from .experiments import get_scale
 
-#: table number -> (description, runner taking scale/seed/worker kwargs)
+
+def _accuracy_table(setting: str, **fixed):
+    return lambda **kw: experiments.run_accuracy_table(setting, **fixed, **kw)
+
+
+#: table number -> (description, runner taking scale/seed/worker kwargs); the
+#: drivers resolve on first call (``repro.experiments`` loads them lazily), so
+#: ``repro serve`` and the lifecycle commands never import them
 TABLE_RUNNERS: Dict[int, tuple] = {
-    1: ("Accuracy on fasttext-cos", lambda **kw: run_accuracy_table("fasttext-cos", **kw)),
-    2: ("Accuracy on fasttext-l2", lambda **kw: run_accuracy_table("fasttext-l2", **kw)),
-    3: ("Accuracy on face-cos", lambda **kw: run_accuracy_table("face-cos", **kw)),
-    4: ("Accuracy on YouTube-cos", lambda **kw: run_accuracy_table("youtube-cos", **kw)),
-    5: ("Empirical monotonicity", lambda **kw: run_monotonicity_table(**kw)),
-    6: ("Ablation study", lambda **kw: run_ablation_table(**kw)),
-    7: ("Estimation time", lambda **kw: run_timing_table(**kw)),
-    8: ("Control-point sweep", lambda **kw: run_control_point_sweep(**kw)),
-    9: ("Partition-size sweep", lambda **kw: run_partition_size_sweep(**kw)),
-    10: ("Partitioning methods", lambda **kw: run_partition_method_table(**kw)),
+    1: ("Accuracy on fasttext-cos", _accuracy_table("fasttext-cos")),
+    2: ("Accuracy on fasttext-l2", _accuracy_table("fasttext-l2")),
+    3: ("Accuracy on face-cos", _accuracy_table("face-cos")),
+    4: ("Accuracy on YouTube-cos", _accuracy_table("youtube-cos")),
+    5: ("Empirical monotonicity", lambda **kw: experiments.run_monotonicity_table(**kw)),
+    6: ("Ablation study", lambda **kw: experiments.run_ablation_table(**kw)),
+    7: ("Estimation time", lambda **kw: experiments.run_timing_table(**kw)),
+    8: ("Control-point sweep", lambda **kw: experiments.run_control_point_sweep(**kw)),
+    9: ("Partition-size sweep", lambda **kw: experiments.run_partition_size_sweep(**kw)),
+    10: ("Partitioning methods", lambda **kw: experiments.run_partition_method_table(**kw)),
     11: (
         "Beta-distributed thresholds",
-        lambda **kw: run_accuracy_table("fasttext-cos", threshold_distribution="beta", **kw),
+        _accuracy_table("fasttext-cos", threshold_distribution="beta"),
     ),
 }
 
@@ -94,10 +90,10 @@ TABLE_ALIASES: Dict[str, int] = {
 FIGURE_RUNNERS: Dict[int, tuple] = {
     3: (
         "DLN vs SelNet on exp(t)/10",
-        lambda scale=None, seed=0, **kw: figure3_dln_vs_selnet(seed=seed),
+        lambda scale=None, seed=0, **kw: experiments.figure3_dln_vs_selnet(seed=seed),
     ),
-    4: ("Learned control points", lambda **kw: figure4_control_points(**kw)),
-    5: ("Accuracy under updates", lambda **kw: figure5_updates(**kw)),
+    4: ("Learned control points", lambda **kw: experiments.figure4_control_points(**kw)),
+    5: ("Accuracy under updates", lambda **kw: experiments.figure5_updates(**kw)),
 }
 
 
@@ -107,7 +103,7 @@ SMOKE_SCALE = "tiny"
 
 def _smoke_experiment(scale=None, **kw):
     """Tiny end-to-end pipeline experiment for CI (seconds, two models)."""
-    return run_accuracy_table(
+    return experiments.run_accuracy_table(
         "face-cos", scale=get_scale(SMOKE_SCALE), models=("KDE", "LightGBM-m"), **kw
     )
 
@@ -1378,27 +1374,29 @@ def _cmd_serve(args) -> int:
         cache_max_bytes=args.cache_max_bytes,
     )
     with server:
-        host, port = server.http_address
-        models = server.app.catalog.available_models()
-        print(f"serving {model_dir} on http://{host}:{port}", flush=True)
-        if server.binary_address is not None:
-            bhost, bport = server.binary_address
-            print(f"  binary protocol   : {bhost}:{bport}", flush=True)
-        print(f"  backend / shards  : {args.backend} x {args.shards}")
-        if args.kernel_dtype or args.cache_max_bytes:
-            print(
-                f"  precision         : kernel={args.kernel_dtype or 'float64'} "
-                f"cache_max_bytes={args.cache_max_bytes or 'unbounded'}"
-            )
-        print(f"  models            : {', '.join(models) if models else '(none found)'}")
-        if args.trace_out:
-            print(f"  tracing           : {args.trace_out} (sample {args.trace_sample:g})")
-        print(
-            "  endpoints         : GET /healthz /stats /models /metrics | "
-            "POST /estimate /update /models/reload",
-            flush=True,
-        )
+        # The banner is inside the try: a supervisor that interrupts the
+        # server the moment it reads the endpoints line gets a clean exit.
         try:
+            host, port = server.http_address
+            models = server.app.catalog.available_models()
+            print(f"serving {model_dir} on http://{host}:{port}", flush=True)
+            if server.binary_address is not None:
+                bhost, bport = server.binary_address
+                print(f"  binary protocol   : {bhost}:{bport}", flush=True)
+            print(f"  backend / shards  : {args.backend} x {args.shards}")
+            if args.kernel_dtype or args.cache_max_bytes:
+                print(
+                    f"  precision         : kernel={args.kernel_dtype or 'float64'} "
+                    f"cache_max_bytes={args.cache_max_bytes or 'unbounded'}"
+                )
+            print(f"  models            : {', '.join(models) if models else '(none found)'}")
+            if args.trace_out:
+                print(f"  tracing           : {args.trace_out} (sample {args.trace_sample:g})")
+            print(
+                "  endpoints         : GET /healthz /stats /models /metrics | "
+                "POST /estimate /update /models/reload",
+                flush=True,
+            )
             if args.max_seconds is not None:
                 time.sleep(args.max_seconds)
             else:

@@ -15,23 +15,10 @@ into a real service:
   benchmark (offered-vs-achieved load curves, knee detection).
 """
 
-from .backend import NetworkShardBackend, ShardCrashedError, ShardRequestError
+import importlib
+
 from .client import BinaryClient, HttpClient
 from .protocol import ProtocolError, RemoteError
-from .saturate import (
-    LoadPoint,
-    SaturationReport,
-    SaturationScenario,
-    report_as_dict,
-    run_saturation_benchmark,
-)
-from .server import (
-    BinaryEstimationServer,
-    HttpEstimationServer,
-    NetServer,
-    ServeApp,
-    build_server,
-)
 
 __all__ = [
     "NetworkShardBackend",
@@ -52,3 +39,28 @@ __all__ = [
     "report_as_dict",
     "run_saturation_benchmark",
 ]
+
+#: export -> submodule, resolved on first access (PEP 562): a client loads
+#: no server, and a server loads no saturation driver
+_LAZY_EXPORTS = {
+    "NetworkShardBackend": "backend",
+    "ShardCrashedError": "backend",
+    "ShardRequestError": "backend",
+    "ServeApp": "server",
+    "NetServer": "server",
+    "HttpEstimationServer": "server",
+    "BinaryEstimationServer": "server",
+    "build_server": "server",
+    "SaturationScenario": "saturate",
+    "SaturationReport": "saturate",
+    "LoadPoint": "saturate",
+    "report_as_dict": "saturate",
+    "run_saturation_benchmark": "saturate",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_EXPORTS:
+        module = importlib.import_module(f".{_LAZY_EXPORTS[name]}", __name__)
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

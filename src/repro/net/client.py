@@ -23,8 +23,6 @@ from __future__ import annotations
 import json
 import socket
 import threading
-import urllib.error
-import urllib.request
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
@@ -140,6 +138,9 @@ class HttpClient:
         body: Optional[Dict[str, Any]] = None,
         trace_id: Optional[str] = None,
     ) -> Any:
+        import urllib.error
+        import urllib.request
+
         url = self.base_url + path
         data = None if body is None else json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"}
@@ -174,6 +175,8 @@ class HttpClient:
 
     def metrics_text(self) -> str:
         """The raw Prometheus text from ``GET /metrics``."""
+        import urllib.request
+
         request = urllib.request.Request(self.base_url + "/metrics")
         with urllib.request.urlopen(request, timeout=self.timeout) as response:
             return response.read().decode("utf-8")

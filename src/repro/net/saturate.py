@@ -150,12 +150,15 @@ def _drive_load(
         thread.start()
     for thread in threads:
         thread.join()
-    elapsed = time.perf_counter() - start
+    # The schedule sends its last batch (total - 1) intervals after the
+    # first, so a tier that keeps up finishes before total intervals pass:
+    # dividing by that span would overstate the achieved rate.
+    elapsed = max(time.perf_counter() - start, total_batches * interval)
 
     array = np.asarray(latencies) if latencies else np.zeros(1)
     return {
         "offered_rps": offered_rps,
-        "achieved_rps": completed[0] * batch_size / elapsed if elapsed > 0 else 0.0,
+        "achieved_rps": completed[0] * batch_size / elapsed,
         "batches_sent": total_batches,
         "batches_completed": completed[0],
         "batches_shed": shed[0],

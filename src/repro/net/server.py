@@ -34,7 +34,14 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from ..cluster import ClusterConfig, ClusterOverloadedError, EstimationCluster
-from ..obs import MetricsRegistry, MetricsSnapshot, aggregate_histogram, histogram_percentile
+from ..estimator import UpdateNotSupportedError
+from ..obs import (
+    MetricsRegistry,
+    MetricsSnapshot,
+    aggregate_histogram,
+    histogram_percentile,
+    peak_rss_bytes,
+)
 from ..obs import trace as obstrace
 from ..serving import EstimationService
 from . import protocol
@@ -127,7 +134,19 @@ class ServeApp:
                 for entry in cluster_stats.get("per_shard", [])
             ),
             "layers": self._layer_summary(cluster_stats),
+            "peak_rss_bytes": self._peak_rss(cluster_stats),
         }
+
+    @staticmethod
+    def _peak_rss(cluster_stats: Dict[str, Any]) -> Dict[str, int]:
+        """Peak resident set in bytes of this frontend and of each shard
+        process (network shards report theirs on the stats reply; inline
+        shards live in the frontend)."""
+        peaks = {"frontend": peak_rss_bytes()}
+        for entry in cluster_stats.get("per_shard", []):
+            if "peak_rss_bytes" in entry.get("worker", {}):
+                peaks[f"shard-{entry['shard']}"] = int(entry["worker"]["peak_rss_bytes"])
+        return peaks
 
     def _layer_summary(self, cluster_stats: Dict[str, Any]) -> Dict[str, Any]:
         """p50/p99 + count per latency histogram, across all shards/models."""
@@ -161,8 +180,8 @@ class ServeApp:
         cluster_stats = self.cluster.stats()
         snapshot = self.metrics_snapshot(cluster_stats)
         # Derived gauges that only exist at scrape time: per-shard worker
-        # cache hit rate, plus uptime — built in a transient registry so the
-        # live ones stay pure counters.
+        # cache hit rate, uptime and each process's peak resident set —
+        # built in a transient registry so the live ones stay pure counters.
         derived = MetricsRegistry()
         hit_rate = derived.gauge(
             "repro_cache_hit_rate", "Worker curve-cache hit rate", ("shard",)
@@ -174,6 +193,13 @@ class ServeApp:
         derived.gauge("repro_app_uptime_seconds", "Seconds since app start").set(
             time.time() - self.started_at
         )
+        peak_rss = derived.gauge(
+            "repro_process_peak_rss_bytes",
+            "Peak resident set of each serving process",
+            ("process",),
+        )
+        for process, peak in self._peak_rss(cluster_stats).items():
+            peak_rss.labels(process=process).set(peak)
         return snapshot.merge(derived.snapshot()).to_prometheus()
 
     def healthz(self) -> Dict[str, Any]:
@@ -185,9 +211,27 @@ def _error_status(error: BaseException) -> int:
         return 503
     if isinstance(error, KeyError):
         return 404
-    if isinstance(error, (ValueError, json.JSONDecodeError)):
+    if isinstance(error, (ValueError, UpdateNotSupportedError)):
         return 400
     return 500
+
+
+def _request_fields(body: Dict[str, Any], **arrays: Any) -> Tuple[str, Dict[str, Any]]:
+    """The body's ``model`` and each named array (``key=dtype``) as NumPy,
+    converted at the edge: ``ValueError`` (400) when ``model`` is not a
+    string or a value cannot be read as its dtype (a JSON object, a
+    non-numeric string, a ragged list).  An absent or null array stays None."""
+    model = body["model"]
+    if not isinstance(model, str):
+        raise ValueError(f"'model' must be a string, got {type(model).__name__}")
+    values: Dict[str, Any] = {}
+    for key, dtype in arrays.items():
+        value = body.get(key)
+        try:
+            values[key] = None if value is None else np.asarray(value, dtype=dtype)
+        except (TypeError, ValueError, OverflowError) as error:
+            raise ValueError(f"{key!r} cannot be read as {np.dtype(dtype)}: {error}") from None
+    return model, values
 
 
 # ---------------------------------------------------------------------- #
@@ -272,26 +316,23 @@ class _HttpHandler(BaseHTTPRequestHandler):
         try:
             if self.path == "/estimate":
                 body = self._read_json_body("model", "queries", "thresholds")
-                queries = np.asarray(body["queries"], dtype=np.float64)
-                thresholds = np.asarray(body["thresholds"], dtype=np.float64)
+                model, arrays = _request_fields(body, queries=np.float64, thresholds=np.float64)
                 with obstrace.trace_context(trace_id), obstrace.span(
-                    "server.estimate", transport="http", model=body["model"]
+                    "server.estimate", transport="http", model=model
                 ):
                     results = self.app.estimate(
-                        body["model"], queries, thresholds,
+                        model, arrays["queries"], arrays["thresholds"],
                         use_cache=bool(body.get("use_cache", True)),
                     )
-                response = {"model": body["model"], "results": results.tolist()}
+                response = {"model": model, "results": results.tolist()}
                 if trace_id:
                     response["trace_id"] = trace_id
                 self._send_json(200, response, trace_id=trace_id)
             elif self.path == "/update":
                 body = self._read_json_body("model")
-                inserts = body.get("inserts")
-                if inserts is not None:
-                    inserts = np.asarray(inserts, dtype=np.float64)
-                summaries = self.app.update(body["model"], inserts, body.get("deletes"))
-                self._send_json(200, {"model": body["model"], "shards": summaries})
+                model, arrays = _request_fields(body, inserts=np.float64, deletes=np.int64)
+                summaries = self.app.update(model, arrays["inserts"], arrays["deletes"])
+                self._send_json(200, {"model": model, "shards": summaries})
             elif self.path == "/models/reload":
                 self._send_json(200, self.app.reload_models())
             else:

@@ -26,6 +26,7 @@ import pickle
 import traceback
 from typing import Any, Dict, Optional
 
+from ..obs import peak_rss_bytes
 from ..obs import trace as obstrace
 
 
@@ -96,7 +97,8 @@ def shard_main(
                         },
                     )
                 elif op == "stats":
-                    _safe_reply(connection, {"ok": True, "op": op, "value": service.stats()})
+                    value = dict(service.stats(), peak_rss_bytes=peak_rss_bytes())
+                    _safe_reply(connection, {"ok": True, "op": op, "value": value})
                 elif op == "reload":
                     _safe_reply(
                         connection,

@@ -21,6 +21,7 @@ from .metrics import (
     aggregate_histogram,
     histogram_percentile,
     merge_snapshots,
+    peak_rss_bytes,
 )
 from .trace import (
     TRACE_HEADER,
@@ -47,6 +48,7 @@ __all__ = [
     "merge_snapshots",
     "aggregate_histogram",
     "histogram_percentile",
+    "peak_rss_bytes",
     "DEFAULT_TIME_BUCKETS",
     "DEFAULT_RING_SIZE",
     "SNAPSHOT_RING_LIMIT",

@@ -36,6 +36,8 @@ existing control pipe inside ``stats`` replies).  Snapshots support
 from __future__ import annotations
 
 import math
+import resource
+import sys
 import threading
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -576,6 +578,14 @@ def merge_snapshots(snapshots: Iterable[MetricsSnapshot]) -> MetricsSnapshot:
     return merged
 
 
+def peak_rss_bytes() -> int:
+    """This process's peak resident set size in bytes (``ru_maxrss``, which
+    Linux reports in KiB and macOS in bytes).  A forked child starts its
+    own peak; it does not inherit its parent's."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return int(peak if sys.platform == "darwin" else peak * 1024)
+
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -586,6 +596,7 @@ __all__ = [
     "merge_snapshots",
     "aggregate_histogram",
     "histogram_percentile",
+    "peak_rss_bytes",
     "DEFAULT_TIME_BUCKETS",
     "DEFAULT_RING_SIZE",
     "SNAPSHOT_RING_LIMIT",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-import urllib.request
 from typing import Any, Dict, List, Optional
 
 _CLEAR = "\x1b[H\x1b[2J"
@@ -107,6 +106,8 @@ def render_dashboard(
 
 
 def fetch_stats(base_url: str, timeout: float = 5.0) -> Dict[str, Any]:
+    import urllib.request
+
     request = urllib.request.Request(base_url.rstrip("/") + "/stats")
     with urllib.request.urlopen(request, timeout=timeout) as response:
         return json.loads(response.read().decode("utf-8"))

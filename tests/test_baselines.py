@@ -80,6 +80,8 @@ class TestKDE:
         """Distances and bandwidth once per run of a query's rows, the CDF
         per row: bit-equal to the per-row loop on repeated, interleaved and
         single-row batches, also when a run spans several CDF chunks."""
+        from scipy import special
+
         from repro.baselines import kde as kde_module
 
         def one_row_at_a_time(estimator, queries, thresholds):
@@ -90,7 +92,7 @@ class TestKDE:
                     distances
                 )
                 z = (threshold - distances) / width
-                cdf = 0.5 * (1.0 + kde_module.special.erf(z / np.sqrt(2.0)))
+                cdf = 0.5 * (1.0 + special.erf(z / np.sqrt(2.0)))
                 answers.append(float(estimator._num_objects * cdf.mean()))
             return np.asarray(answers)
 

@@ -69,6 +69,43 @@ def _test_rows(split, num_rows):
 
 
 @pytest.fixture(scope="module")
+def inline_kde_server(fitted_kde):
+    """An HTTP server over one inline shard serving ``kde``."""
+    server = build_server(None, port=0, binary_port=None, num_shards=1, backend="inline")
+    server.app.cluster.add_model("kde", fitted_kde)
+    with server:
+        yield server
+
+
+def _http_status(server, path, body) -> int:
+    """The status of one POST whose body is ``body`` as JSON."""
+    host, port = server.http_address
+    request = urllib.request.Request(
+        f"http://{host}:{port}{path}",
+        data=json.dumps(body).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return response.status
+    except urllib.error.HTTPError as error:
+        return error.code
+
+
+#: any JSON value; Python's json reads and writes NaN and the infinities too
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=8,
+)
+#: a request model name: the served one, an unknown one or any JSON value
+_json_models = st.sampled_from(["kde", "nope"]) | _json_values
+#: rows as wide as the KDE fixture's vectors, or anything else
+_json_rows = st.lists(st.lists(st.floats(), min_size=10, max_size=10) | _json_values, max_size=3)
+
+
+@pytest.fixture(scope="module")
 def net_server(kde_model_dir):
     """One running HTTP + binary server over two network-backend shards."""
     server = build_server(
@@ -468,42 +505,72 @@ class TestSocketServers:
             urllib.request.urlopen(f"http://{host}:{port}/no-such-path", timeout=10)
         assert info.value.code == 404
 
-    def test_bodies_that_break_the_schema_answer_400(self, fitted_kde, tiny_cosine_split):
-        """A body that is not a JSON object or lacks a required key is a bad
-        request (400); only a well-formed request naming an unknown model
-        answers 404."""
-        server = build_server(None, port=0, binary_port=None, num_shards=1, backend="inline")
-        with server:
-            server.app.cluster.add_model("kde", fitted_kde)
-            host, port = server.http_address
+    def test_bodies_that_break_the_schema_answer_400(self, inline_kde_server, tiny_cosine_split):
+        """A body that is not a JSON object, lacks a required key, names its
+        model with a non-string or holds a value NumPy cannot read as
+        numbers is a bad request (400), as is a write to a model that takes
+        none; only a well-formed request naming an unknown model answers
+        404."""
 
-            def status(path, body):
-                request = urllib.request.Request(
-                    f"http://{host}:{port}{path}",
-                    data=json.dumps(body).encode("utf-8"),
-                    headers={"Content-Type": "application/json"},
-                )
-                try:
-                    with urllib.request.urlopen(request, timeout=10) as response:
-                        return response.status
-                except urllib.error.HTTPError as error:
-                    return error.code
+        def status(path, body):
+            return _http_status(inline_kde_server, path, body)
 
-            estimate = {
-                "model": "kde",
-                "queries": tiny_cosine_split.test.queries[:2].tolist(),
-                "thresholds": tiny_cosine_split.test.thresholds[:2].tolist(),
-            }
-            assert status("/estimate", estimate) == 200
-            assert status("/estimate", [estimate]) == 400
-            assert status("/estimate", "kde") == 400
-            for key in estimate:
-                partial = {name: value for name, value in estimate.items() if name != key}
-                assert status("/estimate", partial) == 400, key
-            assert status("/estimate", dict(estimate, model="nope")) == 404
-            assert status("/update", [estimate]) == 400
-            assert status("/update", {"deletes": [0]}) == 400
-            assert status("/update", {"model": "nope", "deletes": [0]}) == 404
+        estimate = {
+            "model": "kde",
+            "queries": tiny_cosine_split.test.queries[:2].tolist(),
+            "thresholds": tiny_cosine_split.test.thresholds[:2].tolist(),
+        }
+        assert status("/estimate", estimate) == 200
+        assert status("/estimate", [estimate]) == 400
+        assert status("/estimate", "kde") == 400
+        for key in estimate:
+            partial = {name: value for name, value in estimate.items() if name != key}
+            assert status("/estimate", partial) == 400, key
+        for broken in (
+            {"queries": {"a": 1}},
+            {"thresholds": {"a": 1}},
+            {"thresholds": ["x", "y"]},
+            {"thresholds": [10**400, 0.5]},
+            {"model": ["x"]},
+        ):
+            assert status("/estimate", dict(estimate, **broken)) == 400, broken
+        assert status("/estimate", dict(estimate, model="nope")) == 404
+        assert status("/update", [estimate]) == 400
+        assert status("/update", {"deletes": [0]}) == 400
+        for broken in (
+            {"model": "kde", "inserts": {"a": 1}},
+            {"model": "kde", "deletes": {"a": 1}},
+            {"model": ["x"], "deletes": [0]},
+            {"model": "kde", "deletes": [0]},  # KDE takes no writes
+        ):
+            assert status("/update", broken) == 400, broken
+        assert status("/update", {"model": "nope", "deletes": [0]}) == 404
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        body=st.fixed_dictionaries(
+            {"model": _json_models, "queries": _json_rows | _json_values},
+            optional={
+                "thresholds": st.lists(st.floats() | _json_values, max_size=3) | _json_values,
+                "use_cache": _json_values,
+            },
+        )
+    )
+    def test_any_estimate_body_answers_200_400_or_404(self, inline_kde_server, body):
+        assert _http_status(inline_kde_server, "/estimate", body) in (200, 400, 404), body
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        body=st.fixed_dictionaries(
+            {"model": _json_models},
+            optional={
+                "inserts": _json_rows | _json_values,
+                "deletes": st.lists(st.integers(), max_size=3) | _json_values,
+            },
+        )
+    )
+    def test_any_update_body_answers_400_or_404(self, inline_kde_server, body):
+        assert _http_status(inline_kde_server, "/update", body) in (400, 404), body
 
     def test_shed_decision_survives_the_wire(self, fitted_kde, tiny_cosine_split):
         queries = tiny_cosine_split.test.queries[:4]
@@ -687,6 +754,28 @@ class TestSaturation:
         payload = json.dumps(report_as_dict(report))
         assert "achieved_rps" in payload
         assert "knee" in report.text
+
+    def test_a_tier_that_keeps_up_achieves_at_most_the_offered_rate(
+        self, tiny_cosine_split, fitted_kde
+    ):
+        """Six batches go out over five intervals; counting only that span
+        read 1.2x the offered rate from a tier that answered every batch."""
+        scenario = SaturationScenario(name="low", backend="inline", num_shards=1)
+        report = run_saturation_benchmark(
+            scenario,
+            "kde",
+            tiny_cosine_split.test.queries,
+            tiny_cosine_split.test.thresholds,
+            estimator=fitted_kde,
+            offered_loads=(100.0,),
+            duration_seconds=0.5,
+            batch_size=8,
+            connections=1,
+            seed=0,
+        )
+        [point] = report.points
+        assert point.batches_completed == point.batches_sent == 6
+        assert point.achieved_rps <= point.offered_rps * (1 + 1e-9)
 
 
 class TestServeCLI:

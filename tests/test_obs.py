@@ -424,6 +424,25 @@ class TestObservableServer:
             assert layers[layer]["count"] > 0
             assert layers[layer]["p99_ms"] >= layers[layer]["p50_ms"] >= 0.0
 
+    def test_each_process_reports_its_peak_resident_set(self):
+        """The frontend's and the shard's peak RSS are readable live: in
+        /stats, and as one gauge series per process on /metrics."""
+        server = build_server(None, port=0, binary_port=None, num_shards=1, backend="network")
+        with server:
+            http = HttpClient(*server.http_address)
+            peaks = http.stats()["peak_rss_bytes"]
+            families = _validate_prometheus(http.metrics_text())
+        assert set(peaks) == {"frontend", "shard-0"}
+        assert all(isinstance(peak, int) and peak > 0 for peak in peaks.values())
+        family = families["repro_process_peak_rss_bytes"]
+        assert family["type"] == "gauge"
+        scraped = {
+            sample.split('process="')[1].split('"')[0]: float(value)
+            for sample, value in family["samples"].items()
+        }
+        assert set(scraped) == {"frontend", "shard-0"}
+        assert all(value > 0 for value in scraped.values())
+
     def test_cluster_snapshot_totals_match_stats(self, traced_server):
         server, _ = traced_server
         cluster = server.app.cluster
