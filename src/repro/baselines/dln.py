@@ -290,8 +290,11 @@ class DLNEstimator(SelectivityEstimator):
                 loss.backward()
                 optimizer.step()
             self.model.eval()
-            prediction = self.model(split.validation.queries, split.validation.thresholds)
-            validation_loss = log_huber_loss(prediction, split.validation.selectivities).item()
+            with no_grad():
+                prediction = self.model(split.validation.queries, split.validation.thresholds)
+                validation_loss = log_huber_loss(
+                    prediction, split.validation.selectivities
+                ).item()
             if validation_loss < best_validation - 1e-9:
                 best_validation = validation_loss
                 best_state = self.model.state_dict()

@@ -265,11 +265,18 @@ class IncrementalSelNet:
 
         ``inserts`` is a ``(n, dim)`` array of new vectors; ``deletes`` holds
         row indices into the current database.  Deletes are applied first so
-        the indices are interpreted against the pre-insert state.
+        the indices are interpreted against the pre-insert state.  An index
+        below ``-size`` raises ``ValueError`` before anything changes.
         """
         operations: List[UpdateOperation] = []
         if deletes is not None:
             indices = np.atleast_1d(np.asarray(deletes, dtype=np.int64))
+            size = self._delta.num_objects
+            if indices.size and indices.min() < -size:
+                raise ValueError(
+                    f"delete index {int(indices.min())} is out of bounds "
+                    f"for a database of {size} rows"
+                )
             operations.append(UpdateOperation(kind="delete", indices=np.sort(indices)))
         if inserts is not None:
             vectors = np.atleast_2d(np.asarray(inserts, dtype=np.float64))

@@ -144,7 +144,8 @@ class SelNetModel(Module):
         its control points.
         """
         query = np.asarray(query, dtype=np.float64)[None, :]
-        tau, p = self.control_points(Tensor(query))
+        with no_grad():
+            tau, p = self.control_points(Tensor(query))
         return PiecewiseLinearCurve(tau=tau.data[0].copy(), p=p.data[0].copy())
 
     def reconstruction_loss(self, queries: Tensor) -> Tensor:

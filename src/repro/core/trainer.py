@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..autodiff import Tensor, stack
+from ..autodiff import Tensor, no_grad, stack
 from ..data.workload import Workload, WorkloadSplit
 from ..estimator import SelectivityEstimator
 from ..index import Partitioning, build_partitioning
@@ -91,10 +91,11 @@ def train_selnet_model(
 
         if validation is not None and len(validation) > 0:
             model.eval()
-            prediction = model.forward(Tensor(validation.queries), validation.thresholds)
-            valid_loss = _estimation_loss(
-                prediction, validation.selectivities, config.huber_delta
-            ).item()
+            with no_grad():
+                prediction = model.forward(Tensor(validation.queries), validation.thresholds)
+                valid_loss = _estimation_loss(
+                    prediction, validation.selectivities, config.huber_delta
+                ).item()
             history.validation_loss.append(valid_loss)
             if valid_loss < best_validation - 1e-9:
                 best_validation = valid_loss
@@ -225,12 +226,13 @@ def train_partitioned_selnet(
 
         if validation is not None and len(validation) > 0:
             model.eval()
-            prediction = model.forward(
-                Tensor(validation.queries), validation.thresholds, validation_indicators
-            )
-            valid_loss = _estimation_loss(
-                prediction, validation.selectivities, config.huber_delta
-            ).item()
+            with no_grad():
+                prediction = model.forward(
+                    Tensor(validation.queries), validation.thresholds, validation_indicators
+                )
+                valid_loss = _estimation_loss(
+                    prediction, validation.selectivities, config.huber_delta
+                ).item()
             history.validation_loss.append(valid_loss)
             if valid_loss < best_validation - 1e-9:
                 best_validation = valid_loss

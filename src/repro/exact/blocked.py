@@ -160,37 +160,50 @@ class BlockedOracle:
     def _distance_tile(
         self, queries: np.ndarray, start: int, stop: int
     ) -> np.ndarray:
-        """Distances from a query block to ``data[start:stop]`` (GEMM path)."""
+        """Distances from a query block to ``data[start:stop]`` (GEMM path).
+
+        The tile is a new array that belongs to the caller, who may write
+        to it.  Euclidean and cosine tiles are finished in place on the GEMM
+        output, so at most one other tile-sized array is live meanwhile.
+        """
         if self.distance.name == "euclidean":
             gram = gemm(queries, self._data_t[:, start:stop])
             q_sq = np.einsum("ij,ij->i", queries, queries)
-            squared = q_sq[:, None] + self._data_sq[None, start:stop] - 2.0 * gram
-            return np.sqrt(np.maximum(squared, 0.0, out=squared), out=squared)
+            return _euclidean_from_gram(gram, q_sq, self._data_sq[start:stop])
         if self.distance.name == "cosine":
             gram = gemm(queries, self._data_t[:, start:stop])
             q_norms = np.linalg.norm(queries, axis=1)
-            denom = np.maximum(
-                q_norms[:, None] * self._data_norms[None, start:stop], COSINE_NORM_FLOOR
-            )
-            return 1.0 - gram / denom
+            # 1 - gram / max(|q| |o|, floor), one IEEE operation at a time.
+            denom = np.multiply.outer(q_norms, self._data_norms[start:stop])
+            np.maximum(denom, COSINE_NORM_FLOOR, out=denom)
+            np.divide(gram, denom, out=gram)
+            return np.subtract(1.0, gram, out=gram)
         return self.distance.pairwise(queries, self.data[start:stop])
 
     def distances_matrix(self, queries: np.ndarray) -> np.ndarray:
         """Full ``(len(queries), n)`` distance matrix, assembled block-wise."""
         queries = self._coerce_queries(queries)
+        rows_per_block = self._row_block(self.num_objects)
+        if len(queries) <= rows_per_block:
+            return self._fill_rows(queries)
         out = np.empty((len(queries), self.num_objects), dtype=np.float64)
-        if len(queries) == 0:
-            return out
         self._scatter(
             len(queries),
-            self._row_block(self.num_objects),
+            rows_per_block,
             lambda s, e: out.__setitem__(slice(s, e), self._fill_rows(queries[s:e])),
         )
         return out
 
     def _fill_rows(self, block: np.ndarray) -> np.ndarray:
-        rows = np.empty((len(block), self.num_objects), dtype=np.float64)
+        """The ``(len(block), n)`` distances, owned by the caller.
+
+        When one column block spans the database this is the tile itself;
+        otherwise the column tiles are assembled into a new array.
+        """
         step = self._column_block(len(block))
+        if step >= self.num_objects:
+            return self._distance_tile(block, 0, self.num_objects)
+        rows = np.empty((len(block), self.num_objects), dtype=np.float64)
         for start in range(0, self.num_objects, step):
             stop = min(start + step, self.num_objects)
             rows[:, start:stop] = self._distance_tile(block, start, stop)
@@ -392,8 +405,8 @@ class BlockedOracle:
 
         def work(start: int, stop: int) -> None:
             rows = self._fill_rows(queries[start:stop])
-            part = np.partition(rows, kth, axis=1)
-            out[start:stop] = part[:, ks]
+            rows.partition(kth, axis=1)
+            out[start:stop] = rows[:, ks]
 
         self._scatter(len(queries), self._row_block(self.num_objects), work, progress=progress)
         return out
@@ -455,27 +468,26 @@ class BlockedOracle:
         kmax = int(ranks.max()) - 1
 
         def work(start: int, stop: int) -> None:
+            # The rows are this call's own: partition and sort them in place.
             rows = self._fill_rows(queries[start:stop])
-            if kmax + 1 >= rows.shape[1]:
-                head = np.sort(rows, axis=1)
-                tail = rows[:, rows.shape[1] :]
-            else:
-                part = np.partition(rows, kmax, axis=1)
-                head = np.sort(part[:, : kmax + 1], axis=1)
-                tail = part[:, kmax + 1 :]
+            if kmax + 1 < rows.shape[1]:
+                rows.partition(kmax, axis=1)
+            head, tail = rows[:, : kmax + 1], rows[:, kmax + 1 :]
+            head.sort(axis=1)
             block_thresholds = self.tie_robust_thresholds(head[:, ranks - 1])
             block_counts = np.empty_like(block_thresholds, dtype=np.int64)
             for i in range(len(head)):
                 block_counts[i] = np.searchsorted(head[i], block_thresholds[i], side="right")
             # Only thresholds nudged past the partition boundary can reach
-            # tail elements (in practice just the largest rank's ties).
-            boundary = head[:, kmax]
-            reaches_tail = block_thresholds >= boundary[:, None]
-            if tail.size and reaches_tail.any():
+            # tail elements (in practice just the largest rank's ties).  No
+            # tail element lies below its row's boundary, so the rows whose
+            # threshold stays under it count nothing there: the tail is
+            # compared whole, never copied row by row.
+            reaches_tail = block_thresholds >= head[:, kmax, None]
+            if tail.size:
                 for j in np.nonzero(reaches_tail.any(axis=0))[0]:
-                    hit = np.nonzero(reaches_tail[:, j])[0]
-                    block_counts[hit, j] += np.count_nonzero(
-                        tail[hit] <= block_thresholds[hit, j : j + 1], axis=1
+                    block_counts[:, j] += np.count_nonzero(
+                        tail <= block_thresholds[:, j : j + 1], axis=1
                     )
             thresholds[start:stop] = block_thresholds
             counts[start:stop] = block_counts
@@ -529,11 +541,8 @@ class BlockedOracle:
         """
         centers, radii, blocks, sizes = self._regions
         center_sq = np.einsum("ij,ij->i", centers, centers)
-        gram = gemm(queries, centers.T)
         q_sq = np.einsum("ij,ij->i", queries, queries)
-        center_distances = np.sqrt(
-            np.maximum(q_sq[:, None] + center_sq[None, :] - 2.0 * gram, 0.0)
-        )
+        center_distances = _euclidean_from_gram(gemm(queries, centers.T), q_sq, center_sq)
         margin = 1e-9 * (1.0 + np.abs(thresholds))[:, None]
         all_in = center_distances + radii[None, :] <= thresholds[:, None] - margin
         all_out = center_distances - radii[None, :] > thresholds[:, None] + margin
@@ -545,9 +554,21 @@ class BlockedOracle:
                 continue
             rows = np.nonzero(scan[:, r])[0]
             sub = np.ascontiguousarray(queries[rows])
-            gram_r = gemm(sub, block.T)
             sub_sq = np.einsum("ij,ij->i", sub, sub)
             block_sq = np.einsum("ij,ij->i", block, block)
-            tile = np.sqrt(np.maximum(sub_sq[:, None] + block_sq[None, :] - 2.0 * gram_r, 0.0))
+            tile = _euclidean_from_gram(gemm(sub, block.T), sub_sq, block_sq)
             counts[rows] += np.count_nonzero(tile <= thresholds[rows, None], axis=1)
         return counts
+
+
+def _euclidean_from_gram(gram: np.ndarray, q_sq: np.ndarray, d_sq: np.ndarray) -> np.ndarray:
+    """``sqrt(max(q_sq + d_sq - 2 gram, 0))`` with one tile beside ``gram``.
+
+    The same IEEE operations in the same order as the broadcast expression,
+    so the distances are bit-identical to it; ``gram`` is overwritten.
+    """
+    squared = np.add.outer(q_sq, d_sq)
+    gram *= 2.0
+    np.subtract(squared, gram, out=squared)
+    np.maximum(squared, 0.0, out=squared)
+    return np.sqrt(squared, out=squared)

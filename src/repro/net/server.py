@@ -220,17 +220,26 @@ def _request_fields(body: Dict[str, Any], **arrays: Any) -> Tuple[str, Dict[str,
     """The body's ``model`` and each named array (``key=dtype``) as NumPy,
     converted at the edge: ``ValueError`` (400) when ``model`` is not a
     string or a value cannot be read as its dtype (a JSON object, a
-    non-numeric string, a ragged list).  An absent or null array stays None."""
+    non-numeric string, a ragged list).  An integer array takes only JSON
+    integers and integral numbers: ``1.7``, ``true`` or ``"1"`` is refused,
+    never truncated or parsed.  An absent or null array stays None."""
     model = body["model"]
     if not isinstance(model, str):
         raise ValueError(f"'model' must be a string, got {type(model).__name__}")
-    values: Dict[str, Any] = {}
+    values: Dict[str, Any] = dict.fromkeys(arrays)
     for key, dtype in arrays.items():
         value = body.get(key)
+        if value is None:
+            continue
         try:
-            values[key] = None if value is None else np.asarray(value, dtype=dtype)
+            values[key] = np.asarray(value, dtype=dtype)
         except (TypeError, ValueError, OverflowError) as error:
             raise ValueError(f"{key!r} cannot be read as {np.dtype(dtype)}: {error}") from None
+        # NumPy would truncate 1.7 and parse "1"; only the values as sent count.
+        if values[key].dtype.kind == "i":
+            given = np.asarray(value)
+            if given.dtype.kind not in "if" or not np.array_equal(given, values[key]):
+                raise ValueError(f"{key!r} must hold integers only")
     return model, values
 
 

@@ -7,7 +7,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..autodiff import Tensor
+from ..autodiff import Tensor, no_grad
 from .data import DataLoader
 from .module import Module
 from .optim import Adam
@@ -106,8 +106,11 @@ def fit_regressor(
         if validation is not None:
             model.eval()
             valid_features, valid_targets = validation
-            prediction = forward(model, np.asarray(valid_features, dtype=np.float64))
-            valid_loss = loss_fn(prediction, np.asarray(valid_targets, dtype=np.float64)).item()
+            with no_grad():
+                prediction = forward(model, np.asarray(valid_features, dtype=np.float64))
+                valid_loss = loss_fn(
+                    prediction, np.asarray(valid_targets, dtype=np.float64)
+                ).item()
             history.validation_loss.append(valid_loss)
             if valid_loss < best_validation - 1e-9:
                 best_validation = valid_loss

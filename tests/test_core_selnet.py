@@ -355,6 +355,26 @@ class TestIncrementalSelNet:
         )
         assert report.database_size == split.dataset.num_vectors + 5
 
+    def test_delete_below_minus_size_raises_before_any_change(self, fitted):
+        """An index below ``-size`` is a ``ValueError`` (a bad request), and
+        the write it came with changes nothing: no row, no report."""
+        estimator, split = fitted
+        incremental = IncrementalSelNet(
+            estimator=estimator,
+            data=split.dataset.vectors,
+            distance=split.distance,
+            train=split.train,
+            validation=split.validation,
+            config=IncrementalConfig(mae_drift_threshold=1e9),
+        )
+        size = split.dataset.num_vectors
+        with pytest.raises(ValueError, match="out of bounds"):
+            incremental.update(inserts=np.zeros((2, split.dataset.dim)), deletes=[0, -size - 1])
+        assert incremental.reports == []
+        np.testing.assert_array_equal(incremental.data, split.dataset.vectors)
+        [report] = incremental.update(deletes=[-size])
+        assert report.database_size == size - 1
+
     def test_writes_group_and_hash_the_validation_rows_once(self, fitted, monkeypatch):
         """Ten writes group the validation rows once and hash them once: the
         model groups them on its first relabel, and the delta oracle finds

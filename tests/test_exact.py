@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,58 @@ class TestBlockingInvariance:
         finally:
             set_default_num_workers(None)
         assert get_default_num_workers() >= 1
+
+
+class TestTileMemory:
+    """A one-block call holds at most two tile-sized arrays beyond its output.
+
+    The tile is finished in place on the GEMM output (one more tile beside
+    it while it is built), handed to the caller without a copy, and
+    partitioned and sorted in place, so labeling memory is a small multiple
+    of one tile, not of the number of temporaries in the distance formula.
+    """
+
+    NUM_QUERIES, NUM_OBJECTS, DIM = 64, 3000, 16
+
+    @staticmethod
+    def _peak_beyond_output(call):
+        """``(output, peak traced bytes during the call minus the output's)``."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            output = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = output if isinstance(output, tuple) else (output,)
+        return output, peak - before - sum(array.nbytes for array in arrays)
+
+    @pytest.mark.parametrize("distance", sorted(DISTANCE_DATASETS))
+    @pytest.mark.parametrize("method", ["distances_matrix", "threshold_profile"])
+    def test_one_block_call_holds_at_most_two_tiles(self, distance, method):
+        rng = np.random.default_rng(11)
+        data = rng.normal(size=(self.NUM_OBJECTS, self.DIM))
+        queries = rng.normal(size=(self.NUM_QUERIES, self.DIM))
+        engine = BlockedOracle(data, distance, num_workers=1)
+        reference = ReferenceOracle(data, distance)
+        assert engine._row_block(self.NUM_OBJECTS) >= self.NUM_QUERIES
+        assert engine._column_block(self.NUM_QUERIES) >= self.NUM_OBJECTS
+        tile_bytes = self.NUM_QUERIES * self.NUM_OBJECTS * 8
+        ranks = [1, 5, 50, 300, self.NUM_OBJECTS // 2]
+        if method == "distances_matrix":
+            call = lambda: engine.distances_matrix(queries)
+        else:
+            call = lambda: engine.threshold_profile(queries, ranks)
+        call()  # first-use allocations inside NumPy are not the tile's
+        output, beyond = self._peak_beyond_output(call)
+        assert beyond <= 2.25 * tile_bytes, f"{beyond / tile_bytes:.2f} tiles beyond the output"
+        if method == "distances_matrix":
+            for row, query in zip(output, queries):
+                np.testing.assert_array_equal(np.sort(row), reference.sorted_distances_to(query))
+        else:
+            expected = reference.threshold_profile(queries, ranks)
+            np.testing.assert_array_equal(output[0], expected[0])
+            np.testing.assert_array_equal(output[1], expected[1])
 
 
 class TestPruning:

@@ -62,6 +62,16 @@ def fitted_selnet_ct(tiny_cosine_split, fast_selnet_config):
     return create_estimator("selnet-ct", **params).fit(tiny_cosine_split)
 
 
+@pytest.fixture(scope="module")
+def fitted_selnet_inc(tiny_cosine_split, fast_selnet_config):
+    """A tiny ``selnet-inc`` whose writes never fine-tune, so a write is cheap."""
+    params = asdict(fast_selnet_config)
+    params.update(
+        epochs=2, pretrain_epochs=1, ae_pretrain_epochs=1, update_mae_drift_threshold=1e9
+    )
+    return create_estimator("selnet-inc", **params).fit(tiny_cosine_split)
+
+
 def _test_rows(split, num_rows):
     """``num_rows`` rows of the split's test fold, tiled as often as it takes."""
     queries = split.test.queries
@@ -90,6 +100,15 @@ def _http_status(server, path, body) -> int:
             return response.status
     except urllib.error.HTTPError as error:
         return error.code
+
+
+@pytest.fixture(scope="module")
+def inline_inc_server(fitted_selnet_inc):
+    """An HTTP server over one inline shard serving ``selnet-inc`` as ``inc``."""
+    server = build_server(None, port=0, binary_port=None, num_shards=1, backend="inline")
+    server.app.cluster.add_model("inc", fitted_selnet_inc)
+    with server:
+        yield server
 
 
 #: any JSON value; Python's json reads and writes NaN and the infinities too
@@ -571,6 +590,36 @@ class TestSocketServers:
     )
     def test_any_update_body_answers_400_or_404(self, inline_kde_server, body):
         assert _http_status(inline_kde_server, "/update", body) in (400, 404), body
+
+    @pytest.mark.parametrize("backend", ["inline", "network"])
+    def test_selnet_inc_refuses_bad_deletes_with_400(
+        self, fitted_selnet_inc, tiny_cosine_split, backend
+    ):
+        """A delete index below ``-size`` and a non-integral one are bad
+        requests on either shard backend; in-range integers (an integral
+        float among them) are applied."""
+        server = build_server(None, port=0, binary_port=None, num_shards=1, backend=backend)
+        server.app.cluster.add_model("inc", fitted_selnet_inc)
+        with server:
+            status = lambda body: _http_status(server, "/update", dict(body, model="inc"))
+            size = tiny_cosine_split.dataset.num_vectors
+            assert status({"deletes": [0, -size - 1]}) == 400
+            assert status({"deletes": [1.7]}) == 400
+            assert status({"deletes": [True]}) == 400
+            assert status({"deletes": [0, 2.0, -1]}) == 200
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        body=st.fixed_dictionaries(
+            {"model": st.sampled_from(["inc", "nope"]) | _json_values},
+            optional={
+                "inserts": _json_rows | _json_values,
+                "deletes": st.lists(st.integers() | st.floats(), max_size=3) | _json_values,
+            },
+        )
+    )
+    def test_any_selnet_inc_update_answers_200_400_or_404(self, inline_inc_server, body):
+        assert _http_status(inline_inc_server, "/update", body) in (200, 400, 404), body
 
     def test_shed_decision_survives_the_wire(self, fitted_kde, tiny_cosine_split):
         queries = tiny_cosine_split.test.queries[:4]

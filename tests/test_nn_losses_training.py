@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autodiff import Tensor
+from repro import create_estimator
+from repro.autodiff import Tensor, is_grad_enabled
+from repro.baselines import base as deep_regression, dln, umnn
+from repro.core import trainer
+from repro.core.selnet import SelNetModel
 from repro.nn import (
     TrainingConfig,
     feed_forward,
@@ -149,3 +155,72 @@ class TestFitRegressor:
             rng=rng,
         )
         assert not model.training
+
+
+def _recording_loss(loss, seen, is_validation):
+    """``loss`` that records ``(grad enabled, prediction records a tape)`` on
+    the calls whose targets are the validation labels."""
+
+    def recorded(prediction, targets, *args, **kwargs):
+        if is_validation(targets):
+            seen.append((is_grad_enabled(), prediction.requires_grad))
+        return loss(prediction, targets, *args, **kwargs)
+
+    return recorded
+
+
+class TestValidationRecordsNoTape:
+    """Scoring the validation set is evaluation only: the forward and the
+    loss run under ``no_grad``, so no tape is built for a set that is never
+    backpropagated."""
+
+    #: estimator -> (module whose loss its loop calls, that loss's name, params);
+    #: ``selnet-ct`` and ``selnet`` run the two SelNet loops, ``dnn`` runs
+    #: ``fit_regressor`` (as RMI and MoE do)
+    LOOPS = {
+        "selnet-ct": (trainer, "_estimation_loss", {}),
+        "selnet": (trainer, "_estimation_loss", {"num_partitions": 2}),
+        "dnn": (deep_regression, "log_huber_loss", {"hidden_sizes": (8,), "epochs": 2}),
+        "dln": (dln, "log_huber_loss", {"num_lattices": 2, "epochs": 2}),
+        "umnn": (
+            umnn,
+            "log_huber_loss",
+            {"hidden_sizes": (8,), "num_quadrature_points": 4, "epochs": 2},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LOOPS))
+    def test_estimator_validation_pass(
+        self, name, monkeypatch, tiny_cosine_split, fast_selnet_config
+    ):
+        module, attribute, params = self.LOOPS[name]
+        if name.startswith("selnet"):
+            params = dict(asdict(fast_selnet_config), epochs=2, pretrain_epochs=1, **params)
+        labels = tiny_cosine_split.validation.selectivities
+        seen = []
+        monkeypatch.setattr(
+            module,
+            attribute,
+            _recording_loss(getattr(module, attribute), seen, lambda targets: targets is labels),
+        )
+        create_estimator(name, **params).fit(tiny_cosine_split)
+        assert len(seen) == 2, "one validation pass per epoch"
+        assert set(seen) == {(False, False)}
+
+    def test_curve_for_query_records_no_tape(
+        self, monkeypatch, tiny_cosine_split, fast_selnet_config
+    ):
+        model = SelNetModel(
+            tiny_cosine_split.train.queries.shape[1], tiny_cosine_split.t_max, fast_selnet_config
+        )
+        seen = []
+        control_points = model.control_points
+
+        def recorded(queries):
+            tau, p = control_points(queries)
+            seen.append((is_grad_enabled(), tau.requires_grad or p.requires_grad))
+            return tau, p
+
+        monkeypatch.setattr(model, "control_points", recorded)
+        model.curve_for_query(tiny_cosine_split.test.queries[0])
+        assert seen == [(False, False)]
