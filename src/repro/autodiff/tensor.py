@@ -131,6 +131,22 @@ class Tensor:
         """Reset the accumulated gradient."""
         self.grad = None
 
+    def __getstate__(self) -> tuple:
+        # A gradient belongs to the backward pass that produced it, not to
+        # the tensor's value: pickles and deep copies (``state.pkl``, a
+        # cluster's model payloads) leave it out.  The state keeps the
+        # default ``(None, slots)`` form of a slotted class, so code without
+        # ``__setstate__`` loads it too.
+        slots = {slot: getattr(self, slot) for slot in Tensor.__slots__}
+        slots["grad"] = None
+        return None, slots
+
+    def __setstate__(self, state: tuple) -> None:
+        # A pickle written before ``__getstate__`` existed holds a gradient.
+        for slot, value in state[1].items():
+            setattr(self, slot, value)
+        self.grad = None
+
     # ------------------------------------------------------------------ #
     # Graph construction helpers
     # ------------------------------------------------------------------ #

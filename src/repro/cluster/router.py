@@ -57,13 +57,19 @@ class ShardRouter:
         return int(self.route_batch(model, np.asarray(query)[None, :])[0])
 
     def route_batch(self, model: str, queries: np.ndarray) -> np.ndarray:
-        """Shard ids for a batch of queries (one id per row)."""
+        """Shard ids for a batch of queries (one id per row).
+
+        A one-shard ring owns every key, so nothing is hashed.
+        """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.size == 0:
             return np.empty(0, dtype=np.int64)
+        queries = np.atleast_2d(queries)
+        if self.num_shards == 1:
+            return np.zeros(len(queries), dtype=np.int64)
         # One rounding for the whole batch; each row's key is then the
         # bytes ``key_for`` builds for it.
-        rounded = rounded_queries(np.atleast_2d(queries))
+        rounded = rounded_queries(queries)
         prefix = model.encode("utf-8") + b"\x00"
         points = np.fromiter(
             (_hash64(prefix + row.tobytes()) for row in rounded),

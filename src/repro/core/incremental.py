@@ -266,7 +266,8 @@ class IncrementalSelNet:
         ``inserts`` is a ``(n, dim)`` array of new vectors; ``deletes`` holds
         row indices into the current database.  Deletes are applied first so
         the indices are interpreted against the pre-insert state.  An index
-        below ``-size`` raises ``ValueError`` before anything changes.
+        below ``-size`` or a NaN or infinite insert raises ``ValueError``
+        before anything changes.
         """
         operations: List[UpdateOperation] = []
         if deletes is not None:
@@ -280,6 +281,8 @@ class IncrementalSelNet:
             operations.append(UpdateOperation(kind="delete", indices=np.sort(indices)))
         if inserts is not None:
             vectors = np.atleast_2d(np.asarray(inserts, dtype=np.float64))
+            if not np.isfinite(vectors).all():
+                raise ValueError("inserted vectors must be finite (no NaN or infinity)")
             operations.append(UpdateOperation(kind="insert", vectors=vectors))
         if not operations:
             raise ValueError("update() needs inserts, deletes or both")

@@ -17,10 +17,12 @@ Three kernel families cover every registered estimator:
   ``selnet-inc``): fused autoencoder-encoder + control-point head with a
   batched piecewise-linear evaluation of Equation 1.
 * :class:`CompiledPartitionedSelNet` — full SelNet: the shared encoder runs
-  once per batch (as in graph mode), only the partitions some row
-  activates run their heads, and their curves are evaluated in one
-  batched call over rows × partitions and fused through one
-  indicator-weighted sum.
+  once per batch (as in graph mode), the K local heads run as one stacked
+  forward (:class:`CompiledControlPointHead`; ``predict`` runs the heads
+  from the first to the last partition some row activates), their curves
+  are evaluated in one batched call over rows × partitions and fused
+  through one indicator-weighted sum that skips the partitions no row
+  activates.
 * :class:`GraphFallbackKernel` — everything else: delegates to
   ``estimator.estimate`` under :func:`repro.autodiff.no_grad`, so even
   non-compilable estimators stop paying for backward closures (a SelNet
@@ -75,13 +77,20 @@ class KernelCompilationError(TypeError):
 # ---------------------------------------------------------------------- #
 # Fused feed-forward stacks
 # ---------------------------------------------------------------------- #
+def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Equal-shaped arrays on a new leading axis; a lone array as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 class FusedFeedForward:
     """A ``Sequential`` of Linear / activation layers frozen to flat arrays.
 
     The forward pass allocates one output array per linear layer and applies
     the bias and activation in place — the same values as the graph-mode
     ``x @ W + b`` / ``relu`` chain, at a third of the allocations and none of
-    the tape overhead.
+    the tape overhead.  A :meth:`stacked` stack holds K networks of one
+    architecture as ``(K, in, out)`` weights and ``(K, 1, out)`` biases, and
+    the same forward maps a ``(batch, in)`` input to ``(K, batch, out)``.
     """
 
     __slots__ = ("layers", "dtype")
@@ -129,16 +138,37 @@ class FusedFeedForward:
             raise KernelCompilationError("cannot freeze an empty network")
         return cls(layers, dtype)
 
+    @classmethod
+    def stacked(cls, networks: Sequence[Sequential], dtype=np.float64) -> "FusedFeedForward":
+        """K networks of one architecture, each layer stacked on a leading axis.
+
+        One ``np.matmul`` per layer evaluates all K networks, and it calls
+        the 2-D BLAS routine of an unstacked layer on each slice, so slice
+        ``k`` of the output has the bits of network ``k``'s own forward.
+        """
+        frozen = [cls.from_sequential(network, dtype) for network in networks]
+        layers = []
+        for column in zip(*(network.layers for network in frozen)):
+            weights, biases, activations = zip(*column)
+            bias = None if biases[0] is None else _stack([bias[None] for bias in biases])
+            layers.append((_stack(weights), bias, activations[0]))
+        return cls(layers, frozen[0].dtype)
+
     @property
     def num_parameters(self) -> int:
         return sum(
             weight.size + (0 if bias is None else bias.size) for weight, bias, _ in self.layers
         )
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, heads: Optional[slice] = None) -> np.ndarray:
+        """The forward pass; ``heads`` runs a range of a stacked stack's K
+        networks through views of their weights."""
         if x.dtype != self.dtype:
             x = x.astype(self.dtype)
         for weight, bias, activation in self.layers:
+            if heads is not None:
+                weight = weight[heads]
+                bias = None if bias is None else bias[heads]
             x = x @ weight
             if bias is not None:
                 np.add(x, bias, out=x)
@@ -232,25 +262,54 @@ class ControlPoints(NamedTuple):
 # SelNet head: control-point generation without the tape
 # ---------------------------------------------------------------------- #
 class CompiledControlPointHead:
-    """Frozen τ- and p-generators of one :class:`~repro.core.SelNetModel`."""
+    """Frozen τ- and p-generators of one :class:`~repro.core.SelNetModel`,
+    or of a list of K stacked into one forward.
 
-    def __init__(self, model, dtype=np.float64) -> None:
-        head = model.head
-        tau_generator = head.tau_generator
-        p_generator = head.p_generator
+    A lone head (SelNet-ct, SelNet-ad-ct, SelNet-inc) freezes its model's
+    own weight arrays.  A list of K heads (full SelNet's local models, which
+    share one configuration and ``t_max``) has its weights stacked on a
+    leading axis, so one forward runs all of them: one ``np.matmul`` per
+    layer and for the decoders, and one pass of each elementwise step.  A
+    stacked matmul makes the 2-D BLAS call of an unstacked one on every
+    slice, so each head's control points keep the bits of its own
+    graph-mode forward.  A list of one stacks by views and copies nothing.
+    """
+
+    def __init__(self, models, dtype=np.float64) -> None:
+        stacked = isinstance(models, (list, tuple))
+        heads = list(models) if stacked else [models]
+        tau_generators = [model.head.tau_generator for model in heads]
+        p_generators = [model.head.p_generator for model in heads]
         self.dtype = resolve_precision(dtype).dtype
-        self.t_max = float(tau_generator.t_max)
-        self.query_dependent_tau = bool(tau_generator.query_dependent)
-        self.tau_network = FusedFeedForward.from_sequential(tau_generator.network, self.dtype)
-        self.p_encoder = FusedFeedForward.from_sequential(p_generator.encoder, self.dtype)
-        self.embedding_dim = int(p_generator.embedding_dim)
-        self.num_outputs = int(p_generator.num_outputs)
-        # The stacked per-point decoders are already the (L+2, emb, 1) /
-        # (L+2, 1, 1) operands of the batched matmul below.
-        self.decoder_weights = np.ascontiguousarray(
-            p_generator.decoder_weight.data, dtype=self.dtype
-        )
-        self.decoder_biases = np.ascontiguousarray(p_generator.decoder_bias.data, dtype=self.dtype)
+        self.num_heads = len(heads)
+        self.t_max = float(tau_generators[0].t_max)
+        self.query_dependent_tau = bool(tau_generators[0].query_dependent)
+        self.embedding_dim = int(p_generators[0].embedding_dim)
+        self.num_outputs = int(p_generators[0].num_outputs)
+        # The per-point decoders are the (L+2, emb, 1) / (L+2, 1, 1)
+        # operands of the batched matmul below, one pair per head.
+        decoder_weights = [
+            np.ascontiguousarray(p.decoder_weight.data, dtype=self.dtype) for p in p_generators
+        ]
+        decoder_biases = [
+            np.ascontiguousarray(p.decoder_bias.data, dtype=self.dtype) for p in p_generators
+        ]
+        if stacked:
+            self.tau_network = FusedFeedForward.stacked(
+                [tau.network for tau in tau_generators], self.dtype
+            )
+            self.p_encoder = FusedFeedForward.stacked(
+                [p.encoder for p in p_generators], self.dtype
+            )
+            self.decoder_weights = _stack(decoder_weights)
+            self.decoder_biases = _stack(decoder_biases)
+        else:
+            self.tau_network = FusedFeedForward.from_sequential(
+                tau_generators[0].network, self.dtype
+            )
+            self.p_encoder = FusedFeedForward.from_sequential(p_generators[0].encoder, self.dtype)
+            self.decoder_weights = decoder_weights[0]
+            self.decoder_biases = decoder_biases[0]
 
     @property
     def num_parameters(self) -> int:
@@ -261,32 +320,49 @@ class CompiledControlPointHead:
             + self.decoder_biases.size
         )
 
-    def control_points(self, augmented: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Return the ``(tau, p)`` control-point arrays, each ``(batch, L+2)``."""
+    def control_points(
+        self, augmented: np.ndarray, heads: Optional[slice] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Return the ``(tau, p)`` control points, each ``(batch, L+2)`` for
+        a lone head and ``(batch, K, L+2)`` for stacked heads.
+
+        ``heads`` runs a range of stacked heads, through views of their
+        weights, and returns only their control points.
+        """
         batch = len(augmented)
+        decoder_weights, decoder_biases = self.decoder_weights, self.decoder_biases
+        if heads is not None:
+            decoder_weights, decoder_biases = decoder_weights[heads], decoder_biases[heads]
+        # ``stack`` is () for a lone head and (K,) for stacked heads, which
+        # compute in (*stack, batch, ...) order: each result is written
+        # through its ``swapaxes(0, -2)`` view.
+        stack = decoder_weights.shape[:-3]
+        shape = (batch,) + stack + (self.num_outputs,)
 
         # --- τ: FFN -> Norm_l2 -> scale -> prefix sum, ends pinned --- #
         tau_input = np.ones_like(augmented) if not self.query_dependent_tau else augmented
-        raw = self.tau_network(tau_input)
+        raw = self.tau_network(tau_input, heads)  # (*stack, batch, L+1)
         squared = raw ** 2
         denom = squared.sum(axis=-1, keepdims=True) + _NORM_L2_EPSILON
         numer = squared + _NORM_L2_EPSILON / raw.shape[-1]
         increments = (numer / denom) * self.t_max
-        tau = np.empty((batch, self.num_outputs), dtype=augmented.dtype)
-        tau[:, 0] = 0.0
-        np.cumsum(increments, axis=1, out=tau[:, 1:])
-        tau[:, -1] = self.t_max
+        tau = np.empty(shape, dtype=augmented.dtype)
+        by_head = tau.swapaxes(0, -2)
+        by_head[..., 0] = 0.0
+        np.cumsum(increments, axis=-1, out=by_head[..., 1:])
+        by_head[..., -1] = self.t_max
 
         # --- p: encoder -> per-point linear decoders -> ReLU -> prefix sum --- #
-        embeddings = self.p_encoder(augmented)
-        # (L+2, batch, emb) @ (L+2, emb, 1): one batched matmul evaluates all
-        # decoders, as in PGenerator.forward; slice i sees exactly
-        # embeddings[:, i*emb:(i+1)*emb].
-        per_point = embeddings.reshape(batch, self.num_outputs, self.embedding_dim)
-        value = np.matmul(per_point.transpose(1, 0, 2), self.decoder_weights)
-        np.add(value, self.decoder_biases, out=value)
+        embeddings = self.p_encoder(augmented, heads)  # (*stack, batch, (L+2) * emb)
+        # (*stack, L+2, batch, emb) @ (*stack, L+2, emb, 1): one batched
+        # matmul evaluates every head's decoders, as in PGenerator.forward;
+        # slice (k, i) sees exactly head k's embeddings[:, i*emb:(i+1)*emb].
+        per_point = embeddings.reshape(stack + (batch, self.num_outputs, self.embedding_dim))
+        value = np.matmul(per_point.swapaxes(-3, -2), decoder_weights)
+        np.add(value, decoder_biases, out=value)
         np.maximum(value, 0.0, out=value)
-        p = np.cumsum(value[:, :, 0].T, axis=1)
+        p = np.empty(shape, dtype=augmented.dtype)
+        np.cumsum(value[..., 0].swapaxes(-1, -2), axis=-1, out=p.swapaxes(0, -2))
         return tau, p
 
 
@@ -418,9 +494,9 @@ class CompiledPartitionedSelNet(ControlPointKernel):
     """Fused inference kernel for partitioned SelNet (K local models).
 
     Like graph mode, the kernel encodes the batch once and feeds the shared
-    augmented representation to each frozen head, then combines the
-    per-partition curve evaluations through the indicator-weighted sum of
-    Observation 1.
+    augmented representation to the K frozen heads, here one stacked
+    forward, then combines the per-partition curve evaluations through the
+    indicator-weighted sum of Observation 1.
     """
 
     kind = "selnet-partitioned"
@@ -431,15 +507,15 @@ class CompiledPartitionedSelNet(ControlPointKernel):
         self.t_max = float(model.t_max)
         self.partitioning = model.partitioning
         self.encoder = FusedFeedForward.from_sequential(model.autoencoder.encoder, self.dtype)
-        self.heads = [CompiledControlPointHead(local, self.dtype) for local in model.local_models]
+        self.head = CompiledControlPointHead(model.local_models, self.dtype)
 
     @property
     def num_partitions(self) -> int:
-        return len(self.heads)
+        return self.head.num_heads
 
     @property
     def num_parameters(self) -> int:
-        return self.encoder.num_parameters + sum(head.num_parameters for head in self.heads)
+        return self.encoder.num_parameters + self.head.num_parameters
 
     def _augment(self, queries: np.ndarray) -> np.ndarray:
         queries = np.ascontiguousarray(queries, dtype=self.dtype)
@@ -448,15 +524,9 @@ class CompiledPartitionedSelNet(ControlPointKernel):
         latent = self.encoder(queries)
         return np.concatenate([queries, latent], axis=1)
 
-    def local_control_points(
-        self, queries: np.ndarray
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """One ``(tau, p)`` pair per partition, sharing a single encode."""
-        augmented = self._augment(queries)
-        return [head.control_points(augmented) for head in self.heads]
-
     def query_points(self, queries: np.ndarray) -> ControlPoints:
-        """Control points of a batch of distinct queries: one encode, K heads.
+        """Control points of a batch of distinct queries: one encode, one
+        stacked forward of the K heads.
 
         ``tau`` / ``p`` are ``(m, K, L+2)``; ``gates`` are the queries'
         :meth:`~repro.index.Partitioning.partition_gates`, on which
@@ -464,12 +534,8 @@ class CompiledPartitionedSelNet(ControlPointKernel):
         :meth:`~repro.index.Partitioning.indicator_batch` does.
         """
         queries = np.asarray(queries, dtype=np.float64)
-        locals_ = self.local_control_points(queries)
-        return ControlPoints(
-            np.stack([tau for tau, _ in locals_], axis=1),
-            np.stack([p for _, p in locals_], axis=1),
-            self.partitioning.partition_gates(queries),
-        )
+        tau, p = self.head.control_points(self._augment(queries))
+        return ControlPoints(tau, p, self.partitioning.partition_gates(queries))
 
     def evaluate(self, points: ControlPoints, thresholds: np.ndarray) -> np.ndarray:
         thresholds = np.asarray(thresholds, dtype=self.dtype)
@@ -483,17 +549,20 @@ class CompiledPartitionedSelNet(ControlPointKernel):
         first, inverse = distinct
         indicators = self.partitioning.indicator_batch(queries, thresholds, distinct)
         # A partition that no query ball in the batch intersects adds exactly
-        # zero, so its head never runs.  (Row-level filtering would change
-        # the BLAS batch shape and with it the low-order bits: every distinct
-        # query runs each active head.)
+        # zero: only the heads from the first to the last active partition
+        # run, in one stacked forward over views of their weights, and
+        # _combine skips the inactive ones among them.  (Row-level filtering
+        # would change the BLAS batch shape and with it the low-order bits:
+        # every distinct query runs each of those heads.)
         active = np.flatnonzero(indicators.any(axis=0))
-        augmented = self._augment(take_rows(queries, first))
-        locals_ = [self.heads[k].control_points(augmented) for k in active]
-        if not locals_:
+        if not len(active):
             return np.zeros(len(thresholds), dtype=self.dtype)
-        tau = take_rows(np.stack([tau for tau, _ in locals_], axis=1), inverse)
-        p = take_rows(np.stack([p for _, p in locals_], axis=1), inverse)
-        return self._combine(indicators[:, active], self._curves(tau, p, thresholds))
+        low, high = int(active[0]), int(active[-1]) + 1
+        heads = None if high - low == self.num_partitions else slice(low, high)
+        augmented = self._augment(take_rows(queries, first))
+        tau, p = self.head.control_points(augmented, heads)
+        curves = self._curves(take_rows(tau, inverse), take_rows(p, inverse), thresholds)
+        return self._combine(indicators[:, low:high], curves)
 
     @staticmethod
     def _curves(tau: np.ndarray, p: np.ndarray, thresholds: np.ndarray) -> np.ndarray:

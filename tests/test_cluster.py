@@ -95,6 +95,18 @@ class TestShardRouter:
             assert router.route_batch("m", queries).tolist() == shards
             assert [router.route("m", query) for query in queries] == shards
 
+    def test_one_shard_ring_hashes_nothing(self, rng, monkeypatch):
+        from repro.cluster import router as router_module
+
+        def refuse(data):
+            raise AssertionError("a one-shard ring hashed a key")
+
+        router = ShardRouter(num_shards=1)
+        monkeypatch.setattr(router_module, "_hash64", refuse)
+        shards = router.route_batch("m", rng.standard_normal((32, 6)))
+        assert shards.dtype == np.int64 and shards.tolist() == [0] * 32
+        assert router.route("m", rng.standard_normal(6)) == 0
+
     def test_router_matches_cache_key_rounding(self, rng):
         router = ShardRouter(num_shards=4)
         query = np.round(rng.standard_normal(5), 10)

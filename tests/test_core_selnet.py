@@ -375,6 +375,30 @@ class TestIncrementalSelNet:
         [report] = incremental.update(deletes=[-size])
         assert report.database_size == size - 1
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_insert_raises_before_any_change(self, fitted, value):
+        """A NaN or infinite coordinate in an insert is a ``ValueError``, and
+        the write it came with (its deletes too) changes nothing."""
+        estimator, split = fitted
+        incremental = IncrementalSelNet(
+            estimator=estimator,
+            data=split.dataset.vectors,
+            distance=split.distance,
+            train=split.train,
+            validation=split.validation,
+            config=IncrementalConfig(mae_drift_threshold=1e9),
+        )
+        inserts = np.zeros((2, split.dataset.dim))
+        inserts[1, 3] = value
+        with pytest.raises(ValueError, match="finite"):
+            incremental.update(inserts=inserts, deletes=[0])
+        with pytest.raises(ValueError, match="finite"):
+            incremental.update(inserts=np.full((2, split.dataset.dim), value))
+        assert incremental.reports == []
+        np.testing.assert_array_equal(incremental.data, split.dataset.vectors)
+        [report] = incremental.update(inserts=np.zeros((2, split.dataset.dim)))
+        assert report.database_size == split.dataset.num_vectors + 2
+
     def test_writes_group_and_hash_the_validation_rows_once(self, fitted, monkeypatch):
         """Ten writes group the validation rows once and hash them once: the
         model groups them on its first relabel, and the delta oracle finds

@@ -41,8 +41,9 @@ from repro.inference import (
 from repro.inference.compiler import inner_selnet_model
 from repro.inference.precision import TIER_NAMES, parse_tier, relative_deviation
 from repro.core.incremental import IncrementalSelNet
-from repro.nn import Adam, Dropout
+from repro.nn import Adam, Dropout, Linear
 from repro.serving import EstimationService
+from repro.serving.cache import compact_cache_key
 
 PARITY = 1e-12
 SELNET_FAMILY = ("selnet", "selnet-ct", "selnet-ad-ct", "selnet-inc")
@@ -695,6 +696,151 @@ class TestDistinctQueryEvaluation:
             kernel.curve_values(np.repeat(queries, 3, axis=0), grid),
             np.repeat(kernel.curve_values(queries, grid), 3, axis=0),
         )
+
+
+# ---------------------------------------------------------------------- #
+# One stacked forward for the K local heads
+# ---------------------------------------------------------------------- #
+def _graph_control_points(model, queries):
+    """Every local head's graph-mode (tau, p), each ``(m, K, L+2)``."""
+    with no_grad():
+        augmented = model.local_models[0].augment(Tensor(queries))
+        heads = [local.head(augmented) for local in model.local_models]
+    return (
+        np.stack([tau.data for tau, _ in heads], axis=1),
+        np.stack([p.data for _, p in heads], axis=1),
+    )
+
+
+class TestStackedHeads:
+    @pytest.fixture(scope="class")
+    def partitioned(self, tiny_cosine_split):
+        estimator = _fit("selnet", tiny_cosine_split, num_partitions=3)
+        assert estimator.compiled().num_partitions == 3
+        return estimator
+
+    @pytest.mark.parametrize("num_queries", [1, 2, 3, 17, 64])
+    def test_every_head_keeps_its_graph_bits(
+        self, partitioned, tiny_cosine_split, rng, num_queries
+    ):
+        """query_points and predict, over distinct and over adjacent
+        repeated rows, give graph mode's bits at float64."""
+        kernel, model = partitioned.compiled(), partitioned.model
+        queries = tiny_cosine_split.dataset.vectors[:num_queries]
+        assert len(distinct_rows(queries)[0]) == num_queries
+        points = kernel.query_points(queries)
+        tau, p = _graph_control_points(model, queries)
+        np.testing.assert_array_equal(points.tau, tau)
+        np.testing.assert_array_equal(points.p, p)
+
+        t_max = tiny_cosine_split.t_max
+        thresholds = rng.uniform(0.0, 1.1 * t_max, size=num_queries)
+        np.testing.assert_array_equal(
+            kernel.predict(queries, thresholds), model.predict(queries, thresholds)
+        )
+        rows = np.repeat(queries, 5, axis=0)
+        thresholds = rng.uniform(0.0, 1.1 * t_max, size=len(rows))
+        expected = model.predict(rows, thresholds)
+        np.testing.assert_array_equal(kernel.predict(rows, thresholds), expected)
+        gathered = points.take(np.repeat(np.arange(num_queries), 5))
+        np.testing.assert_array_equal(kernel.evaluate(gathered, thresholds), expected)
+
+    @pytest.mark.parametrize("active", [(), (0,), (1,), (2,), (0, 2), (1, 2)])
+    def test_a_batch_that_activates_a_strict_subset_of_partitions(
+        self, partitioned, tiny_cosine_split, active, monkeypatch
+    ):
+        """predict runs the heads from the first to the last partition some
+        row activates (none when no row activates one), with graph mode's
+        bits on distinct and adjacent repeated rows."""
+        kernel, model = partitioned.compiled(), partitioned.model
+        ran = []
+        control_points = kernel.head.control_points
+
+        def recording(augmented, heads=None):
+            tau, p = control_points(augmented, heads)
+            ran.append(tau.shape[1])
+            return tau, p
+
+        monkeypatch.setattr(kernel.head, "control_points", recording)
+        queries = tiny_cosine_split.dataset.vectors
+        level = 0.01 * tiny_cosine_split.t_max if active else 0.0
+        thresholds = np.full(len(queries), level)
+        meets = model.partitioning.indicator_batch(queries, thresholds) > 0
+        target = np.isin(np.arange(3), active)
+        # Every row that meets no partition outside ``active``, twice over.
+        rows = np.repeat(np.flatnonzero(~(meets & ~target).any(axis=1)), 2)
+        assert np.array_equal(meets[rows].any(axis=0), target)
+        expected = model.predict(queries[rows], thresholds[rows])
+        np.testing.assert_array_equal(kernel.predict(queries[rows], thresholds[rows]), expected)
+        assert active or not expected.any()
+        assert ran == ([active[-1] - active[0] + 1] if active else [])
+
+    @pytest.mark.parametrize("heads", [slice(0, 1), slice(1, 2), slice(2, 3), slice(1, 3)])
+    def test_a_range_of_heads_keeps_its_graph_bits(self, partitioned, tiny_cosine_split, heads):
+        """A range of the stacked heads runs through views of their weights
+        and gives those heads' graph-mode control points."""
+        kernel, model = partitioned.compiled(), partitioned.model
+        queries = tiny_cosine_split.dataset.vectors[:17]
+        tau, p = kernel.head.control_points(kernel._augment(queries), heads)
+        graph_tau, graph_p = _graph_control_points(model, queries)
+        np.testing.assert_array_equal(tau, graph_tau[:, heads])
+        np.testing.assert_array_equal(p, graph_p[:, heads])
+
+    def test_float32_stays_within_its_budget(self, partitioned, tiny_cosine_split):
+        kernel = compile_estimator(partitioned, dtype=np.float32)
+        assert kernel.head.tau_network.layers[0][0].dtype == np.float32
+        queries = tiny_cosine_split.test.queries
+        thresholds = tiny_cosine_split.test.thresholds
+        graph = partitioned.model.predict(queries, thresholds)
+        budget = parse_tier("float32").budget
+        assert relative_deviation(kernel.predict(queries, thresholds), graph) <= budget
+
+    def test_a_lone_head_runs_on_the_model_weights(self, tiny_cosine_split):
+        """A lone head is not stacked: its float64 layers are the model's
+        own arrays, with no K axis."""
+        estimator = _fit("selnet-ct", tiny_cosine_split)
+        head, model_head = estimator.compiled().head, estimator.model.head
+        assert head.num_heads == 1
+        pairs = [
+            (head.tau_network, model_head.tau_generator.network),
+            (head.p_encoder, model_head.p_generator.encoder),
+        ]
+        for fused, network in pairs:
+            linears = [module for module in network if isinstance(module, Linear)]
+            assert len(fused.layers) == len(linears)
+            for (weight, bias, _), linear in zip(fused.layers, linears):
+                assert weight.shape == linear.weight.shape
+                assert np.shares_memory(weight, linear.weight.data)
+                assert np.shares_memory(bias, linear.bias.data)
+        assert np.shares_memory(head.decoder_weights, model_head.p_generator.decoder_weight.data)
+        assert np.shares_memory(head.decoder_biases, model_head.p_generator.decoder_bias.data)
+
+    @pytest.mark.parametrize("name", ["selnet", "selnet-ct"])
+    def test_cached_entries_keep_their_payload_bytes(self, name, tiny_cosine_split):
+        """An entry is one query's (tau, p), plus K gates when partitioned,
+        in float64: a stacked forward leaves the cache's byte count as it
+        was."""
+        overrides = {"num_partitions": 3} if name == "selnet" else {}
+        estimator = _fit(name, tiny_cosine_split, **overrides)
+        kernel = estimator.compiled()
+        width = estimator.config.num_control_points + 2
+        entry = kernel.query_points(tiny_cosine_split.test.queries[:4]).row(2)
+        if name == "selnet":
+            assert entry.tau.shape == entry.p.shape == (3, width)
+            assert entry.payload_nbytes == 2 * 3 * width * 8 + 3 * 8
+        else:
+            assert entry.tau.shape == entry.p.shape == (width,)
+            assert entry.payload_nbytes == 2 * width * 8
+
+        service = EstimationService(cache_capacity=64)
+        service.add_model(name, estimator)
+        queries = tiny_cosine_split.test.queries
+        service.estimate(name, queries, tiny_cosine_split.test.thresholds)
+        cached = len(np.unique(queries, axis=0))
+        assert len(service.cache) == cached
+        key_bytes = len(compact_cache_key(name, queries[0]))
+        # 64: the cache's fixed per-entry charge
+        assert service.cache.bytes == cached * (entry.payload_nbytes + key_bytes + 64)
 
 
 # ---------------------------------------------------------------------- #

@@ -608,6 +608,32 @@ class TestSocketServers:
             assert status({"deletes": [True]}) == 400
             assert status({"deletes": [0, 2.0, -1]}) == 200
 
+    @pytest.mark.parametrize("backend", ["inline", "network"])
+    def test_selnet_inc_refuses_non_finite_inserts_with_400(
+        self, fitted_selnet_inc, tiny_cosine_split, backend
+    ):
+        """A NaN or infinite insert is a bad request on either shard backend
+        and leaves the shard's database as it was; finite inserts apply."""
+        server = build_server(None, port=0, binary_port=None, num_shards=1, backend=backend)
+        server.app.cluster.add_model("inc", fitted_selnet_inc)
+        dim = tiny_cosine_split.dataset.dim
+        size = tiny_cosine_split.dataset.num_vectors
+        with server:
+            status = lambda body: _http_status(server, "/update", dict(body, model="inc"))
+            for value in (np.nan, np.inf, -np.inf):  # JSON's NaN / Infinity tokens
+                row = [0.0] * dim
+                row[1] = value
+                assert status({"inserts": [row, [0.0] * dim]}) == 400, value
+                assert status({"inserts": [row], "deletes": [0]}) == 400, value
+            if backend == "inline":
+                [shard] = server.app.cluster._shards
+                replica = shard.backend.service.get("inc")
+                assert replica.state._delta.num_objects == size
+                assert replica.reports == []
+            assert status({"inserts": [[0.0] * dim]}) == 200
+            if backend == "inline":
+                assert replica.state._delta.num_objects == size + 1
+
     @settings(max_examples=100, deadline=None)
     @given(
         body=st.fixed_dictionaries(

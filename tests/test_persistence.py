@@ -3,6 +3,8 @@ estimates bit-for-bit after being persisted and reloaded in a fresh object."""
 
 from __future__ import annotations
 
+import copy
+import io
 import json
 import pickle
 
@@ -254,3 +256,106 @@ class TestFormatVersions:
         (path / SIDECAR_FILE).write_text(json.dumps(metadata))
         with pytest.raises(ValueError, match="format version"):
             load_estimator(path)
+
+
+#: registry names whose estimators train a network
+NETWORK_ESTIMATORS = (
+    "dln", "dnn", "isotonic-dnn", "moe", "rmi", "selnet", "selnet-ad-ct", "selnet-ct",
+    "selnet-inc", "umnn",
+)
+
+
+def _pickled_tensors(obj):
+    """Every tensor a pickle of ``obj`` holds, at any depth."""
+    found = []
+
+    class Recorder(pickle.Pickler):
+        def persistent_id(self, value):
+            if isinstance(value, Tensor):
+                found.append(value)
+            return None
+
+    Recorder(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return found
+
+
+class TestPicklesCarryNoGradients:
+    """A gradient belongs to the backward pass that made it, not to a fitted
+    model: a tensor's pickle and deep copy leave it out, so ``state.pkl``,
+    a cluster's model payload and a copied estimator hold none."""
+
+    def test_a_tensor_pickles_and_copies_without_its_gradient(self):
+        tensor = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True, name="w")
+        tensor.grad = np.ones((2, 3))
+        pickled = pickle.loads(pickle.dumps(tensor, protocol=pickle.HIGHEST_PROTOCOL))
+        for restored in (pickled, copy.deepcopy(tensor), copy.copy(tensor)):
+            assert restored.grad is None
+            assert restored.requires_grad and restored.name == "w"
+            np.testing.assert_array_equal(restored.data, tensor.data)
+        assert tensor.grad is not None
+
+    def test_code_without_set_state_loads_the_pickle(self, monkeypatch):
+        """The pickled state keeps a slotted class's default form, so code
+        that predates ``__setstate__`` (an older server) loads it."""
+        tensor = Tensor(np.arange(3.0), requires_grad=True, name="b")
+        tensor.grad = np.ones(3)
+        data = pickle.dumps(tensor, protocol=pickle.HIGHEST_PROTOCOL)
+        monkeypatch.delattr(Tensor, "__setstate__")
+        restored = pickle.loads(data)
+        assert restored.grad is None
+        assert restored.requires_grad and restored.name == "b"
+        np.testing.assert_array_equal(restored.data, tensor.data)
+
+    @pytest.mark.parametrize("name", sorted(FAST_PARAMS))
+    def test_a_fitted_estimator_pickles_without_gradients(self, name, tiny_cosine_split):
+        """The fit's last step leaves gradients on the parameters in memory;
+        neither a pickle nor a deep copy of the estimator carries them."""
+        estimator = create_estimator(name, **dict(FAST_PARAMS[name], seed=0))
+        tensors = _pickled_tensors(estimator.fit(tiny_cosine_split))
+        assert bool(tensors) == (name in NETWORK_ESTIMATORS)
+        assert not tensors or any(tensor.grad is not None for tensor in tensors)
+        pickled = pickle.loads(pickle.dumps(estimator, protocol=pickle.HIGHEST_PROTOCOL))
+        for restored in (pickled, copy.deepcopy(estimator)):
+            restored_tensors = _pickled_tensors(restored)
+            assert len(restored_tensors) == len(tensors)
+            assert all(tensor.grad is None for tensor in restored_tensors)
+
+    def test_a_fine_tuned_selnet_inc_pickles_without_gradients(self, tiny_cosine_split, rng):
+        params = dict(FAST_PARAMS["selnet-inc"], seed=0, update_mae_drift_threshold=-1.0)
+        estimator = create_estimator("selnet-inc", **params).fit(tiny_cosine_split)
+        [report] = estimator.update(inserts=rng.standard_normal((3, tiny_cosine_split.dataset.dim)))
+        assert report.retrained
+        pickled = pickle.loads(pickle.dumps(estimator, protocol=pickle.HIGHEST_PROTOCOL))
+        tensors = _pickled_tensors(pickled)
+        assert tensors and all(tensor.grad is None for tensor in tensors)
+
+    def test_saved_state_holds_no_gradient(self, tiny_cosine_split, tmp_path):
+        params = dict(FAST_PARAMS["selnet"], seed=0, num_partitions=3)
+        create_estimator("selnet", **params).fit(tiny_cosine_split).save(tmp_path / "selnet")
+        with open(tmp_path / "selnet" / STATE_FILE, "rb") as handle:
+            tensors = _pickled_tensors(pickle.load(handle))
+        assert tensors and all(tensor.grad is None for tensor in tensors)
+
+    @pytest.mark.parametrize("name", ["selnet", "selnet-inc", "isotonic-dnn"])
+    def test_gradients_of_an_older_state_are_dropped_on_load(
+        self, name, tiny_cosine_split, tmp_path, monkeypatch
+    ):
+        """A state.pkl written before tensors left their gradients out (the
+        default pickle state of a slotted class) loads without them and
+        estimates bit-identically."""
+        estimator = create_estimator(name, **dict(FAST_PARAMS[name], seed=0))
+        estimator.fit(tiny_cosine_split)
+        queries = tiny_cosine_split.test.queries
+        thresholds = tiny_cosine_split.test.thresholds
+        reference = estimator.estimate(queries, thresholds)
+        monkeypatch.delattr(Tensor, "__getstate__")
+        monkeypatch.delattr(Tensor, "__setstate__")
+        estimator.save(tmp_path / name)
+        with open(tmp_path / name / STATE_FILE, "rb") as handle:
+            assert any(tensor.grad is not None for tensor in _pickled_tensors(pickle.load(handle)))
+        monkeypatch.undo()
+
+        loaded = load_estimator(tmp_path / name)
+        tensors = _pickled_tensors(loaded)
+        assert tensors and all(tensor.grad is None for tensor in tensors)
+        np.testing.assert_array_equal(loaded.estimate(queries, thresholds), reference)
