@@ -724,16 +724,15 @@ def _run_experiment(runner: Callable, args) -> object:
     return result
 
 
-def _cmd_run(args) -> int:
-    name = "smoke" if args.smoke else args.experiment
-    if name is None:
-        raise SystemExit("error: name an experiment (or pass --smoke); see `repro list`")
-    key = name.lower()
-    if key not in EXPERIMENTS:
-        raise SystemExit(
-            f"error: unknown experiment {name!r}; choose from {', '.join(sorted(EXPERIMENTS))}"
-        )
-    description, runner = EXPERIMENTS[key]
+def _run_pipeline_command(args, runner: Callable, subject: str, payload: Callable) -> int:
+    """The shared body of ``repro run`` and ``repro sweep``.
+
+    Executes ``runner``, prints its pipeline report and store statistics,
+    writes ``--stats-json`` (``payload(result)``, the command's own keys,
+    plus the timing and cache fields every such run records) and applies
+    the ``--expect-all-cached`` warm-store gate, whose messages name
+    ``subject``.
+    """
     if getattr(args, "no_store", False) and args.expect_all_cached:
         raise SystemExit("error: --expect-all-cached needs an artifact store (drop --no-store)")
 
@@ -751,13 +750,8 @@ def _cmd_run(args) -> int:
         )
 
     if args.stats_json:
-        payload = {
-            "experiment": key,
-            "description": description,
-            # The smoke experiment pins its scale regardless of --scale;
-            # record what actually ran.
-            "scale": SMOKE_SCALE if key == "smoke" else get_scale(args.scale).name,
-            "seed": args.seed,
+        document = {
+            **payload(result),
             "elapsed_seconds": elapsed,
             "store": None if store is None else str(store.root),
             "store_stats": None if stats is None else stats.as_dict(),
@@ -765,7 +759,7 @@ def _cmd_run(args) -> int:
             "all_cached": stats is not None and stats.misses == 0,
         }
         with open(args.stats_json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+            json.dump(document, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.stats_json}")
 
@@ -776,13 +770,37 @@ def _cmd_run(args) -> int:
                 f"stage(s) had to be built (stats: {stats.as_dict()})"
             )
         if stats.hits == 0:
-            # 0 hits / 0 misses means the experiment never touched the store;
-            # a warm-cache assertion over it would pass vacuously forever.
+            # 0 hits / 0 misses means the run never touched the store; a
+            # warm-cache assertion over it would pass vacuously forever.
             raise SystemExit(
-                f"cache-assertion failure: experiment {key!r} ran no store-backed "
-                "stages, so --expect-all-cached cannot attest anything"
+                f"cache-assertion failure: {subject} ran no store-backed stages, "
+                "so --expect-all-cached cannot attest anything"
             )
     return 0
+
+
+def _cmd_run(args) -> int:
+    name = "smoke" if args.smoke else args.experiment
+    if name is None:
+        raise SystemExit("error: name an experiment (or pass --smoke); see `repro list`")
+    key = name.lower()
+    if key not in EXPERIMENTS:
+        raise SystemExit(
+            f"error: unknown experiment {name!r}; choose from {', '.join(sorted(EXPERIMENTS))}"
+        )
+    description, runner = EXPERIMENTS[key]
+
+    def payload(result) -> Dict:
+        return {
+            "experiment": key,
+            "description": description,
+            # The smoke experiment pins its scale regardless of --scale;
+            # record what actually ran.
+            "scale": SMOKE_SCALE if key == "smoke" else get_scale(args.scale).name,
+            "seed": args.seed,
+        }
+
+    return _run_pipeline_command(args, runner, f"experiment {key!r}", payload)
 
 
 def _cmd_sweep(args) -> int:
@@ -810,45 +828,16 @@ def _cmd_sweep(args) -> int:
         def runner(**kw):
             return run_seed_variance(args.setting, models=models, seeds=seeds, **kw)
 
-    if getattr(args, "no_store", False) and args.expect_all_cached:
-        raise SystemExit("error: --expect-all-cached needs an artifact store (drop --no-store)")
-
-    result, store, elapsed = _execute_experiment(runner, args)
-    report = result.pipeline_report
-    stats = None if store is None else store.stats
-    if report is not None:
-        print(report.text, file=sys.stderr)
-
-    if args.stats_json:
-        payload = {
+    def payload(result) -> Dict:
+        return {
             "sweep": result.sweep_id,
             "axis": args.axis,
             "description": result.description,
             "scale": get_scale(args.scale).name,
-            "elapsed_seconds": elapsed,
-            "store": None if store is None else str(store.root),
-            "store_stats": None if stats is None else stats.as_dict(),
-            "pipeline": None if report is None else report.as_dict(),
             "rows": result.rows,
-            "all_cached": stats is not None and stats.misses == 0,
         }
-        with open(args.stats_json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.stats_json}")
 
-    if args.expect_all_cached and stats is not None:
-        if stats.misses > 0:
-            raise SystemExit(
-                f"cache-miss failure: expected a fully warm store but {stats.misses} "
-                f"stage(s) had to be built (stats: {stats.as_dict()})"
-            )
-        if stats.hits == 0:
-            raise SystemExit(
-                "cache-assertion failure: the sweep ran no store-backed stages, "
-                "so --expect-all-cached cannot attest anything"
-            )
-    return 0
+    return _run_pipeline_command(args, runner, "the sweep", payload)
 
 
 def _eval_digests(store) -> Dict[str, str]:

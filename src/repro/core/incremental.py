@@ -22,7 +22,7 @@ from ..autodiff import Tensor
 from ..data.updates import UpdateOperation
 from ..data.workload import QueryGrid, Workload, WorkloadSplit, query_grid, relabel_workload
 from ..exact import DeltaOracle
-from ..distances import DistanceFunction
+from ..distances import DistanceFunction, finite_squared_norms
 from ..estimator import SelectivityEstimator
 from ..nn import Adam, DataLoader, log_huber_loss
 from ..registry import register_estimator
@@ -266,8 +266,9 @@ class IncrementalSelNet:
         ``inserts`` is a ``(n, dim)`` array of new vectors; ``deletes`` holds
         row indices into the current database.  Deletes are applied first so
         the indices are interpreted against the pre-insert state.  An index
-        below ``-size`` or a NaN or infinite insert raises ``ValueError``
-        before anything changes.
+        below ``-size``, or an insert row with a NaN or infinite coordinate or
+        a squared norm that overflows float64, raises ``ValueError`` before
+        anything changes.
         """
         operations: List[UpdateOperation] = []
         if deletes is not None:
@@ -281,8 +282,11 @@ class IncrementalSelNet:
             operations.append(UpdateOperation(kind="delete", indices=np.sort(indices)))
         if inserts is not None:
             vectors = np.atleast_2d(np.asarray(inserts, dtype=np.float64))
-            if not np.isfinite(vectors).all():
-                raise ValueError("inserted vectors must be finite (no NaN or infinity)")
+            if not finite_squared_norms(vectors):
+                raise ValueError(
+                    "inserted vectors must be finite (no NaN or infinity, and no row "
+                    "whose squared norm overflows float64)"
+                )
             operations.append(UpdateOperation(kind="insert", vectors=vectors))
         if not operations:
             raise ValueError("update() needs inserts, deletes or both")

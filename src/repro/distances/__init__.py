@@ -6,6 +6,7 @@ from .metrics import (
     cosine_threshold_to_euclidean,
     euclidean_distance,
     euclidean_threshold_to_cosine,
+    finite_squared_norms,
     normalize_rows,
     pairwise_cosine_distance,
     pairwise_euclidean,
@@ -18,6 +19,7 @@ __all__ = [
     "cosine_similarity",
     "pairwise_euclidean",
     "pairwise_cosine_distance",
+    "finite_squared_norms",
     "normalize_rows",
     "cosine_threshold_to_euclidean",
     "euclidean_threshold_to_cosine",

@@ -7,6 +7,8 @@ which both the KDE baseline and the cover-tree partitioner exploit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -82,6 +84,22 @@ def pairwise_cosine_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a_norm = a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1e-12)
     b_norm = b / np.maximum(np.linalg.norm(b, axis=1, keepdims=True), 1e-12)
     return 1.0 - a_norm @ b_norm.T
+
+
+def finite_squared_norms(rows: np.ndarray) -> bool:
+    """Whether every row (vector along the last axis) of a float array has
+    a finite squared Euclidean norm.
+
+    False for a NaN or infinite coordinate and for a finite row whose norm
+    overflows float64 (a row of ``1e200``), whose distances and norms are
+    inf or NaN.  Neither ``vdot`` nor ``einsum`` raises an overflow warning.
+    The squares are non-negative, so a finite total over all rows settles
+    it in one BLAS call; only when the total is not finite are the rows
+    summed one by one.
+    """
+    if math.isfinite(np.vdot(rows, rows)):
+        return True
+    return bool(np.isfinite(np.einsum("...j,...j->...", rows, rows)).all())
 
 
 def normalize_rows(data: np.ndarray) -> np.ndarray:

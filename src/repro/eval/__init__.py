@@ -4,7 +4,6 @@ from .harness import (
     EvaluationResult,
     SettingEvaluation,
     build_setting_split,
-    evaluate_estimator,
     evaluate_fitted,
     run_setting,
 )
@@ -20,8 +19,6 @@ from .registry import (
     ABLATION_MODEL_ORDER,
     CONSISTENT_MODELS,
     PAPER_MODEL_ORDER,
-    default_estimators,
-    selnet_factory,
     selnet_train_spec,
     train_specs_for_models,
 )
@@ -42,12 +39,9 @@ __all__ = [
     "empirical_monotonicity",
     "EvaluationResult",
     "SettingEvaluation",
-    "evaluate_estimator",
     "evaluate_fitted",
     "build_setting_split",
     "run_setting",
-    "default_estimators",
-    "selnet_factory",
     "selnet_train_spec",
     "train_specs_for_models",
     "PAPER_MODEL_ORDER",

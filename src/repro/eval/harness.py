@@ -4,13 +4,13 @@ This module ties the data substrate, the estimator registry and the metrics
 together; the table / figure reproductions in :mod:`repro.experiments` and
 the benchmark suite are thin wrappers around it.
 
-Since the pipeline refactor the harness is **spec-driven**: workload splits
-are described by :class:`repro.pipeline.WorkloadSpec`, model runs by
+The harness is **spec-driven**: workload splits are described by
+:class:`repro.pipeline.WorkloadSpec`, model runs by
 :class:`repro.pipeline.TrainSpec` / :class:`repro.pipeline.EvalSpec`, and
 :func:`run_setting` executes them as a DAG through a
 :class:`repro.pipeline.PipelineRunner`.  With no artifact store active the
-pipeline degenerates to a per-call memo table (pure compute, identical
-numbers to the pre-pipeline code); with a store active
+pipeline degenerates to a per-call memo table (pure compute); with a store
+active
 (:func:`repro.pipeline.use_store`, or ``repro run`` / ``table`` / ``figure``
 on the CLI) every dataset, labeled workload, trained model and evaluation is
 memoized under its spec hash and reruns become cache hits.
@@ -37,7 +37,7 @@ from ..pipeline import (
     resolve_store,
 )
 from .metrics import ErrorMetrics, compute_error_metrics, empirical_monotonicity
-from .registry import EstimatorFactory, default_estimators, train_specs_for_models
+from .registry import train_specs_for_models
 
 
 @dataclass
@@ -77,7 +77,7 @@ class SettingEvaluation:
 
     setting: str
     results: List[EvaluationResult] = field(default_factory=list)
-    #: per-stage wall-clock / cache stats when the pipeline path ran
+    #: per-stage wall-clock / cache stats of the pipeline run
     pipeline_report: Optional[PipelineReport] = None
 
     def by_model(self) -> Dict[str, EvaluationResult]:
@@ -146,29 +146,6 @@ def evaluate_fitted(
     )
 
 
-def evaluate_estimator(
-    estimator: SelectivityEstimator,
-    split: WorkloadSplit,
-    measure_monotonicity: bool = False,
-    monotonicity_queries: int = 40,
-    monotonicity_thresholds: int = 50,
-    seed: int = 0,
-) -> EvaluationResult:
-    """Fit one estimator and measure accuracy, speed and (optionally) consistency."""
-    start = time.perf_counter()
-    estimator.fit(split)
-    fit_seconds = time.perf_counter() - start
-    return evaluate_fitted(
-        estimator,
-        split,
-        fit_seconds=fit_seconds,
-        measure_monotonicity=measure_monotonicity,
-        monotonicity_queries=monotonicity_queries,
-        monotonicity_thresholds=monotonicity_thresholds,
-        seed=seed,
-    )
-
-
 def build_setting_split(
     setting: str,
     scale: ExperimentScale,
@@ -212,8 +189,6 @@ def run_setting(
     models: Optional[Iterable[str]] = None,
     threshold_distribution: str = "geometric",
     measure_monotonicity: bool = False,
-    factories: Optional[Dict[str, EstimatorFactory]] = None,
-    split: Optional[WorkloadSplit] = None,
     seed: int = 0,
     store: Optional[ArtifactStore] = None,
     num_workers: Optional[int] = None,
@@ -222,13 +197,10 @@ def run_setting(
 ) -> SettingEvaluation:
     """Evaluate a set of models on one dataset / distance setting.
 
-    The default path is **spec-driven**: the models become
-    ``TrainSpec``/``EvalSpec`` stages sharing one ``WorkloadSpec``, executed
-    as a DAG by a :class:`~repro.pipeline.PipelineRunner` (independent model
-    branches run on a worker pool; with a store, finished stages are reused
-    across runs).  Passing a pre-built ``split`` or custom ``factories``
-    falls back to the direct path — those objects have no canonical spec to
-    hash.
+    The models become ``TrainSpec``/``EvalSpec`` stages sharing one
+    ``WorkloadSpec``, executed as a DAG by a
+    :class:`~repro.pipeline.PipelineRunner` (independent model branches run
+    on a worker pool; with a store, finished stages are reused across runs).
 
     Parameters
     ----------
@@ -244,10 +216,6 @@ def run_setting(
         ``"geometric"`` (Tables 1-4) or ``"beta"`` (Table 11).
     measure_monotonicity:
         Also compute the empirical monotonicity measure (Table 5).
-    factories:
-        Pre-built estimator factories; forces the direct (non-pipeline) path.
-    split:
-        Pre-built workload split; forces the direct (non-pipeline) path.
     seed:
         Seed shared by the workload and every estimator.
     store:
@@ -262,18 +230,6 @@ def run_setting(
         process executor needs a persistent store.  See
         :mod:`repro.pipeline.runner`.
     """
-    if split is not None or factories is not None:
-        return _run_setting_direct(
-            setting,
-            scale,
-            models=models,
-            threshold_distribution=threshold_distribution,
-            measure_monotonicity=measure_monotonicity,
-            factories=factories,
-            split=split,
-            seed=seed,
-        )
-
     workload_spec = WorkloadSpec.for_setting(
         setting, scale, threshold_distribution=threshold_distribution, seed=seed
     )
@@ -305,41 +261,3 @@ def run_setting(
         results=[outcome.value(spec) for spec in eval_specs],
         pipeline_report=outcome.report,
     )
-
-
-def _run_setting_direct(
-    setting: str,
-    scale: ExperimentScale,
-    models: Optional[Iterable[str]] = None,
-    threshold_distribution: str = "geometric",
-    measure_monotonicity: bool = False,
-    factories: Optional[Dict[str, EstimatorFactory]] = None,
-    split: Optional[WorkloadSplit] = None,
-    seed: int = 0,
-) -> SettingEvaluation:
-    """The pre-pipeline path for caller-supplied splits / factories."""
-    if split is None:
-        split = build_setting_split(
-            setting, scale, threshold_distribution=threshold_distribution, seed=seed
-        )
-    if factories is None:
-        factories = default_estimators(
-            scale,
-            num_vectors=split.dataset.num_vectors,
-            distance_name=split.distance.name,
-            include=models,
-            seed=seed,
-        )
-    evaluation = SettingEvaluation(setting=setting)
-    for name, factory in factories.items():
-        estimator = factory()
-        result = evaluate_estimator(
-            estimator,
-            split,
-            measure_monotonicity=measure_monotonicity,
-            monotonicity_queries=scale.monotonicity_queries,
-            monotonicity_thresholds=scale.monotonicity_thresholds,
-            seed=seed,
-        )
-        evaluation.results.append(result)
-    return evaluation

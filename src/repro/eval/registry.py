@@ -1,23 +1,21 @@
-"""Paper-experiment estimator factories, on top of the public registry.
+"""Paper-experiment training specs, on top of the public registry.
 
 This module is a thin consumer of :mod:`repro.registry`: it maps the model
 names used in the paper's tables (``"SelNet"``, ``"LightGBM-m"``...) to
-registry keys and builds every estimator with the hyper-parameters its
-:class:`~repro.registry.EstimatorSpec` declares for the chosen
-:class:`~repro.experiments.scale.ExperimentScale`, so the accuracy, timing
-and monotonicity experiments all evaluate the same model zoo.
+registry keys and builds every model's :class:`~repro.pipeline.TrainSpec`
+with the hyper-parameters its :class:`~repro.registry.EstimatorSpec`
+declares for the chosen :class:`~repro.experiments.scale.ExperimentScale`,
+so the accuracy, timing and monotonicity experiments all evaluate the same
+model zoo.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
-from ..estimator import SelectivityEstimator
 from ..experiments.scale import ExperimentScale
 from ..pipeline import TrainSpec, WorkloadSpec
-from ..registry import create_estimator, get_estimator_spec, iter_estimator_specs
-
-EstimatorFactory = Callable[[], SelectivityEstimator]
+from ..registry import get_estimator_spec, iter_estimator_specs
 
 #: every model of Tables 1-4, in the paper's row order
 PAPER_MODEL_ORDER = (
@@ -48,39 +46,6 @@ CONSISTENT_MODELS = frozenset(
 )
 
 
-def _selnet_key_params(
-    scale: ExperimentScale, variant: str, seed: int, **config_overrides
-):
-    """(registry key, constructor params) for a SelNet variant.
-
-    The single param-assembly shared by :func:`selnet_factory` (direct path)
-    and :func:`selnet_train_spec` (pipeline path): both must always build
-    byte-identical estimators or the spec-driven/direct parity breaks.
-    """
-    if variant not in ABLATION_MODEL_ORDER:
-        raise KeyError(f"unknown SelNet variant {variant!r}")
-    key = _display_to_key()[variant]
-    params = get_estimator_spec(key).params_for_scale(scale)
-    params["seed"] = seed
-    params.update(config_overrides)
-    return key, params
-
-
-def selnet_factory(
-    scale: ExperimentScale,
-    variant: str = "SelNet",
-    seed: int = 0,
-    **config_overrides,
-) -> EstimatorFactory:
-    """Factory for a SelNet variant (``SelNet`` / ``SelNet-ct`` / ``SelNet-ad-ct``)."""
-    key, params = _selnet_key_params(scale, variant, seed, **config_overrides)
-
-    def build() -> SelectivityEstimator:
-        return create_estimator(key, **params)
-
-    return build
-
-
 def selnet_train_spec(
     workload: WorkloadSpec,
     scale: ExperimentScale,
@@ -89,38 +54,16 @@ def selnet_train_spec(
     display_name: Optional[str] = None,
     **config_overrides,
 ) -> TrainSpec:
-    """Hashable training spec for a SelNet variant (pipeline counterpart of
-    :func:`selnet_factory`); ``config_overrides`` are SelNetConfig fields."""
-    key, params = _selnet_key_params(scale, variant, seed, **config_overrides)
+    """Hashable training spec for a SelNet variant (``SelNet`` /
+    ``SelNet-ct`` / ``SelNet-ad-ct``); ``config_overrides`` are SelNetConfig
+    fields."""
+    if variant not in ABLATION_MODEL_ORDER:
+        raise KeyError(f"unknown SelNet variant {variant!r}")
+    key = _display_to_key()[variant]
+    params = get_estimator_spec(key).params_for_scale(scale)
+    params["seed"] = seed
+    params.update(config_overrides)
     return TrainSpec.create(workload, key, params, display_name=display_name)
-
-
-def _zoo_key_params(
-    scale: ExperimentScale,
-    num_vectors: int,
-    distance_name: str,
-    include: Optional[Iterable[str]],
-    seed: int,
-):
-    """Yield ``(display, key, params)`` for the supported model zoo, in order.
-
-    The single source for :func:`default_estimators` (direct path) and
-    :func:`train_specs_for_models` (pipeline path): same display names, same
-    registry keys, same scale-derived hyper-parameters, same
-    distance-support filtering.
-    """
-    display_map = _display_to_key()
-    names: List[str] = list(include) if include is not None else list(PAPER_MODEL_ORDER)
-    for display in names:
-        key = display_map.get(display)
-        if key is None:
-            continue
-        spec = get_estimator_spec(key)
-        if not spec.supports_distance(distance_name):
-            continue
-        params = spec.params_for_scale(scale, num_vectors)
-        params["seed"] = seed
-        yield display, key, params
 
 
 def train_specs_for_models(
@@ -131,51 +74,32 @@ def train_specs_for_models(
 ) -> Dict[str, TrainSpec]:
     """Hashable training specs for the model zoo on one workload.
 
-    The pipeline counterpart of :func:`default_estimators` — built from the
-    same :func:`_zoo_key_params` assembly, as content-addressed
-    :class:`~repro.pipeline.TrainSpec` stages instead of opaque closures
-    (``num_vectors`` and the distance come from the workload's dataset spec).
-    """
-    return {
-        display: TrainSpec.create(workload, key, params)
-        for display, key, params in _zoo_key_params(
-            scale, workload.dataset.num_vectors, workload.distance, include, seed
-        )
-    }
-
-
-def default_estimators(
-    scale: ExperimentScale,
-    num_vectors: int,
-    distance_name: str,
-    include: Optional[Iterable[str]] = None,
-    seed: int = 0,
-) -> Dict[str, EstimatorFactory]:
-    """The full model zoo for one dataset setting.
-
     Parameters
     ----------
     scale:
         Experiment scale controlling epochs / sizes / budgets.
-    num_vectors:
-        Database size (used for the KDE / LSH sampling budgets).
-    distance_name:
-        ``"cosine"`` or ``"euclidean"``; estimators whose spec does not
-        support the distance are omitted (LSH on Euclidean, exactly as in
-        the paper's Table 2).
+    workload:
+        The workload every model trains on; its dataset's size sets the
+        KDE / LSH sampling budgets, and a model whose spec does not support
+        its distance is omitted (LSH on Euclidean, exactly as in the
+        paper's Table 2).
     include:
-        Optional subset of model names to build (paper order is preserved
-        when omitted; the given order is preserved otherwise).
+        Optional subset of display names (paper order when omitted; the
+        given order otherwise).  Unknown names are skipped.
     seed:
         Seed forwarded to every estimator.
     """
-    factories: Dict[str, EstimatorFactory] = {}
-    for display, key, params in _zoo_key_params(
-        scale, num_vectors, distance_name, include, seed
-    ):
-
-        def build(key: str = key, params: Dict = params) -> SelectivityEstimator:
-            return create_estimator(key, **dict(params))
-
-        factories[display] = build
-    return factories
+    display_map = _display_to_key()
+    names = list(include) if include is not None else list(PAPER_MODEL_ORDER)
+    specs: Dict[str, TrainSpec] = {}
+    for display in names:
+        key = display_map.get(display)
+        if key is None:
+            continue
+        spec = get_estimator_spec(key)
+        if not spec.supports_distance(workload.distance):
+            continue
+        params = spec.params_for_scale(scale, workload.dataset.num_vectors)
+        params["seed"] = seed
+        specs[display] = TrainSpec.create(workload, key, params)
+    return specs

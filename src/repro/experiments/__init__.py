@@ -13,7 +13,6 @@ from .scale import (
     TINY,
     ExperimentScale,
     get_scale,
-    make_scaled_dataset,
     setting_distance,
 )
 
@@ -23,7 +22,6 @@ __all__ = [
     "SMALL",
     "MEDIUM",
     "get_scale",
-    "make_scaled_dataset",
     "setting_distance",
     "PAPER_SETTINGS",
     "TableResult",

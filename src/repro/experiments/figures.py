@@ -37,7 +37,7 @@ from ..core import (
 )
 from ..data import generate_update_stream
 from ..data.workload import Workload, WorkloadSplit, relabel_workload
-from ..eval.registry import selnet_factory, selnet_train_spec
+from ..eval.registry import selnet_train_spec
 from ..pipeline import (
     ExperimentSpec,
     PipelineReport,
@@ -57,7 +57,8 @@ class FigureResult:
     description: str
     series: Dict[str, np.ndarray] = field(default_factory=dict)
     text: str = ""
-    #: per-stage wall-clock / cache stats when the pipeline path ran
+    #: per-stage wall-clock / cache stats of the figure's pipeline run
+    #: (Figure 3 runs none)
     pipeline_report: Optional[PipelineReport] = None
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -73,7 +74,7 @@ def _materialize_selnet_variants(
     num_workers: Optional[int] = None,
     engine_options: Optional[Dict] = None,
     executor: Optional[str] = None,
-) -> Tuple[WorkloadSplit, Dict[str, SelNetEstimator], Optional[PipelineReport]]:
+) -> Tuple[WorkloadSplit, Dict[str, SelNetEstimator], PipelineReport]:
     """Workload split + fitted SelNet variants through the pipeline.
 
     With a persistent store active the returned estimators are private
@@ -174,7 +175,6 @@ def figure4_control_points(
     setting: str = "fasttext-cos",
     scale: ExperimentScale = SMALL,
     num_example_queries: int = 2,
-    split: Optional[WorkloadSplit] = None,
     seed: int = 0,
     num_workers: Optional[int] = None,
     engine_options: Optional[Dict] = None,
@@ -186,23 +186,18 @@ def figure4_control_points(
     them.  The result reports, per query, the learned knots and the MSE of
     each model's curve against the exact selectivity curve.
     """
-    report: Optional[PipelineReport] = None
-    if split is None:
-        split, estimators, report = _materialize_selnet_variants(
-            f"figure4-{setting}-{scale.name}",
-            setting,
-            scale,
-            ("SelNet-ct", "SelNet-ad-ct"),
-            seed,
-            num_workers=num_workers,
-            engine_options=engine_options,
-            executor=executor,
-        )
-        ct = estimators["SelNet-ct"]
-        ad_ct = estimators["SelNet-ad-ct"]
-    else:
-        ct = selnet_factory(scale, "SelNet-ct", seed=seed)().fit(split)
-        ad_ct = selnet_factory(scale, "SelNet-ad-ct", seed=seed)().fit(split)
+    split, estimators, report = _materialize_selnet_variants(
+        f"figure4-{setting}-{scale.name}",
+        setting,
+        scale,
+        ("SelNet-ct", "SelNet-ad-ct"),
+        seed,
+        num_workers=num_workers,
+        engine_options=engine_options,
+        executor=executor,
+    )
+    ct = estimators["SelNet-ct"]
+    ad_ct = estimators["SelNet-ad-ct"]
 
     rng = np.random.default_rng(seed)
     query_ids = np.unique(split.test.query_ids)
@@ -278,7 +273,7 @@ def figure5_updates(
     """
     series: Dict[str, np.ndarray] = {}
     lines = [f"Figure 5: accuracy under data updates [{scale.name} scale]"]
-    reports: List[Optional[PipelineReport]] = []
+    reports: List[PipelineReport] = []
     for setting in settings:
         split, estimators, setting_report = _materialize_selnet_variants(
             f"figure5-{setting}-{scale.name}",

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Dict
 
 from ..core import SelNetConfig
-from ..data import Dataset, make_dataset
 
 
 @dataclass(frozen=True)
@@ -138,12 +137,8 @@ def get_scale(name: str) -> ExperimentScale:
 
 
 def dataset_args_for_setting(setting: str, scale: ExperimentScale, seed_offset: int = 0) -> Dict:
-    """Generator arguments of one paper setting's dataset at a scale.
-
-    The single source of truth shared by :func:`make_scaled_dataset` and
-    :meth:`repro.pipeline.DatasetSpec.for_setting`, so the declarative
-    pipeline and the direct path construct byte-identical datasets.
-    """
+    """Generator arguments of one paper setting's dataset at a scale
+    (read by :meth:`repro.pipeline.DatasetSpec.for_setting`)."""
     key = setting.lower()
     if key.startswith("fasttext"):
         return dict(
@@ -167,25 +162,6 @@ def dataset_args_for_setting(setting: str, scale: ExperimentScale, seed_offset: 
             seed=13 + seed_offset,
         )
     raise KeyError(f"unknown setting {setting!r}")
-
-
-def make_scaled_dataset(setting: str, scale: ExperimentScale, seed_offset: int = 0) -> Dataset:
-    """Build the synthetic dataset for one paper setting at the given scale.
-
-    ``setting`` is one of the paper's four evaluation settings:
-    ``fasttext-cos``, ``fasttext-l2``, ``face-cos``, ``youtube-cos``.  When
-    an artifact store is active (``repro.pipeline.use_store``) the dataset
-    is served from / persisted to the store under its spec hash — the
-    returned object is then the store's shared cached instance; treat it as
-    immutable (the update pipeline copies vectors before applying streams).
-    """
-    from ..pipeline import DatasetSpec, get_active_store
-
-    spec = DatasetSpec.for_setting(setting, scale, seed_offset)
-    store = get_active_store()
-    if store is not None:
-        return store.get_or_build(spec)
-    return make_dataset(spec.name, num_vectors=spec.num_vectors, dim=spec.dim, seed=spec.seed)
 
 
 def setting_distance(setting: str) -> str:

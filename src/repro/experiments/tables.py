@@ -13,7 +13,6 @@ active (``repro run`` / ``repro table`` on the CLI, or
 :func:`repro.pipeline.use_store` in code) each stage is memoized under its
 content hash: rerunning a table is a pure cache replay, and tables sharing
 a workload (e.g. Tables 2, 8, 9, 10 on fasttext-l2) label it exactly once.
-Passing a pre-built ``split`` falls back to the direct path.
 
 Scale note: the functions accept an :class:`ExperimentScale`; absolute error
 values differ from the paper (synthetic data, smaller models), but the
@@ -27,14 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core import SelNetEstimator
-from ..data.workload import WorkloadSplit
-from ..eval.harness import (
-    EvaluationResult,
-    SettingEvaluation,
-    evaluate_estimator,
-    run_setting,
-)
+from ..eval.harness import EvaluationResult, SettingEvaluation, run_setting
 from ..eval.registry import (
     ABLATION_MODEL_ORDER,
     PAPER_MODEL_ORDER,
@@ -52,7 +44,6 @@ from ..pipeline import (
     ExperimentSpec,
     PipelineReport,
     PipelineRunner,
-    TrainSpec,
     WorkloadSpec,
     resolve_store,
 )
@@ -68,7 +59,7 @@ class TableResult:
     text: str
     rows: List[Dict[str, float]] = field(default_factory=list)
     evaluation: Optional[SettingEvaluation] = None
-    #: per-stage wall-clock / cache stats when the pipeline path ran
+    #: per-stage wall-clock / cache stats of the table's pipeline run
     pipeline_report: Optional[PipelineReport] = None
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -110,7 +101,6 @@ def run_accuracy_table(
     scale: ExperimentScale = SMALL,
     models: Optional[Sequence[str]] = None,
     threshold_distribution: str = "geometric",
-    split: Optional[WorkloadSplit] = None,
     seed: int = 0,
     num_workers: Optional[int] = None,
     engine_options: Optional[Dict] = None,
@@ -128,7 +118,6 @@ def run_accuracy_table(
         scale,
         models=models,
         threshold_distribution=threshold_distribution,
-        split=split,
         seed=seed,
         num_workers=num_workers,
         engine_options=engine_options,
@@ -158,7 +147,6 @@ def run_monotonicity_table(
     setting: str = "face-cos",
     scale: ExperimentScale = SMALL,
     models: Optional[Sequence[str]] = None,
-    split: Optional[WorkloadSplit] = None,
     seed: int = 0,
     num_workers: Optional[int] = None,
     engine_options: Optional[Dict] = None,
@@ -172,7 +160,6 @@ def run_monotonicity_table(
         scale,
         models=models,
         measure_monotonicity=True,
-        split=split,
         seed=seed,
         num_workers=num_workers,
         engine_options=engine_options,
@@ -319,23 +306,13 @@ def _run_selnet_sweep(
     setting: str,
     scale: ExperimentScale,
     arms: Sequence[Tuple[str, Dict]],
-    split: Optional[WorkloadSplit],
     seed: int,
     num_workers: Optional[int] = None,
     engine_options: Optional[Dict] = None,
     executor: Optional[str] = None,
-) -> Tuple[List[EvaluationResult], Optional[PipelineReport]]:
+) -> Tuple[List[EvaluationResult], PipelineReport]:
     """Evaluate SelNet variants (``(display_name, config_overrides)`` arms)
-    on one setting's workload; spec-driven unless a split is supplied."""
-    if split is not None:
-        results = []
-        for display_name, overrides in arms:
-            estimator = SelNetEstimator(
-                scale.selnet_config(seed=seed, **overrides), name=display_name
-            )
-            results.append(evaluate_estimator(estimator, split, seed=seed))
-        return results, None
-
+    on one setting's workload."""
     workload = WorkloadSpec.for_setting(setting, scale, seed=seed)
     eval_specs = []
     for display_name, overrides in arms:
@@ -362,7 +339,6 @@ def run_control_point_sweep(
     setting: str = "fasttext-l2",
     control_points: Sequence[int] = (4, 8, 16, 32),
     scale: ExperimentScale = SMALL,
-    split: Optional[WorkloadSplit] = None,
     seed: int = 0,
     num_workers: Optional[int] = None,
     engine_options: Optional[Dict] = None,
@@ -386,7 +362,6 @@ def run_control_point_sweep(
         setting,
         scale,
         arms,
-        split,
         seed,
         num_workers=num_workers,
         engine_options=engine_options,
@@ -422,7 +397,6 @@ def run_partition_size_sweep(
     setting: str = "fasttext-l2",
     partition_sizes: Sequence[int] = (1, 3, 6),
     scale: ExperimentScale = SMALL,
-    split: Optional[WorkloadSplit] = None,
     seed: int = 0,
     num_workers: Optional[int] = None,
     engine_options: Optional[Dict] = None,
@@ -438,7 +412,6 @@ def run_partition_size_sweep(
         setting,
         scale,
         arms,
-        split,
         seed,
         num_workers=num_workers,
         engine_options=engine_options,
@@ -477,7 +450,6 @@ def run_partition_method_table(
     methods: Sequence[str] = ("ct", "rp", "km"),
     num_partitions: int = 3,
     scale: ExperimentScale = SMALL,
-    split: Optional[WorkloadSplit] = None,
     seed: int = 0,
     num_workers: Optional[int] = None,
     engine_options: Optional[Dict] = None,
@@ -496,7 +468,6 @@ def run_partition_method_table(
         setting,
         scale,
         arms,
-        split,
         seed,
         num_workers=num_workers,
         engine_options=engine_options,

@@ -49,17 +49,11 @@ class BinaryClient:
         port: int,
         timeout: float = 30.0,
         trace: bool = False,
-        dtype: str = "float64",
     ) -> None:
-        if dtype not in ("float64", "float32"):
-            raise ValueError(f"wire dtype must be 'float64' or 'float32', got {dtype!r}")
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._lock = threading.Lock()
         self.trace = trace
-        #: wire dtype for outgoing estimate batches (``FLAG_DTYPE32`` when
-        #: float32); results always come back float64
-        self.dtype = dtype
 
     def _roundtrip(self, request: bytes) -> Any:
         with self._lock:
@@ -88,12 +82,7 @@ class BinaryClient:
         ):
             return self._roundtrip(
                 protocol.pack_estimate_request(
-                    model,
-                    queries,
-                    thresholds,
-                    use_cache,
-                    trace_id=trace_id,
-                    dtype=self.dtype,
+                    model, queries, thresholds, use_cache, trace_id=trace_id
                 )
             )
 

@@ -20,11 +20,8 @@ Request payloads
     n*dim f64 queries | n f64 thresholds [| trace utf-8]`` — flags bit 0 =
     use_cache, flags bit 1 = a trace ID is appended *after* the thresholds
     (at the end so every pre-trace offset parses unchanged; a server that
-    does not know the flag still reads the batch correctly), flags bit 2 =
-    the query/threshold payload is float32 instead of float64 (halving the
-    batch bytes on the wire; responses are always float64).  A pre-dtype
-    peer never *receives* bit 2 — clients only set it when asked to — so
-    every frame such a peer sees parses exactly as before.
+    does not know the flag still reads the batch correctly).  Any other
+    flag bit is refused.
 ``OP_STATS`` / ``OP_MODELS`` / ``OP_RELOAD`` / ``OP_PING``
     ``u8 op`` alone.
 
@@ -61,16 +58,13 @@ STATUS_ERROR = 2
 
 FLAG_USE_CACHE = 1
 FLAG_TRACE = 2
-#: query/threshold payload is little-endian float32 (results stay float64)
-FLAG_DTYPE32 = 4
-_KNOWN_FLAGS = FLAG_USE_CACHE | FLAG_TRACE | FLAG_DTYPE32
+_KNOWN_FLAGS = FLAG_USE_CACHE | FLAG_TRACE
 
 #: trace IDs are 16 hex chars; cap defensively against garbage flags
 MAX_TRACE_BYTES = 64
 
 _HEADER = struct.Struct(">2sI")
 _F64 = np.dtype("<f8")
-_F32 = np.dtype("<f4")
 
 
 class ProtocolError(RuntimeError):
@@ -131,13 +125,9 @@ def pack_estimate_request(
     thresholds: np.ndarray,
     use_cache: bool = True,
     trace_id: Optional[str] = None,
-    dtype: str = "float64",
 ) -> bytes:
-    if dtype not in ("float64", "float32"):
-        raise ValueError(f"wire dtype must be 'float64' or 'float32', got {dtype!r}")
-    wire = _F32 if dtype == "float32" else _F64
-    queries = np.ascontiguousarray(queries, dtype=wire)
-    thresholds = np.ascontiguousarray(thresholds, dtype=wire)
+    queries = np.ascontiguousarray(queries, dtype=_F64)
+    thresholds = np.ascontiguousarray(thresholds, dtype=_F64)
     if queries.ndim != 2 or thresholds.ndim != 1 or len(queries) != len(thresholds):
         raise ValueError(
             f"expected aligned (n, dim) queries and (n,) thresholds, got "
@@ -146,8 +136,6 @@ def pack_estimate_request(
     name = model.encode("utf-8")
     n, dim = queries.shape
     flags = FLAG_USE_CACHE if use_cache else 0
-    if wire is _F32:
-        flags |= FLAG_DTYPE32
     trailer = b""
     if trace_id:
         trailer = trace_id.encode("utf-8")
@@ -195,9 +183,8 @@ def parse_request(payload: bytes) -> Tuple[int, Optional[Dict[str, Any]]]:
     model = _decode_text(payload[4:offset], "model name")
     n, dim = struct.unpack_from(">II", payload, offset)
     offset += 8
-    wire = _F32 if flags & FLAG_DTYPE32 else _F64
-    q_bytes = n * dim * wire.itemsize
-    expected = offset + q_bytes + n * wire.itemsize
+    q_bytes = n * dim * _F64.itemsize
+    expected = offset + q_bytes + n * _F64.itemsize
     trace: Optional[str] = None
     if flags & FLAG_TRACE:
         trailer = payload[expected:]
@@ -210,15 +197,14 @@ def parse_request(payload: bytes) -> Tuple[int, Optional[Dict[str, Any]]]:
         raise ProtocolError(
             f"estimate frame is {len(payload)} bytes, expected {expected}"
         )
-    queries = np.frombuffer(payload, dtype=wire, count=n * dim, offset=offset).reshape(n, dim)
-    thresholds = np.frombuffer(payload, dtype=wire, count=n, offset=offset + q_bytes)
+    queries = np.frombuffer(payload, dtype=_F64, count=n * dim, offset=offset).reshape(n, dim)
+    thresholds = np.frombuffer(payload, dtype=_F64, count=n, offset=offset + q_bytes)
     return op, {
         "model": model,
         "queries": queries,
         "thresholds": thresholds,
         "use_cache": bool(flags & FLAG_USE_CACHE),
         "trace": trace,
-        "dtype": wire.name,
     }
 
 

@@ -13,11 +13,11 @@ The spec graph mirrors the experiment DAG::
 
     DatasetSpec <- WorkloadSpec <- TrainSpec <- EvalSpec  (<- ExperimentSpec)
 
-``build`` methods contain exactly the computation the seed-era experiment
-code performed (same factories, same argument defaults), so a cold pipeline
-run is byte-identical to the pre-pipeline path; ``save_artifact`` /
-``load_artifact`` round-trip each output losslessly (npz for arrays, the
-:mod:`repro.persistence` format for models, JSON for evaluation results).
+Each stage's ``build`` method is the only code that computes its output;
+``save_artifact`` / ``load_artifact`` round-trip each output losslessly (npz
+for arrays, the :mod:`repro.persistence` format for models, JSON for
+evaluation results), so a cached stage replays the numbers its cold build
+computed.
 """
 
 from __future__ import annotations
@@ -145,11 +145,9 @@ class DatasetSpec(Spec):
 
     @classmethod
     def for_setting(cls, setting: str, scale, seed_offset: int = 0) -> "DatasetSpec":
-        """The dataset of one paper setting at an experiment scale.
-
-        Mirrors :func:`repro.experiments.scale.make_scaled_dataset` exactly
-        (same generator arguments, same per-setting base seeds).
-        """
+        """The dataset of one paper setting at an experiment scale (its
+        generator arguments and per-setting base seed come from
+        :func:`repro.experiments.scale.dataset_args_for_setting`)."""
         from ..experiments.scale import dataset_args_for_setting
 
         return cls(**dataset_args_for_setting(setting, scale, seed_offset))

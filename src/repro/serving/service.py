@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..distances import finite_squared_norms
 from ..estimator import SelectivityEstimator
 from ..inference.kernels import ControlPoints
 from ..obs import MetricsRegistry
@@ -59,12 +60,16 @@ def _require_dimensions(name: str, estimator: SelectivityEstimator, queries: np.
 def _require_finite(queries: np.ndarray, thresholds: np.ndarray) -> None:
     """Reject NaN/inf inputs before they reach a kernel or the cache.
 
-    A query with a NaN or inf coordinate would be cached as control points
-    of NaN under its key, and that entry would then answer every later
-    request for the same key from the cache.
+    A query with a NaN or inf coordinate, or whose squared norm overflows
+    float64, would be cached as control points of NaN under its key, and
+    that entry would then answer every later request for the same key from
+    the cache.
     """
-    if not (np.isfinite(queries).all() and np.isfinite(thresholds).all()):
-        raise ValueError("queries and thresholds must be finite (no NaN or inf)")
+    if not (finite_squared_norms(queries) and np.isfinite(thresholds).all()):
+        raise ValueError(
+            "queries and thresholds must be finite (no NaN or inf, and no query "
+            "whose squared norm overflows float64)"
+        )
 
 
 class ModelStats:

@@ -375,10 +375,11 @@ class TestIncrementalSelNet:
         [report] = incremental.update(deletes=[-size])
         assert report.database_size == size - 1
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200, -1e200])
     def test_non_finite_insert_raises_before_any_change(self, fitted, value):
-        """A NaN or infinite coordinate in an insert is a ``ValueError``, and
-        the write it came with (its deletes too) changes nothing."""
+        """A NaN or infinite coordinate in an insert, or a finite one whose
+        square overflows float64 (1e200), is a ``ValueError``, and the write
+        it came with (its deletes too) changes nothing."""
         estimator, split = fitted
         incremental = IncrementalSelNet(
             estimator=estimator,

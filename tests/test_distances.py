@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from repro.distances import (
     cosine_threshold_to_euclidean,
     euclidean_distance,
     euclidean_threshold_to_cosine,
+    finite_squared_norms,
     get_distance,
     normalize_rows,
     pairwise_cosine_distance,
@@ -130,6 +133,30 @@ class TestNormalizeAndConversions:
             euclidean_distance(query, data) <= cosine_threshold_to_euclidean(threshold)
         )
         assert cosine_count == euclid_count
+
+
+class TestFiniteSquaredNorms:
+    @pytest.mark.parametrize(
+        "rows, finite",
+        [
+            (np.zeros((2, 8)), True),
+            (np.full((1, 10), 1e153), True),  # squared norm 1e307
+            (np.array([[1.3e154, 0.0]]), True),  # 1.69e308, just below the float64 max
+            (np.array([[1.4e154, 0.0]]), False),  # 1.96e308 overflows
+            (np.full((1, 8), 1e200), False),
+            (np.array([[0.0, -1e200]]), False),
+            (np.array([[1.0, np.nan]]), False),
+            (np.array([[np.inf, 0.0]]), False),
+            (np.array([[0.0], [-np.inf]]), False),
+            # Each row's squared norm is 1e308; only their total overflows.
+            (np.full((4, 1), 1e154), True),
+            (np.array([[1e154], [1e154], [1e200]]), False),
+        ],
+    )
+    def test_rows_with_finite_squared_norms(self, rows, finite):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow must not warn
+            assert finite_squared_norms(rows) is finite
 
 
 class TestRegistry:

@@ -485,3 +485,43 @@ class TestSweeps:
         assert payload["pipeline"]["cache_misses"] > 0
         out = capsys.readouterr().out
         assert "Cross-seed variance" in out
+
+    def test_cli_sweep_expect_all_cached_gate(self, tmp_path, capsys):
+        argv = [
+            "sweep",
+            "seeds",
+            "--setting",
+            "face-cos",
+            "--scale",
+            "tiny",
+            "--models",
+            "KDE",
+            "--seeds",
+            "0",
+            "--store",
+            str(tmp_path / "store"),
+            "--expect-all-cached",
+        ]
+        # A cold store has to build every stage: the gate exits non-zero.
+        with pytest.raises(SystemExit, match="cache-miss failure"):
+            main(argv)
+        # That pass filled the store, so the same sweep now replays it all.
+        stats_path = tmp_path / "warm.json"
+        assert main(argv + ["--stats-json", str(stats_path)]) == 0
+        payload = json.loads(stats_path.read_text())
+        assert set(payload) == {
+            "sweep",
+            "axis",
+            "description",
+            "scale",
+            "elapsed_seconds",
+            "store",
+            "store_stats",
+            "pipeline",
+            "rows",
+            "all_cached",
+        }
+        assert payload["all_cached"] is True
+        with pytest.raises(SystemExit, match="needs an artifact store"):
+            main(argv[:-3] + ["--no-store", "--expect-all-cached"])
+        capsys.readouterr()

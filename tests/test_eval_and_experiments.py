@@ -11,9 +11,8 @@ from repro.eval import (
     CONSISTENT_MODELS,
     PAPER_MODEL_ORDER,
     compute_error_metrics,
-    default_estimators,
     empirical_monotonicity,
-    evaluate_estimator,
+    evaluate_fitted,
     format_accuracy_table,
     format_monotonicity_table,
     format_sweep_table,
@@ -23,16 +22,18 @@ from repro.eval import (
     mean_squared_error,
     results_to_csv,
     run_setting,
+    train_specs_for_models,
 )
 from repro.experiments import (
     TINY,
     figure3_dln_vs_selnet,
     get_scale,
-    make_scaled_dataset,
     run_accuracy_table,
     run_control_point_sweep,
     setting_distance,
 )
+from repro.pipeline import ArtifactStore, DatasetSpec, WorkloadSpec
+from repro.registry import create_estimator
 
 
 class _OracleEstimator(SelectivityEstimator):
@@ -123,32 +124,34 @@ class TestEmpiricalMonotonicity:
 
 
 class TestHarness:
-    def test_evaluate_estimator_fields(self, tiny_cosine_split):
-        result = evaluate_estimator(_OracleEstimator(), tiny_cosine_split, measure_monotonicity=True)
+    def test_evaluate_fitted_fields(self, tiny_cosine_split):
+        estimator = _OracleEstimator().fit(tiny_cosine_split)
+        result = evaluate_fitted(
+            estimator, tiny_cosine_split, fit_seconds=0.25, measure_monotonicity=True
+        )
         assert result.test_metrics.mse == pytest.approx(0.0)
         assert result.monotonicity_percent == pytest.approx(100.0)
-        assert result.fit_seconds >= 0
+        assert result.fit_seconds == 0.25
         assert result.estimation_milliseconds >= 0
         row = result.as_row()
         assert row["model"] == "Oracle" and row["consistent"] is True
 
     def test_registry_paper_order_and_lsh_exclusion(self):
-        scale = TINY
-        cosine = default_estimators(scale, num_vectors=500, distance_name="cosine")
-        euclidean = default_estimators(scale, num_vectors=500, distance_name="euclidean")
+        cosine = train_specs_for_models(TINY, WorkloadSpec.for_setting("face-cos", TINY))
+        euclidean = train_specs_for_models(TINY, WorkloadSpec.for_setting("fasttext-l2", TINY))
         assert "LSH" in cosine and "LSH" not in euclidean
         assert list(cosine) == [name for name in PAPER_MODEL_ORDER if name in cosine]
 
     def test_registry_include_filter(self):
-        factories = default_estimators(
-            TINY, num_vectors=500, distance_name="cosine", include=["KDE", "DNN"]
+        specs = train_specs_for_models(
+            TINY, WorkloadSpec.for_setting("face-cos", TINY), include=["KDE", "DNN"]
         )
-        assert list(factories) == ["KDE", "DNN"]
+        assert list(specs) == ["KDE", "DNN"]
 
     def test_consistent_model_set_matches_estimators(self):
-        factories = default_estimators(TINY, num_vectors=400, distance_name="cosine")
-        for name, factory in factories.items():
-            estimator = factory()
+        specs = train_specs_for_models(TINY, WorkloadSpec.for_setting("face-cos", TINY))
+        for name, spec in specs.items():
+            estimator = create_estimator(spec.estimator, **spec.params_dict)
             assert estimator.guarantees_consistency == (name in CONSISTENT_MODELS)
 
     def test_run_setting_small_subset(self):
@@ -158,11 +161,9 @@ class TestHarness:
 
 
 class TestReporting:
-    @pytest.fixture()
-    def evaluation(self, tiny_cosine_split):
-        return run_setting(
-            "face-cos", TINY, models=["KDE"], split=tiny_cosine_split, measure_monotonicity=True
-        )
+    @pytest.fixture(scope="class")
+    def evaluation(self):
+        return run_setting("face-cos", TINY, models=["KDE"], measure_monotonicity=True)
 
     def test_accuracy_table_contains_model_and_star(self, evaluation):
         text = format_accuracy_table(evaluation, title="Table X")
@@ -198,12 +199,13 @@ class TestExperimentScaffolding:
         with pytest.raises(KeyError):
             get_scale("huge")
 
-    def test_make_scaled_dataset_settings(self):
+    def test_setting_datasets(self):
+        store = ArtifactStore.memory()
         for setting in ("fasttext-cos", "fasttext-l2", "face-cos", "youtube-cos"):
-            dataset = make_scaled_dataset(setting, TINY)
+            dataset = store.get_or_build(DatasetSpec.for_setting(setting, TINY))
             assert dataset.num_vectors > 0
         with pytest.raises(KeyError):
-            make_scaled_dataset("wikipedia", TINY)
+            DatasetSpec.for_setting("wikipedia", TINY)
 
     def test_setting_distance(self):
         assert setting_distance("fasttext-l2") == "euclidean"
@@ -225,16 +227,18 @@ class TestExperimentScaffolding:
         # The qualitative claim of Figure 3: adaptive control points fit far better.
         assert selnet_error < 0.5 * dln_error
 
-    def test_accuracy_table_tiny(self):
-        result = run_accuracy_table("face-cos", scale=TINY, models=["KDE", "LightGBM-m"])
+    def test_accuracy_table_tiny(self, golden):
+        result = run_accuracy_table("face-cos", scale=TINY)
         assert result.table_id == "Table 3"
-        assert len(result.rows) == 2
+        assert [row["model"] for row in result.rows] == list(PAPER_MODEL_ORDER)
         assert "KDE" in result.text
+        golden("table3_face-cos", result.rows)
 
-    def test_control_point_sweep_tiny(self):
+    def test_control_point_sweep_tiny(self, golden):
         result = run_control_point_sweep(
             "face-cos", control_points=(4, 8), scale=TINY
         )
         assert result.table_id == "Table 8"
         assert len(result.rows) == 2
         assert all("mse" in row for row in result.rows)
+        golden("table8_face-cos", result.rows)

@@ -113,40 +113,55 @@ class TestPublicAPIWorkflow:
 
 
 class TestExperimentDriversEndToEnd:
-    def test_monotonicity_table(self):
+    def test_monotonicity_table(self, golden):
         result = run_monotonicity_table(scale=TINY, models=["KDE", "DNN", "SelNet-ct"])
         rows = {row["model"]: row for row in result.rows}
         assert rows["KDE"]["monotonicity_percent"] == pytest.approx(100.0)
         assert rows["SelNet-ct"]["monotonicity_percent"] == pytest.approx(100.0)
+        golden("table5_face-cos", result.rows)
 
-    def test_ablation_table_structure(self):
+    def test_ablation_table_structure(self, golden):
         result = run_ablation_table(settings=("face-cos",), scale=TINY)
         assert len(result.rows) == 3
         assert {row["model"] for row in result.rows} == {"SelNet", "SelNet-ct", "SelNet-ad-ct"}
+        golden("table6_face-cos", result.rows)
 
     def test_timing_table_structure(self):
         result = run_timing_table(settings=("face-cos",), scale=TINY, models=["KDE", "DNN"])
         assert "face-cos" in result.text
         assert any(row["model"] == "DNN" for row in result.rows)
 
-    def test_partition_sweeps(self):
+    def test_partition_sweeps(self, golden):
         size_sweep = run_partition_size_sweep("face-cos", partition_sizes=(1, 2), scale=TINY)
         assert [row["partitions"] for row in size_sweep.rows] == [1, 2]
+        golden("table9_face-cos", size_sweep.rows)
         method_sweep = run_partition_method_table(
             "face-cos", methods=("ct", "rp"), num_partitions=2, scale=TINY
         )
         assert [row["method"] for row in method_sweep.rows] == ["CT", "RP"]
+        golden("table10_face-cos", method_sweep.rows)
 
-    def test_figure4(self):
+    def test_figure4(self, golden):
         figure = figure4_control_points(scale=TINY, num_example_queries=2)
         assert "Figure 4" in figure.text
         assert any(key.endswith("_tau") for key in figure.series)
         # ad-ct control points are identical across queries; ct's differ.
         assert figure.series["tau_spread_SelNet-ad-ct"][0] == pytest.approx(0.0, abs=1e-9)
+        golden(
+            "figure4_fasttext-cos",
+            {
+                model: figure.series[f"tau_spread_{model}"][0]
+                for model in ("SelNet-ct", "SelNet-ad-ct")
+            },
+        )
 
-    def test_figure5_short_stream(self):
+    def test_figure5_short_stream(self, golden):
         figure = figure5_updates(
             settings=("face-cos",), scale=TINY, num_operations=3, mae_drift_threshold=1e9
         )
         assert len(figure.series["face-cos_mse"]) == 3
         assert np.all(np.isfinite(figure.series["face-cos_mse"]))
+        golden(
+            "figure5_face-cos",
+            {key: figure.series[f"face-cos_{key}"] for key in ("mse", "mape")},
+        )

@@ -139,16 +139,13 @@ def net_server(kde_model_dir):
 def _estimate_requests(draw):
     """Keyword arguments of one :func:`protocol.pack_estimate_request` call."""
     num_rows, dim = draw(st.integers(0, 4)), draw(st.integers(1, 4))
-    dtype = draw(st.sampled_from(["float64", "float32"]))
-    values = st.floats(width=32 if dtype == "float32" else 64)
     text = st.characters(codec="utf-8")
     return {
         "model": draw(st.text(text, max_size=12)),
-        "queries": draw(hnp.arrays(np.float64, (num_rows, dim), elements=values)),
-        "thresholds": draw(hnp.arrays(np.float64, num_rows, elements=values)),
+        "queries": draw(hnp.arrays(np.float64, (num_rows, dim), elements=st.floats())),
+        "thresholds": draw(hnp.arrays(np.float64, num_rows, elements=st.floats())),
         "use_cache": draw(st.booleans()),
         "trace_id": draw(st.none() | st.text(text, min_size=1, max_size=16)),
-        "dtype": dtype,
     }
 
 
@@ -185,22 +182,6 @@ class TestProtocol:
         np.testing.assert_array_equal(fields["queries"], queries)
         np.testing.assert_array_equal(fields["thresholds"], thresholds)
 
-    def test_float32_request_halves_the_batch_bytes(self, rng):
-        queries = rng.standard_normal((5, 3))
-        thresholds = rng.standard_normal(5)
-        wide = protocol.pack_estimate_request("kde", queries, thresholds)
-        narrow = protocol.pack_estimate_request("kde", queries, thresholds, dtype="float32")
-        assert len(wide) - len(narrow) == 5 * (3 + 1) * 4  # n * (dim + 1) * 4 B saved
-        op, fields = protocol.parse_request(narrow)
-        assert op == protocol.OP_ESTIMATE
-        assert fields["dtype"] == "float32"
-        np.testing.assert_array_equal(fields["queries"], queries.astype(np.float32))
-        np.testing.assert_array_equal(fields["thresholds"], thresholds.astype(np.float32))
-        # default requests never carry the flag, so pre-dtype peers parse unchanged
-        assert not protocol.parse_request(wide)[1]["dtype"] == "float32"
-        with pytest.raises(ValueError, match="wire dtype"):
-            protocol.pack_estimate_request("kde", queries, thresholds, dtype="float16")
-
     def test_estimate_request_rejects_misaligned_batch(self, rng):
         with pytest.raises(ValueError):
             protocol.pack_estimate_request(
@@ -211,15 +192,13 @@ class TestProtocol:
     @given(request=_estimate_requests())
     def test_packed_request_round_trips_bit_for_bit(self, request):
         op, fields = protocol.parse_request(protocol.pack_estimate_request(**request))
-        wire = np.dtype(request["dtype"])
         assert op == protocol.OP_ESTIMATE
         assert fields["model"] == request["model"]
         assert fields["use_cache"] is request["use_cache"]
         assert fields["trace"] == request["trace_id"]
-        assert fields["dtype"] == request["dtype"]
         for name in ("queries", "thresholds"):
             assert fields[name].shape == request[name].shape
-            assert fields[name].tobytes() == request[name].astype(wire).tobytes()
+            assert fields[name].tobytes() == request[name].tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(payload=st.binary(max_size=64) | _damaged_frames())
@@ -240,10 +219,19 @@ class TestProtocol:
             _estimate_header(protocol.FLAG_USE_CACHE, b"\xff\xfe", 0, 1),
             # a trace ID that is not UTF-8
             _estimate_header(protocol.FLAG_TRACE, b"kde", 0, 1) + b"\xc3",
-            # a flag bit above FLAG_DTYPE32
-            _estimate_header(protocol.FLAG_DTYPE32 << 1, b"kde", 0, 1),
+            # bit 2, which once marked a float32 batch
+            _estimate_header(protocol.FLAG_USE_CACHE | 4, b"kde", 1, 1) + bytes(8),
+            # a flag bit above every known one
+            _estimate_header(protocol.FLAG_TRACE << 2, b"kde", 0, 1),
         ],
-        ids=["model-past-end", "shape-past-end", "model-utf8", "trace-utf8", "unknown-flag"],
+        ids=[
+            "model-past-end",
+            "shape-past-end",
+            "model-utf8",
+            "trace-utf8",
+            "float32-flag",
+            "unknown-flag",
+        ],
     )
     def test_malformed_estimate_frames_raise_protocol_error(self, payload):
         with pytest.raises(protocol.ProtocolError):
@@ -612,15 +600,17 @@ class TestSocketServers:
     def test_selnet_inc_refuses_non_finite_inserts_with_400(
         self, fitted_selnet_inc, tiny_cosine_split, backend
     ):
-        """A NaN or infinite insert is a bad request on either shard backend
-        and leaves the shard's database as it was; finite inserts apply."""
+        """A NaN or infinite insert, or one whose squared norm overflows
+        float64, is a bad request on either shard backend and leaves the
+        shard's database as it was; finite inserts apply."""
         server = build_server(None, port=0, binary_port=None, num_shards=1, backend=backend)
         server.app.cluster.add_model("inc", fitted_selnet_inc)
         dim = tiny_cosine_split.dataset.dim
         size = tiny_cosine_split.dataset.num_vectors
         with server:
             status = lambda body: _http_status(server, "/update", dict(body, model="inc"))
-            for value in (np.nan, np.inf, -np.inf):  # JSON's NaN / Infinity tokens
+            # JSON's NaN / Infinity tokens, and a plain number whose square is inf
+            for value in (np.nan, np.inf, -np.inf, 1e200):
                 row = [0.0] * dim
                 row[1] = value
                 assert status({"inserts": [row, [0.0] * dim]}) == 400, value
@@ -634,6 +624,25 @@ class TestSocketServers:
             if backend == "inline":
                 assert replica.state._delta.num_objects == size + 1
 
+    @pytest.mark.parametrize("backend", ["inline", "network"])
+    def test_selnet_refuses_queries_whose_norm_overflows_with_400(
+        self, fitted_selnet_ct, tiny_cosine_split, backend
+    ):
+        """A query of 1e200s has finite coordinates but an infinite squared
+        norm: a bad request on either shard backend (its answer would be a
+        NaN, which is not a JSON number)."""
+        server = build_server(None, port=0, binary_port=None, num_shards=1, backend=backend)
+        server.app.cluster.add_model("ct", fitted_selnet_ct)
+        dim = tiny_cosine_split.dataset.dim
+        with server:
+            status = lambda queries: _http_status(
+                server, "/estimate", {"model": "ct", "queries": queries, "thresholds": [0.5]}
+            )
+            assert status([[1e200] * dim]) == 400
+            assert status([[0.0] * (dim - 1) + [-1e200]]) == 400
+            assert status([tiny_cosine_split.test.queries[0].tolist()]) == 200
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=100, deadline=None)
     @given(
         body=st.fixed_dictionaries(

@@ -342,19 +342,6 @@ class TestPipelineRunner:
             assert left.test_metrics.mse == right.test_metrics.mse
             assert left.validation_metrics.mae == right.validation_metrics.mae
 
-    def test_pipeline_path_matches_direct_path(self):
-        models = ["KDE", "LightGBM-m"]
-        spec_driven = run_setting("face-cos", TINY, models=models)
-        split = build_setting_split("face-cos", TINY, seed=0)
-        direct = run_setting("face-cos", TINY, models=models, split=split)
-        assert [r.model_name for r in spec_driven.results] == [
-            r.model_name for r in direct.results
-        ]
-        for left, right in zip(spec_driven.results, direct.results):
-            assert left.test_metrics.mse == right.test_metrics.mse
-            assert left.test_metrics.mae == right.test_metrics.mae
-            assert left.validation_metrics.mape == right.validation_metrics.mape
-
     def test_warm_rerun_is_fully_cached(self, store):
         with use_store(store):
             first = run_setting("face-cos", TINY, models=["KDE"])
@@ -516,13 +503,15 @@ class TestIncrementalCompiledInvalidation:
     def test_fine_tune_invalidates_compiled_kernel(self):
         from repro.data import generate_update_stream
         from repro.core import IncrementalConfig, IncrementalSelNet
-        from repro.eval.registry import selnet_factory
 
         fast_scale = dataclasses.replace(
             TINY, selnet_epochs=2, selnet_pretrain_epochs=1, num_control_points=4
         )
-        split = build_setting_split("face-cos", fast_scale, seed=0)
-        estimator = selnet_factory(fast_scale, "SelNet-ct", seed=0)().fit(split)
+        workload = WorkloadSpec.for_setting("face-cos", fast_scale, seed=0)
+        store = ArtifactStore.memory()
+        split = store.get_or_build(workload)
+        train = selnet_train_spec(workload, fast_scale, "SelNet-ct", seed=0)
+        estimator = store.get_or_build(train).estimator
         estimator.compiled()  # store-loaded estimators arrive eagerly compiled
 
         incremental = IncrementalSelNet(
@@ -559,6 +548,17 @@ class TestPipelineCLI:
 
         assert main(["run", "--smoke", "--store", store_dir, "--stats-json", str(cold_stats)]) == 0
         cold = json.loads(cold_stats.read_text())
+        assert set(cold) == {
+            "experiment",
+            "description",
+            "scale",
+            "seed",
+            "elapsed_seconds",
+            "store",
+            "store_stats",
+            "pipeline",
+            "all_cached",
+        }
         assert cold["all_cached"] is False
         assert cold["store_stats"]["misses"] > 0
 

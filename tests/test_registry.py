@@ -14,8 +14,9 @@ from repro import (
     iter_estimator_specs,
 )
 from repro.core import IncrementalSelNetEstimator, SelNetEstimator
-from repro.eval.registry import CONSISTENT_MODELS, PAPER_MODEL_ORDER, default_estimators
+from repro.eval.registry import CONSISTENT_MODELS, PAPER_MODEL_ORDER, train_specs_for_models
 from repro.experiments.scale import TINY
+from repro.pipeline import WorkloadSpec
 from repro.registry import find_registration
 
 
@@ -110,9 +111,10 @@ class TestRegistry:
             "SelNet-ct",
             "SelNet-ad-ct",
         }
-        factories = default_estimators(TINY, num_vectors=500, distance_name="cosine")
-        assert list(factories) == list(PAPER_MODEL_ORDER)
-        assert "LSH" not in default_estimators(TINY, num_vectors=500, distance_name="euclidean")
+        cosine = WorkloadSpec.for_setting("face-cos", TINY)
+        euclidean = WorkloadSpec.for_setting("fasttext-l2", TINY)
+        assert list(train_specs_for_models(TINY, cosine)) == list(PAPER_MODEL_ORDER)
+        assert "LSH" not in train_specs_for_models(TINY, euclidean)
 
 
 class TestUpdateProtocol:

@@ -252,7 +252,8 @@ class TestEstimationService:
     def test_non_finite_inputs_are_rejected_before_the_cache(
         self, selnet_ct, tiny_cosine_split
     ):
-        """A NaN query or an inf threshold must not plant an entry in the cache."""
+        """A NaN query, a query whose squared norm overflows float64 or an
+        inf threshold must not plant an entry in the cache."""
         service = EstimationService()
         service.add_model("selnet-ct", selnet_ct)
         queries = tiny_cosine_split.test.queries[:2]
@@ -260,11 +261,14 @@ class TestEstimationService:
         uncached = service.estimate("selnet-ct", queries[:1], threshold, use_cache=False)
         with pytest.raises(ValueError, match="finite"):
             service.estimate("selnet-ct", queries, np.array([threshold[0], np.inf]))
-        bad = queries[:1].copy()
-        bad[0, 0] = np.nan
-        for use_cache in (True, False):
-            with pytest.raises(ValueError, match="finite"):
-                service.estimate("selnet-ct", bad, threshold, use_cache=use_cache)
+        nan_query = queries[:1].copy()
+        nan_query[0, 0] = np.nan
+        # Every coordinate is finite, but the squared norm is 1e400.
+        huge_query = np.full_like(queries[:1], 1e200)
+        for bad in (nan_query, huge_query):
+            for use_cache in (True, False):
+                with pytest.raises(ValueError, match="finite"):
+                    service.estimate("selnet-ct", bad, threshold, use_cache=use_cache)
         assert len(service.cache) == 0
         served = service.estimate("selnet-ct", queries[:1], threshold)
         # Exactly what a service that never saw the bad calls answers, and
