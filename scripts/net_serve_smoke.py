@@ -12,7 +12,9 @@ then — using nothing but :mod:`urllib` —
 5. re-sends the SelNet model's step-2 batch through the cache, then scrapes
    ``GET /metrics`` and asserts the Prometheus text carries per-shard
    latency histograms and cache bytes (that model's control points; no
-   other estimator is cached),
+   other estimator is cached), then runs ``repro top`` for two polls and
+   asserts it exits 0 with a row for each shard (its rates are the delta
+   of the two polls' snapshots),
 6. sends SIGINT, asserts the server exits cleanly with status 0, and checks
    the ``--trace-out`` JSONL holds spans from both the frontend (``main``)
    and shard-worker processes sharing a trace ID,
@@ -32,6 +34,7 @@ import argparse
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -221,6 +224,25 @@ def main() -> None:
         ):
             _fail(proc, f"per-shard cache byte accounting missing: {cache_byte_lines}")
         print("/metrics scrape OK (per-shard histograms + cache bytes)")
+
+        top_command = [
+            sys.executable, "-m", "repro", "top", base, "--iterations", "2", "--interval", "0.2",
+        ]
+        try:
+            top = subprocess.run(top_command, capture_output=True, text=True, timeout=60.0)
+        except subprocess.TimeoutExpired:
+            _fail(proc, "repro top --iterations 2 did not return within 60 s")
+        rows = [
+            shard for shard in range(SHARDS)
+            if re.search(rf"^\s+{shard}\s+\[", top.stdout, re.MULTILINE)
+        ]
+        if top.returncode != 0 or rows != list(range(SHARDS)):
+            _fail(
+                proc,
+                f"repro top exited {top.returncode} with rows for shards {rows}:\n"
+                f"{top.stdout}{top.stderr}",
+            )
+        print(f"repro top OK (2 polls, a row for each of {SHARDS} shards)")
     except SystemExit:
         raise
     except Exception as error:  # noqa: BLE001 - report, then dump server output

@@ -576,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--iterations",
         type=int,
         default=None,
-        help="stop after this many frames (default: run until interrupted)",
+        help="stop after this many polls, failed ones included (default: run until "
+        "interrupted); exits 1 when none drew a frame",
     )
 
     saturate_parser = subparsers.add_parser(

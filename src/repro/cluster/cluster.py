@@ -15,15 +15,17 @@ admission control with bounded per-shard queues:
   shedding for latency-sensitive callers).
 
 Batched estimation is scatter–gather: a request batch is split by shard,
-each sub-batch is one backend call (micro-batched again inside the worker
-via ``iter_microbatches``), and the results are reassembled in request
+each sub-batch is one backend call (sliced again into ``max_batch_size``
+kernel calls inside the worker), and the results are reassembled in request
 order.  Data updates fan out to *every* shard — each shard owns a full
 replica of each model it serves, so an update must reach all of them, and
 each shard drops its own cached curves when the update changed the model's
 weights.
 
-``stats()`` aggregates cluster-level counters with per-shard cache hit
-rate, queue depth and p50/p95/p99 sub-batch latency.
+``stats()`` reads one snapshot: the cluster's registry merged with every
+shard worker's, stamped with a ``shard`` label.  It reports cluster-level
+counters with per-shard queue depth, p50/p95/p99 sub-batch latency and the
+worker's own service stats.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..estimator import SelectivityEstimator
-from ..obs import MetricsRegistry, MetricsSnapshot
+from ..obs import MetricsRegistry, MetricsSnapshot, latency_summary
 from ..obs import trace as obstrace
 from .backends import BACKENDS, ShardFuture, _resolve_backend
 from .router import ShardRouter
@@ -47,11 +49,6 @@ from .router import ShardRouter
 PathLike = Union[str, Path]
 
 OVERLOAD_POLICIES = ("block", "shed")
-
-#: per-shard sliding window of sub-batch latencies kept for percentile stats
-#: (the bounded ring inside each shard's latency Histogram — a long-lived
-#: cluster's stats() stays O(1) in memory and time)
-LATENCY_WINDOW = 4096
 
 
 class ClusterOverloadedError(RuntimeError):
@@ -106,6 +103,8 @@ class ClusterConfig:
             )
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1")
+        if self.max_batch_size < 1:
+            raise ValueError(f"max_batch_size must be at least 1, got {self.max_batch_size}")
 
 
 @dataclass
@@ -171,7 +170,6 @@ class _Shard:
             "repro_cluster_sub_batch_latency_seconds",
             "Submit-to-settle latency of one shard sub-batch",
             ("shard",),
-            ring_size=LATENCY_WINDOW,
         ).labels(**label)
 
     @property
@@ -187,10 +185,6 @@ class _Shard:
             if depth > self.max_queue_gauge.value:
                 self.max_queue_gauge.set(depth)
         return call
-
-    @property
-    def max_queue_depth(self) -> int:
-        return int(self.max_queue_gauge.value)
 
     def settle(self, call: _PendingCall) -> Any:
         """Claim one call's result and release its queue slot (idempotent)."""
@@ -238,23 +232,6 @@ class _Shard:
             except BaseException:
                 # The error is cached in the future for the call's owner.
                 pass
-
-    def latency_percentiles(self) -> Dict[str, float]:
-        """Percentiles over the histogram's bounded ring of recent latencies.
-
-        A shard with zero settled calls reports all-zero percentiles (a
-        freshly spawned shard must not crash ``stats()``).
-        """
-        array = 1000.0 * self.latency.ring_array()
-        if array.size == 0:
-            return {"mean_ms": 0.0, "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0}
-        p50, p95, p99 = np.percentile(array, (50, 95, 99))
-        return {
-            "mean_ms": float(array.mean()),
-            "p50_ms": float(p50),
-            "p95_ms": float(p95),
-            "p99_ms": float(p99),
-        }
 
 
 class ClusterEstimateFuture:
@@ -519,27 +496,39 @@ class EstimationCluster:
     def stats(self) -> Dict[str, Any]:
         """Aggregated cluster counters plus one entry per shard (JSON-able).
 
-        Per shard: request/sub-batch/shed counts, queue depth (current and
-        high-water), sub-batch latency percentiles and the worker's own
-        service stats (cache hit rate, per-model counters).
+        Every number is read from one snapshot, carried under
+        ``"metrics"``: this registry merged with each worker's (which its
+        ``stats`` reply carries), stamped with a ``shard`` label.  Per shard:
+        request/sub-batch/shed counts, queue depth (current and high-water),
+        the sub-batch latency summary and the worker's own service stats
+        (cache, per-model counters), without its snapshot.
         """
+        for shard in self._shards:
+            shard.queue_gauge.set(shard.queue_depth)
+        snapshot = self.metrics.snapshot()
         per_shard: List[Dict[str, Any]] = []
         for shard in self._shards:
+            label = str(shard.shard_id)
             worker = shard.backend.stats().result()
-            depth = shard.queue_depth
-            shard.queue_gauge.set(depth)
+            worker_metrics = MetricsSnapshot.from_dict(worker.pop("metrics"))
+            snapshot = snapshot.merge(worker_metrics.with_labels(shard=label))
+
+            def count(name: str) -> int:
+                return int(snapshot.value(name, shard=label))
+
             per_shard.append(
                 {
                     "shard": shard.shard_id,
-                    "requests": int(shard.requests.value),
-                    "sub_batches": int(shard.sub_batches.value),
-                    "shed_batches": int(shard.shed_batches.value),
-                    "shed_requests": int(shard.shed_requests.value),
-                    "updates": int(shard.updates.value),
-                    "queue_depth": depth,
-                    "max_queue_depth": shard.max_queue_depth,
-                    "latency": shard.latency_percentiles(),
-                    "cache": worker.get("cache", {}),
+                    "requests": count("repro_cluster_requests_total"),
+                    "sub_batches": count("repro_cluster_sub_batches_total"),
+                    "shed_batches": count("repro_cluster_shed_batches_total"),
+                    "shed_requests": count("repro_cluster_shed_requests_total"),
+                    "updates": count("repro_cluster_updates_total"),
+                    "queue_depth": count("repro_cluster_queue_depth"),
+                    "max_queue_depth": count("repro_cluster_max_queue_depth"),
+                    "latency": latency_summary(
+                        snapshot.value("repro_cluster_sub_batch_latency_seconds", None, shard=label)
+                    ),
                     "worker": worker,
                 }
             )
@@ -555,25 +544,5 @@ class EstimationCluster:
             "total_shed_requests": sum(entry["shed_requests"] for entry in per_shard),
             "total_updates": sum(entry["updates"] for entry in per_shard),
             "per_shard": per_shard,
+            "metrics": snapshot.as_dict(),
         }
-
-    def metrics_snapshot(self, stats: Optional[Dict[str, Any]] = None) -> MetricsSnapshot:
-        """Cluster-wide merged snapshot: this registry + every worker's.
-
-        Each shard worker's :class:`~repro.serving.EstimationService`
-        registry crosses the process boundary inside its ``stats()`` reply
-        (the ``"metrics"`` key); here those snapshots are stamped with a
-        ``shard`` label and merged with the cluster's own counters.  Pass a
-        recent :meth:`stats` payload to reuse its worker round trips.
-        """
-        if stats is None:
-            stats = self.stats()
-        snapshot = self.metrics.snapshot()
-        for entry in stats.get("per_shard", []):
-            data = entry.get("worker", {}).get("metrics")
-            if data:
-                worker_snapshot = MetricsSnapshot.from_dict(data).with_labels(
-                    shard=str(entry["shard"])
-                )
-                snapshot = snapshot.merge(worker_snapshot)
-        return snapshot

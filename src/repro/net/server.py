@@ -39,7 +39,7 @@ from ..obs import (
     MetricsRegistry,
     MetricsSnapshot,
     aggregate_histogram,
-    histogram_percentile,
+    latency_summary,
     peak_rss_bytes,
 )
 from ..obs import trace as obstrace
@@ -74,13 +74,6 @@ class ServeApp:
 
     def _count(self, endpoint: str) -> None:
         self._endpoint_counter.labels(endpoint=endpoint).inc()
-
-    @property
-    def request_counts(self) -> Dict[str, int]:
-        return {
-            labels["endpoint"]: int(child.value)
-            for labels, child in self._endpoint_counter.series()
-        }
 
     # ------------------------------------------------------------------ #
     # Operations (shared by both transports)
@@ -123,19 +116,39 @@ class ServeApp:
         }
 
     def stats(self) -> Dict[str, Any]:
+        """The ``/stats`` payload, every number read from one snapshot,
+        which it carries under ``"metrics"``."""
         self._count("stats")
-        cluster_stats = self.cluster.stats()
+        cluster_stats, snapshot = self._collect()
+        layers: Dict[str, Any] = {}
+        for layer, family in _LAYER_HISTOGRAMS.items():
+            data = aggregate_histogram(snapshot, family)
+            if data is not None and data["count"]:
+                layers[layer] = latency_summary(data)
         return {
             "uptime_seconds": time.time() - self.started_at,
-            "endpoints": self.request_counts,
+            "endpoints": {
+                labels["endpoint"]: int(count)
+                for labels, count in snapshot.series("repro_app_requests_total")
+            },
             "cluster": cluster_stats,
-            "cache_bytes": sum(
-                int(entry.get("cache", {}).get("bytes", 0))
-                for entry in cluster_stats.get("per_shard", [])
-            ),
-            "layers": self._layer_summary(cluster_stats),
+            "cache_bytes": int(snapshot.total("repro_cache_bytes")),
+            "layers": layers,
             "peak_rss_bytes": self._peak_rss(cluster_stats),
+            "metrics": snapshot.as_dict(),
         }
+
+    def _collect(self) -> Tuple[Dict[str, Any], MetricsSnapshot]:
+        """The cluster's stats, and its snapshot (its own registry and every
+        worker's) merged with this app's.
+
+        The catalog service's registry is deliberately excluded — its series
+        are labeled ``(model,)`` while worker series carry ``(model, shard)``,
+        and the catalog never serves estimates anyway.
+        """
+        cluster_stats = self.cluster.stats()
+        snapshot = MetricsSnapshot.from_dict(cluster_stats.pop("metrics"))
+        return cluster_stats, snapshot.merge(self.metrics.snapshot())
 
     @staticmethod
     def _peak_rss(cluster_stats: Dict[str, Any]) -> Dict[str, int]:
@@ -148,37 +161,9 @@ class ServeApp:
                 peaks[f"shard-{entry['shard']}"] = int(entry["worker"]["peak_rss_bytes"])
         return peaks
 
-    def _layer_summary(self, cluster_stats: Dict[str, Any]) -> Dict[str, Any]:
-        """p50/p99 + count per latency histogram, across all shards/models."""
-        snapshot = self.metrics_snapshot(cluster_stats)
-        layers: Dict[str, Any] = {}
-        for layer, family in _LAYER_HISTOGRAMS.items():
-            data = aggregate_histogram(snapshot, family)
-            if data is None or not data["count"]:
-                continue
-            layers[layer] = {
-                "count": int(data["count"]),
-                "p50_ms": 1000.0 * histogram_percentile(data, 50.0),
-                "p99_ms": 1000.0 * histogram_percentile(data, 99.0),
-            }
-        return layers
-
-    def metrics_snapshot(
-        self, cluster_stats: Optional[Dict[str, Any]] = None
-    ) -> MetricsSnapshot:
-        """One merged snapshot: app counters + cluster + per-shard workers.
-
-        The catalog service's registry is deliberately excluded — its series
-        are labeled ``(model,)`` while worker series carry ``(model, shard)``,
-        and the catalog never serves estimates anyway.
-        """
-        merged = self.cluster.metrics_snapshot(stats=cluster_stats)
-        return merged.merge(self.metrics.snapshot())
-
     def metrics_text(self) -> str:
         """Prometheus text exposition for ``GET /metrics``."""
-        cluster_stats = self.cluster.stats()
-        snapshot = self.metrics_snapshot(cluster_stats)
+        cluster_stats, snapshot = self._collect()
         # Derived gauges that only exist at scrape time: per-shard worker
         # cache hit rate, uptime and each process's peak resident set —
         # built in a transient registry so the live ones stay pure counters.
@@ -186,10 +171,11 @@ class ServeApp:
         hit_rate = derived.gauge(
             "repro_cache_hit_rate", "Worker curve-cache hit rate", ("shard",)
         )
-        for entry in cluster_stats.get("per_shard", []):
-            cache = entry.get("worker", {}).get("cache")
-            if cache:
-                hit_rate.labels(shard=str(entry["shard"])).set(cache.get("hit_rate", 0.0))
+        for entry in cluster_stats["per_shard"]:
+            shard = entry["shard"]
+            hits = snapshot.total("repro_service_cache_hits_total", shard=shard)
+            lookups = hits + snapshot.total("repro_service_cache_misses_total", shard=shard)
+            hit_rate.labels(shard=str(shard)).set(hits / lookups if lookups else 0.0)
         derived.gauge("repro_app_uptime_seconds", "Seconds since app start").set(
             time.time() - self.started_at
         )

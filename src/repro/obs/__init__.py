@@ -9,7 +9,6 @@
 """
 
 from .metrics import (
-    DEFAULT_RING_SIZE,
     DEFAULT_TIME_BUCKETS,
     SNAPSHOT_RING_LIMIT,
     Counter,
@@ -20,6 +19,7 @@ from .metrics import (
     MetricsSnapshot,
     aggregate_histogram,
     histogram_percentile,
+    latency_summary,
     merge_snapshots,
     peak_rss_bytes,
 )
@@ -48,9 +48,9 @@ __all__ = [
     "merge_snapshots",
     "aggregate_histogram",
     "histogram_percentile",
+    "latency_summary",
     "peak_rss_bytes",
     "DEFAULT_TIME_BUCKETS",
-    "DEFAULT_RING_SIZE",
     "SNAPSHOT_RING_LIMIT",
     "TRACE_HEADER",
     "TraceSink",

@@ -9,9 +9,10 @@ of a bespoke stat dict.  The registry speaks one schema:
   (``sum`` / ``max`` / ``last``), e.g. queue depths and shard counts;
 * :class:`Histogram` — **fixed log-spaced buckets** (Prometheus-style
   cumulative ``le`` counts, so merged cross-process snapshots stay exact)
-  plus a **bounded ring of raw samples** giving exact streaming
-  p50/p95/p99 over recent observations in O(ring) memory — the structure
-  that replaces unbounded per-call latency lists.
+  plus a **ring of the last** :data:`SNAPSHOT_RING_LIMIT` **raw samples**,
+  all of which a snapshot exports.  Every percentile is
+  :func:`histogram_percentile` over a snapshot: exact while the ring holds
+  every observation, interpolated within the doubling buckets beyond it.
 
 Families are labeled (``labels=("model",)``); ``family.labels(model="kde")``
 returns the per-series child whose ``inc`` / ``set`` / ``observe`` are the
@@ -48,12 +49,8 @@ import numpy as np
 #: doubling per bucket (20 buckets; +Inf is implicit)
 DEFAULT_TIME_BUCKETS: Tuple[float, ...] = tuple(0.0001 * 2.0 ** i for i in range(20))
 
-#: raw samples kept per histogram series for exact streaming percentiles
-DEFAULT_RING_SIZE = 4096
-
-#: raw samples exported per series in a snapshot (keeps cross-process
-#: snapshots and /stats payloads small; percentiles over a merged snapshot
-#: are exact over this most-recent window, bucket-interpolated beyond it)
+#: raw samples a histogram series keeps, and a snapshot exports, for
+#: percentiles (keeps cross-process snapshots and /stats payloads small)
 SNAPSHOT_RING_LIMIT = 256
 
 #: separator joining label values into a snapshot series key (JSON-safe)
@@ -112,29 +109,25 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket distribution plus a bounded ring of raw samples.
+    """Fixed-bucket distribution plus a ring of the last
+    :data:`SNAPSHOT_RING_LIMIT` raw samples.
 
     The buckets give mergeable, loss-bounded counts (Prometheus semantics);
-    the ring gives *exact* percentiles over the most recent
-    ``ring_size`` observations — the replacement for keeping every latency
-    ever seen.  ``observe`` takes one lock: snapshotting reads bucket
-    arrays concurrently with hot-path writers.
+    the ring, exported whole, makes :func:`histogram_percentile` exact
+    until the series outgrows it.  ``observe`` takes one lock:
+    snapshotting reads bucket arrays concurrently with hot-path writers.
     """
 
     __slots__ = ("bounds", "_counts", "_sum", "_count", "_ring", "_lock")
 
-    def __init__(
-        self,
-        bounds: Sequence[float] = DEFAULT_TIME_BUCKETS,
-        ring_size: int = DEFAULT_RING_SIZE,
-    ) -> None:
+    def __init__(self, bounds: Sequence[float] = DEFAULT_TIME_BUCKETS) -> None:
         self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
         if list(self.bounds) != sorted(self.bounds):
             raise ValueError("histogram bucket bounds must be sorted ascending")
         self._counts = [0] * (len(self.bounds) + 1)  # last bucket = +Inf
         self._sum = 0.0
         self._count = 0
-        self._ring: Deque[float] = deque(maxlen=int(ring_size))
+        self._ring: Deque[float] = deque(maxlen=SNAPSHOT_RING_LIMIT)
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
@@ -154,31 +147,17 @@ class Histogram:
     def sum(self) -> float:
         return self._sum
 
-    def percentile(self, q: float) -> float:
-        """Exact percentile over the bounded ring (0.0 when empty)."""
-        with self._lock:
-            samples = np.asarray(self._ring)
-        if samples.size == 0:
-            return 0.0
-        return float(np.percentile(samples, q))
-
-    def ring_array(self) -> np.ndarray:
-        """A copy of the bounded sample ring (for multi-quantile reads)."""
-        with self._lock:
-            return np.asarray(self._ring, dtype=np.float64)
-
     def mean(self) -> float:
         return self._sum / self._count if self._count else 0.0
 
     def _export(self) -> Dict[str, Any]:
         with self._lock:
-            ring = list(self._ring)[-SNAPSHOT_RING_LIMIT:]
             return {
                 "bounds": list(self.bounds),
                 "counts": list(self._counts),
                 "sum": self._sum,
                 "count": self._count,
-                "ring": ring,
+                "ring": list(self._ring),
             }
 
 
@@ -213,10 +192,7 @@ class MetricFamily:
             return Counter()
         if self.kind == "gauge":
             return Gauge()
-        return Histogram(
-            bounds=self.options.get("buckets", DEFAULT_TIME_BUCKETS),
-            ring_size=self.options.get("ring_size", DEFAULT_RING_SIZE),
-        )
+        return Histogram(bounds=self.options.get("buckets", DEFAULT_TIME_BUCKETS))
 
     def labels(self, **labels: str) -> Any:
         """The series child for one label-value assignment (created lazily)."""
@@ -322,14 +298,11 @@ class MetricsRegistry:
         help: str = "",  # noqa: A002
         labels: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
-        ring_size: int = DEFAULT_RING_SIZE,
     ) -> MetricFamily:
         bounds = tuple(float(b) for b in buckets)
         if list(bounds) != sorted(bounds):  # fail at registration, not first observe
             raise ValueError("histogram bucket bounds must be sorted ascending")
-        return self._family(
-            name, "histogram", help, labels, buckets=bounds, ring_size=ring_size
-        )
+        return self._family(name, "histogram", help, labels, buckets=bounds)
 
     def families(self) -> List[MetricFamily]:
         with self._lock:
@@ -381,6 +354,20 @@ def histogram_percentile(data: Dict[str, Any], q: float) -> float:
         cumulative += bucket_count
         lower = bound if not math.isinf(bound) else lower
     return lower
+
+
+def latency_summary(data: Optional[Dict[str, Any]]) -> Dict[str, float]:
+    """Count, mean and p50/p95/p99 in milliseconds of exported latency
+    histogram data (observed in seconds); all zero for ``None`` or an empty
+    series."""
+    count = int(data["count"]) if data else 0
+    summary: Dict[str, float] = {
+        "count": count,
+        "mean_ms": 1000.0 * data["sum"] / count if count else 0.0,
+    }
+    for q in (50, 95, 99):
+        summary[f"p{q}_ms"] = 1000.0 * histogram_percentile(data, q) if count else 0.0
+    return summary
 
 
 def _escape_label_value(value: str) -> str:
@@ -515,6 +502,7 @@ class MetricsSnapshot:
                     if old is None or old["bounds"] != value["bounds"]:
                         new_series[key] = value
                     else:
+                        count = max(value["count"] - old["count"], 0)
                         new_series[key] = {
                             "bounds": list(value["bounds"]),
                             "counts": [
@@ -522,8 +510,10 @@ class MetricsSnapshot:
                                 for a, b in zip(value["counts"], old["counts"])
                             ],
                             "sum": max(value["sum"] - old["sum"], 0.0),
-                            "count": max(value["count"] - old["count"], 0),
-                            "ring": value["ring"][-SNAPSHOT_RING_LIMIT:],
+                            "count": count,
+                            # The ring's newest ``count`` samples are the
+                            # ones observed since ``before``.
+                            "ring": value["ring"][-count:] if count else [],
                         }
                 else:
                     new_series[key] = value
@@ -596,8 +586,8 @@ __all__ = [
     "merge_snapshots",
     "aggregate_histogram",
     "histogram_percentile",
+    "latency_summary",
     "peak_rss_bytes",
     "DEFAULT_TIME_BUCKETS",
-    "DEFAULT_RING_SIZE",
     "SNAPSHOT_RING_LIMIT",
 ]

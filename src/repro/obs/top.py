@@ -2,8 +2,9 @@
 
 The renderer is a pure function from two ``/stats`` payloads (current and
 previous poll) to a block of text, so tests exercise it without a terminal
-or a server; :func:`run_top` is the thin polling loop around it that
-repaints with ANSI home+clear each interval.
+or a server; rates are the :meth:`~repro.obs.MetricsSnapshot.delta` of the
+two payloads' ``"metrics"`` snapshots.  :func:`run_top` is the thin polling
+loop around it that repaints with ANSI home+clear each interval.
 """
 
 from __future__ import annotations
@@ -12,15 +13,9 @@ import json
 import time
 from typing import Any, Dict, List, Optional
 
+from .metrics import MetricsSnapshot
+
 _CLEAR = "\x1b[H\x1b[2J"
-
-
-def _rate(current: Dict[str, Any], previous: Optional[Dict[str, Any]], key: str, interval: float) -> float:
-    if not previous or interval <= 0:
-        return 0.0
-    cluster_now = current.get("cluster", {})
-    cluster_then = previous.get("cluster", {})
-    return max(cluster_now.get(key, 0) - cluster_then.get(key, 0), 0) / interval
 
 
 def _bar(fraction: float, width: int = 20) -> str:
@@ -47,9 +42,18 @@ def render_dashboard(
     queue_capacity = max(int(cluster.get("queue_capacity", 1)), 1)
     lines: List[str] = []
 
+    delta = None
+    if previous and interval > 0:
+        delta = MetricsSnapshot.from_dict(stats.get("metrics", {})).delta(
+            MetricsSnapshot.from_dict(previous.get("metrics", {}))
+        )
+
+    def rate(name: str, **labels: Any) -> float:
+        return delta.total(name, **labels) / interval if delta is not None else 0.0
+
     uptime = stats.get("uptime_seconds", 0.0)
-    req_s = _rate(stats, previous, "total_requests", interval)
-    shed_s = _rate(stats, previous, "total_shed_requests", interval)
+    req_s = rate("repro_cluster_requests_total")
+    shed_s = rate("repro_cluster_shed_requests_total")
     lines.append(
         f"repro top · up {uptime:7.1f}s · shards {cluster.get('num_shards', '?')} "
         f"· backend {cluster.get('backend', '?')} · policy {cluster.get('overload_policy', '?')}"
@@ -66,14 +70,9 @@ def render_dashboard(
     )
     for shard in per_shard:
         latency = shard.get("latency", {})
-        cache = shard.get("cache", {})
+        cache = shard.get("worker", {}).get("cache", {})
         depth = shard.get("queue_depth", 0)
-        shard_rate = 0.0
-        if previous and interval > 0:
-            for old in previous.get("cluster", {}).get("per_shard", []):
-                if old.get("shard") == shard.get("shard"):
-                    shard_rate = max(shard.get("requests", 0) - old.get("requests", 0), 0) / interval
-                    break
+        shard_rate = rate("repro_cluster_requests_total", shard=shard.get("shard"))
         hit_rate = cache.get("hit_rate")
         hit_text = f"{hit_rate:5.1%}" if isinstance(hit_rate, (int, float)) else "    -"
         lines.append(
@@ -119,7 +118,8 @@ def run_top(
     iterations: Optional[int] = None,
     write=None,
 ) -> int:
-    """Poll ``/stats`` and repaint until interrupted (or ``iterations`` runs).
+    """Poll ``/stats`` and repaint until interrupted (or ``iterations`` polls,
+    failed ones included, have run).
 
     Returns the number of frames drawn; ``write`` defaults to stdout and is
     injectable for tests.
@@ -128,20 +128,20 @@ def run_top(
 
     emit = write if write is not None else sys.stdout.write
     previous: Optional[Dict[str, Any]] = None
-    frames = 0
+    frames = polls = 0
     try:
-        while iterations is None or frames < iterations:
+        while iterations is None or polls < iterations:
+            if polls:
+                time.sleep(interval)
+            polls += 1
             try:
                 stats = fetch_stats(base_url)
             except Exception as error:  # noqa: BLE001 - keep polling through blips
                 emit(f"{_CLEAR}repro top · {base_url} unreachable: {error}\n")
-                time.sleep(interval)
                 continue
             emit(_CLEAR + render_dashboard(stats, previous, interval))
             previous = stats
             frames += 1
-            if iterations is None or frames < iterations:
-                time.sleep(interval)
     except KeyboardInterrupt:
         pass
     return frames

@@ -1,4 +1,4 @@
-"""Serving layer: model store facade, micro-batching, control-point cache.
+"""Serving layer: model store facade and control-point cache.
 
 See :class:`EstimationService` for the entry point::
 
@@ -8,7 +8,6 @@ See :class:`EstimationService` for the entry point::
     service.estimate("selnet-faces", queries, thresholds)
 """
 
-from .batching import MicroBatch, iter_microbatches
 from .cache import CurveCache, query_cache_key
 from .service import EstimationService, ModelStats
 
@@ -17,6 +16,4 @@ __all__ = [
     "ModelStats",
     "CurveCache",
     "query_cache_key",
-    "MicroBatch",
-    "iter_microbatches",
 ]

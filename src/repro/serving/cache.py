@@ -1,4 +1,4 @@
-"""LRU cache of per-query SelNet control points, with hit-rate statistics.
+"""LRU cache of per-query SelNet control points.
 
 Selectivity serving has heavy query reuse (the same embedding is probed at
 many thresholds — blocking plans, progressive refinement, dashboards).  A
@@ -18,14 +18,16 @@ estimator is served uncached (:class:`~repro.serving.EstimationService`).
 
 ``max_bytes`` bounds the cache by *accounted bytes* (payload + key + a fixed
 per-entry overhead), evicting least-recently-used entries past either the
-entry-count or the byte budget.
+entry-count or the byte budget.  The cache keeps no counters: ``put`` and
+``invalidate`` return how many entries they dropped, and the service counts
+hits, misses, evictions and invalidations in its metrics registry.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -102,10 +104,6 @@ class CurveCache:
         self.max_bytes = None if max_bytes is None else int(max_bytes)
         self._entries: "OrderedDict[bytes, ControlPoints]" = OrderedDict()
         self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -116,43 +114,37 @@ class CurveCache:
         return self._bytes
 
     # ------------------------------------------------------------------ #
-    def get(
-        self, model_name: str, query: Union[np.ndarray, bytes], rows: int = 1
-    ) -> Optional[ControlPoints]:
-        """Cached control points for a query, or None on a miss.
-
-        ``rows`` is the number of request rows the lookup answers: the
-        hit and miss counters count rows.
-        """
+    def get(self, model_name: str, query: Union[np.ndarray, bytes]) -> Optional[ControlPoints]:
+        """Cached control points for a query, or None on a miss."""
         key = compact_cache_key(model_name, query)
         points = self._entries.get(key)
-        if points is None:
-            self.misses += rows
-            return None
-        self._entries.move_to_end(key)
-        self.hits += rows
+        if points is not None:
+            self._entries.move_to_end(key)
         return points
 
     def put(
         self, model_name: str, query: Union[np.ndarray, bytes], points: ControlPoints
-    ) -> None:
+    ) -> int:
+        """Cache a query's control points; returns the entries evicted for them."""
         if not isinstance(points, ControlPoints):
             raise TypeError(f"the cache holds ControlPoints, got {type(points).__name__}")
         if self.capacity <= 0:
-            return
+            return 0
         key = compact_cache_key(model_name, query)
         previous = self._entries.pop(key, None)
         if previous is not None:
             self._bytes -= _entry_nbytes(key, previous)
         self._entries[key] = points
         self._bytes += _entry_nbytes(key, points)
+        evictions = 0
         while self._entries and (
             len(self._entries) > self.capacity
             or (self.max_bytes is not None and self._bytes > self.max_bytes)
         ):
             evicted_key, evicted = self._entries.popitem(last=False)
             self._bytes -= _entry_nbytes(evicted_key, evicted)
-            self.evictions += 1
+            evictions += 1
+        return evictions
 
     def invalidate(self, model_name: Optional[str] = None) -> int:
         """Drop every entry (or only one model's — after a data update)."""
@@ -160,30 +152,9 @@ class CurveCache:
             removed = len(self._entries)
             self._entries.clear()
             self._bytes = 0
-        else:
-            prefix = model_name.encode("utf-8") + b"\x00"
-            stale = [key for key in self._entries if key.startswith(prefix)]
-            for key in stale:
-                self._bytes -= _entry_nbytes(key, self._entries.pop(key))
-            removed = len(stale)
-        self.invalidations += removed
-        return removed
-
-    # ------------------------------------------------------------------ #
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "bytes": self.bytes,
-            "max_bytes": self.max_bytes,
-        }
+            return removed
+        prefix = model_name.encode("utf-8") + b"\x00"
+        stale = [key for key in self._entries if key.startswith(prefix)]
+        for key in stale:
+            self._bytes -= _entry_nbytes(key, self._entries.pop(key))
+        return len(stale)

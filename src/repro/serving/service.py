@@ -7,8 +7,8 @@
   their **compiled** pure-NumPy inference kernels (:mod:`repro.inference`)
   — at the default float64 tier answers stay equal to the estimator's own
   ``estimate`` while skipping the autodiff graph entirely;
-* batched ``(query, threshold)`` requests are routed through bounded
-  micro-batches (:mod:`repro.serving.batching`);
+* batched ``(query, threshold)`` requests are evaluated in slices of at
+  most ``max_batch_size`` rows;
 * an LRU cache (:mod:`repro.serving.cache`) answers repeated SelNet
   queries without a network forward.  For the SelNet family (kernels that
   fuse curves) an entry is the query's control points: a call rounds its
@@ -21,7 +21,9 @@
   served uncached whatever ``use_cache`` says, so its answers are
   ``estimate``'s own bits;
 * per-model request counts, batch counts, latency and cache hit-rate
-  statistics are tracked for observability;
+  statistics, and the cache's evictions and invalidations, are counted in
+  the service's :class:`~repro.obs.MetricsRegistry`, the one record
+  :meth:`EstimationService.stats` reads;
 * data updates are routed to estimators that support them; the model's
   cache entries and compiled kernel are dropped only when the update
   changed its weights (a ``selnet-inc`` fine-tune), and kept otherwise.
@@ -41,7 +43,6 @@ from ..inference.kernels import ControlPoints
 from ..obs import MetricsRegistry
 from ..obs import trace as obstrace
 from ..persistence import SIDECAR_FILE, load_estimator, read_metadata
-from .batching import iter_microbatches
 from .cache import CurveCache, rounded_queries
 
 PathLike = Union[str, Path]
@@ -72,6 +73,10 @@ def _require_finite(queries: np.ndarray, thresholds: np.ndarray) -> None:
         )
 
 
+def _hit_rate(hits: int, misses: int) -> float:
+    return hits / (hits + misses) if hits + misses else 0.0
+
+
 class ModelStats:
     """One model's counters, as a view over the service's metrics registry.
 
@@ -88,7 +93,6 @@ class ModelStats:
         "cache_misses",
         "curve_builds",
         "updates",
-        "estimate_seconds",
         "latency",
     )
 
@@ -114,9 +118,6 @@ class ModelStats:
         self.updates = counter(
             "repro_service_updates_total", "Data updates applied to the model"
         )
-        self.estimate_seconds = counter(
-            "repro_service_estimate_seconds_total", "Wall seconds inside estimate()"
-        )
         self.latency = registry.histogram(
             "repro_service_estimate_latency_seconds",
             "Per-call estimate() latency",
@@ -127,14 +128,13 @@ class ModelStats:
         hits = int(self.cache_hits.value)
         misses = int(self.cache_misses.value)
         requests = int(self.requests.value)
-        seconds = self.estimate_seconds.value
-        total_cache = hits + misses
+        seconds = self.latency.sum
         return {
             "requests": requests,
             "batches": int(self.batches.value),
             "cache_hits": hits,
             "cache_misses": misses,
-            "cache_hit_rate": hits / total_cache if total_cache else 0.0,
+            "cache_hit_rate": _hit_rate(hits, misses),
             "curve_builds": int(self.curve_builds.value),
             "updates": int(self.updates.value),
             "total_estimate_seconds": seconds,
@@ -157,7 +157,7 @@ class EstimationService:
         Maximum number of cached queries (``0`` disables the cache).  Only
         SelNet-family models are cached; see :meth:`estimate`.
     max_batch_size:
-        Upper bound on the rows per estimator call (micro-batching).
+        Upper bound on the rows per kernel call (at least 1).
     kernel_dtype:
         Precision tier of the compiled kernels every answer comes from
         (:meth:`repro.SelectivityEstimator.compiled`): ``"float64"`` (the
@@ -183,6 +183,8 @@ class EstimationService:
 
         self.model_dir = None if model_dir is None else Path(model_dir)
         self.max_batch_size = int(max_batch_size)
+        if self.max_batch_size < 1:
+            raise ValueError(f"max_batch_size must be at least 1, got {max_batch_size}")
         self._precision = parse_tier(kernel_dtype or "float64")
         self.kernel_dtype = self._precision.name
         self.cache = CurveCache(capacity=cache_capacity, max_bytes=cache_max_bytes)
@@ -190,6 +192,13 @@ class EstimationService:
         self._cache_bytes_gauge = self.metrics.gauge(
             "repro_cache_bytes", "Bytes held by the curve cache"
         )
+        self._cache_evictions = self.metrics.counter(
+            "repro_cache_evictions_total", "Curve-cache entries evicted to stay within budget"
+        ).labels()
+        self._cache_invalidations = self.metrics.counter(
+            "repro_cache_invalidations_total",
+            "Curve-cache entries dropped with their model (replaced, reloaded or retrained)",
+        ).labels()
         self._kernel_dtype_gauge = self.metrics.gauge(
             "repro_kernel_dtype",
             "Compiled-kernel precision tier in use (value is always 1)",
@@ -261,7 +270,7 @@ class EstimationService:
         the old estimator.
         """
         if name in self._estimators:
-            self.cache.invalidate(name)
+            self._invalidate(name)
         self._estimators[name] = estimator
         if metadata is not None:
             self._metadata[name] = metadata
@@ -291,7 +300,13 @@ class EstimationService:
         stats = self._stats.get(name)
         if stats is None:
             stats = self._stats.setdefault(name, ModelStats(self.metrics, name))
+            # Every kernel of this service compiles at its one tier.
+            self._kernel_dtype_gauge.labels(model=name, dtype=self.kernel_dtype).set(1.0)
         return stats
+
+    def _invalidate(self, name: str) -> None:
+        """Drop one model's cache entries, counting them."""
+        self._cache_invalidations.inc(self.cache.invalidate(name))
 
     def preload(self) -> List[str]:
         """Load every disk-backed model now (shard warm-up at spawn).
@@ -329,7 +344,7 @@ class EstimationService:
             if on_disk:
                 del self._estimators[name]
                 self._metadata.pop(name, None)
-                self.cache.invalidate(name)
+                self._invalidate(name)
                 reloaded.append(name)
             else:
                 kept.append(name)
@@ -373,15 +388,12 @@ class EstimationService:
         stats = self._model_stats(name)
         start = time.perf_counter()
         kernel = estimator.compiled(dtype=self._precision.dtype)
-        self._kernel_dtype_gauge.labels(model=name, dtype=kernel.precision).set(1.0)
         if use_cache and kernel.fuses_curves and self.cache.capacity > 0:
             results = self._estimate_cached(name, kernel, queries, thresholds, stats)
         else:
             results = self._estimate_direct(name, kernel, queries, thresholds, stats)
-        elapsed = time.perf_counter() - start
+        stats.latency.observe(time.perf_counter() - start)
         stats.requests.inc(len(thresholds))
-        stats.estimate_seconds.inc(elapsed)
-        stats.latency.observe(elapsed)
         return results
 
     def estimate_one(
@@ -401,8 +413,9 @@ class EstimationService:
     ) -> np.ndarray:
         results = np.empty(len(thresholds), dtype=np.float64)
         with obstrace.span("service.kernel_execute", model=name, rows=len(thresholds)):
-            for batch in iter_microbatches(queries, thresholds, self.max_batch_size):
-                results[batch.positions] = kernel.predict(batch.queries, batch.thresholds)
+            for start in range(0, len(thresholds), self.max_batch_size):
+                rows = slice(start, start + self.max_batch_size)
+                results[rows] = kernel.predict(queries[rows], thresholds[rows])
                 stats.batches.inc()
         return results
 
@@ -441,7 +454,7 @@ class EstimationService:
         with obstrace.span(
             "service.cache_lookup", model=name, rows=len(rounded), queries=len(keys)
         ) as lookup:
-            entries = [self.cache.get(name, key, rows=n) for key, n in zip(keys, counts)]
+            entries = [self.cache.get(name, key) for key in keys]
             missed = [slot for slot, entry in enumerate(entries) if entry is None]
             lookup["misses"] = len(missed)
         for start in range(0, len(missed), self.max_batch_size):
@@ -449,11 +462,13 @@ class EstimationService:
             with obstrace.span("service.kernel_execute", model=name, rows=len(chunk)):
                 points = kernel.query_points(queries[[first[slot] for slot in chunk]])
             stats.batches.inc()
+            evictions = 0
             for offset, slot in enumerate(chunk):
                 # Arrays of its own: a view of the batch would pin all of it.
                 entries[slot] = points.row(offset)
-                self.cache.put(name, keys[slot], entries[slot])
+                evictions += self.cache.put(name, keys[slot], entries[slot])
             stats.curve_builds.inc(len(chunk))
+            self._cache_evictions.inc(evictions)
         # Rows count, not queries: a row of a missed query is a miss.
         missed_rows = sum(counts[slot] for slot in missed)
         stats.cache_hits.inc(len(thresholds) - missed_rows)
@@ -492,7 +507,7 @@ class EstimationService:
         generation = estimator.generation
         reports = estimator.update(inserts=inserts, deletes=deletes)
         if estimator.generation != generation:
-            self.cache.invalidate(name)
+            self._invalidate(name)
         self._model_stats(name).updates.inc()
         return reports
 
@@ -502,13 +517,16 @@ class EstimationService:
     def stats(self) -> Dict[str, Any]:
         """Service-wide and per-model counters (JSON-able).
 
-        The historical keys are views over :attr:`metrics`; the raw
-        registry snapshot rides along under ``"metrics"`` so callers in
-        other processes (shard workers answering a ``stats`` control
-        message) can merge it into a cluster-wide snapshot.
+        Every count is read from :attr:`metrics`, whose snapshot rides
+        along under ``"metrics"`` so callers in other processes (shard
+        workers answering a ``stats`` control message) can merge it into a
+        cluster-wide snapshot.  The cache's hits and misses are the sums of
+        the per-model counters.
         """
         self._cache_bytes_gauge.set(float(self.cache.bytes))
         per_model = {name: stats.as_dict() for name, stats in self._stats.items()}
+        hits = sum(model["cache_hits"] for model in per_model.values())
+        misses = sum(model["cache_misses"] for model in per_model.values())
         # The kernel each model serves at this service's tier, once compiled.
         kernels = {
             name: kernel.describe()
@@ -520,10 +538,20 @@ class EstimationService:
             "models_loaded": sorted(self._estimators),
             "kernel_dtype": self.kernel_dtype,
             "kernels": kernels,
-            "cache": self.cache.stats(),
+            "cache": {
+                "size": len(self.cache),
+                "capacity": self.cache.capacity,
+                "hits": hits,
+                "misses": misses,
+                "hit_rate": _hit_rate(hits, misses),
+                "evictions": int(self._cache_evictions.value),
+                "invalidations": int(self._cache_invalidations.value),
+                "bytes": self.cache.bytes,
+                "max_bytes": self.cache.max_bytes,
+            },
             "per_model": per_model,
-            "total_requests": sum(int(stats.requests.value) for stats in self._stats.values()),
-            "total_batches": sum(int(stats.batches.value) for stats in self._stats.values()),
+            "total_requests": sum(model["requests"] for model in per_model.values()),
+            "total_batches": sum(model["batches"] for model in per_model.values()),
             "metrics": self.metrics.snapshot().as_dict(),
         }
 

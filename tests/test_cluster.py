@@ -160,7 +160,7 @@ class TestEstimationCluster:
             active = [entry for entry in stats["per_shard"] if entry["requests"]]
             assert len(active) > 1, "consistent hashing should use several shards"
             for entry in active:
-                assert entry["cache"]["hit_rate"] > 0.0
+                assert entry["worker"]["cache"]["hit_rate"] > 0.0
                 assert {"p50_ms", "p95_ms", "p99_ms"} <= set(entry["latency"])
 
     def test_partitioned_caches_beat_one_process(self, selnet_model_dir, tiny_cosine_split):
@@ -194,8 +194,8 @@ class TestEstimationCluster:
             for index in batches:
                 cluster.estimate("selnet-ct", queries[index], thresholds[index])
             per_shard = cluster.stats()["per_shard"]
-        hits = sum(entry["cache"]["hits"] for entry in per_shard)
-        misses = sum(entry["cache"]["misses"] for entry in per_shard)
+        hits = sum(entry["worker"]["cache"]["hits"] for entry in per_shard)
+        misses = sum(entry["worker"]["cache"]["misses"] for entry in per_shard)
         assert hits / (hits + misses) > service_hit_rate
         builds = sum(
             model["curve_builds"]

@@ -808,7 +808,7 @@ class TestClusterLifecycle:
             cluster.add_model("kde", fitted_kde)
             for entry in cluster.stats()["per_shard"]:
                 assert entry["latency"] == {
-                    "mean_ms": 0.0, "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0
+                    "count": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0
                 }
 
 

@@ -6,12 +6,17 @@ from __future__ import annotations
 
 import json
 import math
+import socket
+import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from repro import create_estimator
-from repro.net import BinaryClient, HttpClient, build_server, protocol
+from repro.cli import main
+from repro.cluster import ClusterConfig, EstimationCluster
+from repro.net import BinaryClient, HttpClient, ServeApp, build_server, protocol
 from repro.obs import (
     DEFAULT_TIME_BUCKETS,
     MetricsRegistry,
@@ -64,9 +69,9 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.counter("hits_total", "hits", ("model",))
 
-    def test_histogram_exact_percentiles_over_ring(self, rng):
+    def test_histogram_counts_sums_and_means(self, rng):
         registry = MetricsRegistry()
-        latency = registry.histogram("latency_seconds", "latency", ring_size=512)
+        latency = registry.histogram("latency_seconds", "latency")
         samples = rng.uniform(0.001, 0.5, size=300)
         for value in samples:
             latency.labels().observe(value)
@@ -74,20 +79,18 @@ class TestRegistry:
         assert child.count == 300
         assert child.sum == pytest.approx(samples.sum())
         assert child.mean() == pytest.approx(samples.mean())
-        for q in (50, 95, 99):
-            assert child.percentile(q) == pytest.approx(np.percentile(samples, q))
 
-    def test_histogram_ring_is_bounded(self):
+    def test_histogram_ring_keeps_the_samples_a_snapshot_exports(self):
         registry = MetricsRegistry()
-        latency = registry.histogram("latency_seconds", "latency", ring_size=16)
-        for i in range(100):
+        latency = registry.histogram("latency_seconds", "latency")
+        for i in range(2 * SNAPSHOT_RING_LIMIT):
             latency.observe(float(i))
-        child = latency.labels()
-        assert child.count == 100  # buckets keep the full count…
-        assert len(child.ring_array()) == 16  # …the ring stays bounded
-        assert child.percentile(50) == pytest.approx(
-            np.percentile(np.arange(84, 100, dtype=float), 50)
-        )
+        data = registry.snapshot().value("latency_seconds")
+        assert data["count"] == 2 * SNAPSHOT_RING_LIMIT  # buckets keep the full count…
+        # …the ring holds the newest samples, exactly those a snapshot exports.
+        assert data["ring"] == [float(i) for i in range(SNAPSHOT_RING_LIMIT, 2 * SNAPSHOT_RING_LIMIT)]
+        with pytest.raises(TypeError):
+            registry.histogram("short_seconds", "short", ring_size=16)
 
     def test_histogram_bounds_must_be_sorted(self):
         registry = MetricsRegistry()
@@ -162,6 +165,9 @@ class TestSnapshot:
         delta = registry.snapshot().delta(before)
         assert delta.value("requests_total") == 3
         assert delta.value("latency_seconds")["count"] == 1
+        # The delta's ring holds only what was observed since ``before``.
+        assert delta.value("latency_seconds")["ring"] == [0.02]
+        assert histogram_percentile(delta.value("latency_seconds"), 50) == 0.02
 
     def test_merge_rejects_conflicting_schemas(self):
         left = MetricsRegistry()
@@ -198,7 +204,7 @@ class TestHistogramPercentile:
     def test_bucket_interpolation_error_is_bounded(self, rng):
         """Past the ring, percentiles interpolate within one (doubling) bucket."""
         registry = MetricsRegistry()
-        latency = registry.histogram("latency_seconds", "latency", ring_size=64)
+        latency = registry.histogram("latency_seconds", "latency")
         samples = rng.uniform(0.001, 1.0, size=5000)
         for value in samples:
             latency.observe(value)
@@ -444,22 +450,109 @@ class TestObservableServer:
         assert all(value > 0 for value in scraped.values())
 
     def test_cluster_snapshot_totals_match_stats(self, traced_server):
+        """The cluster's stats carry one snapshot, merged from its registry
+        and every worker's; no worker entry keeps a copy of its own."""
         server, _ = traced_server
         cluster = server.app.cluster
         stats = cluster.stats()
-        snapshot = cluster.metrics_snapshot(stats=stats)
+        snapshot = MetricsSnapshot.from_dict(stats["metrics"])
         assert snapshot.total("repro_cluster_requests_total") == stats["total_requests"]
         worker_total = sum(
             entry["worker"]["total_requests"] for entry in stats["per_shard"]
         )
         assert snapshot.total("repro_service_requests_total") == worker_total
+        for entry in stats["per_shard"]:
+            assert "metrics" not in entry["worker"]
+            assert snapshot.total(
+                "repro_service_requests_total", shard=entry["shard"]
+            ) == entry["worker"]["total_requests"]
+
+
+# ---------------------------------------------------------------------- #
+# One record: every serving number is read from the metrics registry
+# ---------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def fitted_selnet_ct(tiny_cosine_split, fast_selnet_config):
+    params = dict(asdict(fast_selnet_config), epochs=2, pretrain_epochs=1, ae_pretrain_epochs=1)
+    return create_estimator("selnet-ct", **params).fit(tiny_cosine_split)
+
+
+def _samples(text: str) -> dict:
+    """Every sample line of a Prometheus exposition, as {series: value}."""
+    return dict(line.rsplit(" ", 1) for line in text.splitlines() if not line.startswith("#"))
+
+
+class TestOneRecord:
+    def test_shard_and_layer_latency_summaries_agree(self, fitted_selnet_ct, tiny_cosine_split):
+        """On one shard, ``/stats`` summarizes the sub-batch histogram once:
+        the shard's entry and the layer summary read the same snapshot, past
+        the samples its ring keeps too.  The payload carries that snapshot,
+        and no copy of it per cluster or worker."""
+        queries = tiny_cosine_split.test.queries
+        thresholds = tiny_cosine_split.test.thresholds
+        calls = 341
+        assert calls > SNAPSHOT_RING_LIMIT
+        with EstimationCluster(ClusterConfig(num_shards=1)) as cluster:
+            app = ServeApp(cluster)
+            cluster.add_model("m", fitted_selnet_ct)
+            for call in range(calls):
+                row = slice(call % len(thresholds), call % len(thresholds) + 1)
+                app.estimate("m", queries[row], thresholds[row])
+            stats = app.stats()
+        shard = stats["cluster"]["per_shard"][0]
+        layer = stats["layers"]["cluster.sub_batch"]
+        assert shard["latency"]["count"] == layer["count"] == calls
+        assert shard["latency"]["p50_ms"] == layer["p50_ms"]
+        assert shard["latency"]["p99_ms"] == layer["p99_ms"]
+        assert "metrics" not in stats["cluster"] and "metrics" not in shard["worker"]
+        snapshot = MetricsSnapshot.from_dict(stats["metrics"])
+        assert snapshot.total("repro_cluster_requests_total") == calls
+        assert snapshot.total("repro_service_requests_total") == calls
+        assert stats["cache_bytes"] == shard["worker"]["cache"]["bytes"] > 0
+
+    def test_metrics_text_counts_what_stats_counts(
+        self, fitted_selnet_ct, tiny_cosine_split, rng
+    ):
+        """``/metrics`` carries the cache's evictions and invalidations and
+        the latency sum that ``stats()`` reports, and no second sum."""
+        queries = rng.standard_normal((6, tiny_cosine_split.test.queries.shape[1]))
+        thresholds = tiny_cosine_split.test.thresholds[:6]
+        config = ClusterConfig(num_shards=1, cache_capacity=2)
+        with EstimationCluster(config) as cluster:
+            app = ServeApp(cluster)
+            cluster.add_model("m", fitted_selnet_ct)
+            app.estimate("m", queries, thresholds)  # 6 fills, 4 evictions
+            cluster.add_model("m", fitted_selnet_ct)  # a replaced model drops its 2 entries
+            app.estimate("m", queries[:1], thresholds[:1])
+            samples = _samples(app.metrics_text())
+            worker = app.stats()["cluster"]["per_shard"][0]["worker"]
+        cache = worker["cache"]
+        assert (cache["evictions"], cache["invalidations"]) == (4, 2)
+        assert float(samples['repro_cache_evictions_total{shard="0"}']) == cache["evictions"]
+        assert float(samples['repro_cache_invalidations_total{shard="0"}']) == cache["invalidations"]
+        assert float(samples['repro_cache_hit_rate{shard="0"}']) == cache["hit_rate"]
+        assert (
+            float(samples['repro_service_estimate_latency_seconds_sum{model="m",shard="0"}'])
+            == worker["per_model"]["m"]["total_estimate_seconds"]
+            > 0.0
+        )
+        assert not any(series.startswith("repro_service_estimate_seconds") for series in samples)
 
 
 # ---------------------------------------------------------------------- #
 # The `repro top` renderer
 # ---------------------------------------------------------------------- #
 class TestTopDashboard:
-    def _stats(self, requests=100):
+    def _stats(self, requests=100, shed=0):
+        """A ``/stats`` payload whose counters say ``requests`` rows were
+        routed (half to shard 0) and ``shed`` were refused."""
+        registry = MetricsRegistry()
+        routed = registry.counter("repro_cluster_requests_total", "rows", ("shard",))
+        routed.labels(shard="0").inc(requests // 2)
+        routed.labels(shard="1").inc(requests - requests // 2)
+        registry.counter("repro_cluster_shed_requests_total", "shed", ("shard",)).labels(
+            shard="1"
+        ).inc(shed)
         return {
             "uptime_seconds": 12.5,
             "endpoints": {"estimate": requests, "stats": 2},
@@ -472,7 +565,7 @@ class TestTopDashboard:
                 "overload_policy": "block",
                 "queue_capacity": 8,
                 "total_requests": requests,
-                "total_shed_requests": 0,
+                "total_shed_requests": shed,
                 "total_updates": 0,
                 "per_shard": [
                     {
@@ -481,23 +574,42 @@ class TestTopDashboard:
                         "max_queue_depth": 6,
                         "requests": requests // 2,
                         "latency": {"p50_ms": 1.2, "p95_ms": 3.4, "p99_ms": 5.6},
-                        "cache": {"hit_rate": 0.75},
+                        "worker": {"cache": {"hit_rate": 0.75}},
                     }
                 ],
             },
+            "metrics": registry.snapshot().as_dict(),
         }
 
     def test_render_contains_each_section(self):
         frame = render_dashboard(self._stats(), previous=None, interval=1.0)
         assert "repro top" in frame and "backend network" in frame
-        assert "75.0%" in frame  # cache hit rate
+        assert "75.0%" in frame  # the worker's cache hit rate
         assert "server.request" in frame
         assert "estimate=100" in frame
+        assert "0.0 req/s" in frame  # no previous poll, no rate
 
-    def test_rates_derive_from_previous_frame(self):
-        previous = self._stats(requests=100)
-        frame = render_dashboard(self._stats(requests=150), previous, interval=1.0)
-        assert "50.0 req/s" in frame
+    def test_rates_are_the_delta_of_two_snapshots(self):
+        previous = self._stats(requests=100, shed=4)
+        frame = render_dashboard(self._stats(requests=150, shed=10), previous, interval=2.0)
+        assert "25.0 req/s" in frame and "shed     3.0/s" in frame
+        shard_row = next(line for line in frame.splitlines() if line.startswith("     0"))
+        assert "    12.5  " in shard_row  # shard 0's 25 new rows over 2 s
+
+    def test_failed_polls_count_toward_iterations(self, capsys):
+        """``repro top URL --iterations N`` exits 1 after N polls of a port
+        nobody listens on, instead of polling forever."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        argv = ["top", f"http://127.0.0.1:{port}", "--iterations", "2", "--interval", "0.01"]
+        exit_codes: list = []
+        thread = threading.Thread(target=lambda: exit_codes.append(main(argv)), daemon=True)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "repro top kept polling past --iterations"
+        assert exit_codes == [1]
+        assert capsys.readouterr().out.count("unreachable") == 2
 
     def test_run_top_polls_and_renders(self, traced_server):
         from repro.obs import run_top

@@ -11,11 +11,7 @@ from repro import UpdateNotSupportedError, create_estimator
 from repro.cli import main
 from repro.cluster import ClusterConfig, EstimationCluster
 from repro.inference import ControlPoints
-from repro.serving import (
-    CurveCache,
-    EstimationService,
-    iter_microbatches,
-)
+from repro.serving import CurveCache, EstimationService
 
 
 @pytest.fixture(scope="module")
@@ -43,28 +39,24 @@ def _points(top: float) -> ControlPoints:
 
 class TestCurveCache:
     def test_hit_miss_and_lru_eviction(self):
+        """``put`` returns the entries it evicted; the cache counts nothing."""
         cache = CurveCache(capacity=2)
         queries = [np.full(3, float(i)) for i in range(3)]
         assert cache.get("m", queries[0]) is None
-        for query in queries[:2]:
-            cache.put("m", query, _points(2.0))
+        assert [cache.put("m", query, _points(2.0)) for query in queries[:2]] == [0, 0]
         assert cache.get("m", queries[0]) is not None
-        cache.put("m", queries[2], _points(1.0))  # evicts queries[1]
+        assert cache.put("m", queries[2], _points(1.0)) == 1  # evicts queries[1]
         assert cache.get("m", queries[1]) is None
-        stats = cache.stats()
-        assert stats["evictions"] == 1 and stats["size"] == 2
-        assert 0.0 < stats["hit_rate"] < 1.0
+        assert len(cache) == 2
+        assert not hasattr(cache, "hits") and not hasattr(cache, "stats")
 
     @pytest.mark.parametrize("capacity", [0, -1, -8])
     def test_nonpositive_capacity_disables_cache(self, capacity):
         cache = CurveCache(capacity=capacity)
         for i in range(3):
-            cache.put("m", np.full(2, float(i)), _points(1.0))
-        assert len(cache) == 0
+            assert cache.put("m", np.full(2, float(i)), _points(1.0)) == 0
+        assert len(cache) == 0 and cache.bytes == 0
         assert cache.get("m", np.zeros(2)) is None
-        stats = cache.stats()
-        assert stats["size"] == 0 and stats["evictions"] == 0
-        assert stats["hits"] == 0 and stats["misses"] == 1
 
     def test_lru_order_under_mixed_get_put_traffic(self):
         cache = CurveCache(capacity=3)
@@ -74,14 +66,13 @@ class TestCurveCache:
         # Touch 0 (get) and re-put 1: recency is now [2, 0, 1] oldest-first.
         assert cache.get("m", queries[0]) is not None
         replacement = _points(3.0)
-        cache.put("m", queries[1], replacement)
-        cache.put("m", queries[3], _points(1.0))  # evicts 2, not 0 or 1
+        assert cache.put("m", queries[1], replacement) == 0
+        assert cache.put("m", queries[3], _points(1.0)) == 1  # evicts 2, not 0 or 1
         assert cache.get("m", queries[2]) is None
         assert cache.get("m", queries[0]) is not None
         assert cache.get("m", queries[1]) is replacement  # the re-put entry won
-        cache.put("m", np.full(2, 9.0), _points(1.0))  # now 3 is the oldest
+        assert cache.put("m", np.full(2, 9.0), _points(1.0)) == 1  # now 3 is the oldest
         assert cache.get("m", queries[3]) is None
-        assert cache.stats()["evictions"] == 2
 
     def test_configurable_key_decimals(self):
         """Keys round at a fixed 10 decimals; the rounding is not a knob."""
@@ -91,7 +82,6 @@ class TestCurveCache:
         cache.put("m", np.array([0.12345, 1.0]), _points(1.0))
         assert cache.get("m", np.array([0.12345 + 1e-12, 1.0])) is not None
         assert cache.get("m", np.array([0.12346, 1.0])) is None
-        assert "decimals" not in cache.stats()
 
     def test_invalidate_per_model(self):
         cache = CurveCache(capacity=8)
@@ -109,10 +99,8 @@ class TestCurveCache:
         marginal = probe.bytes - first
         cache = CurveCache(capacity=1000, max_bytes=first + 2 * marginal)  # room for 3
         queries = [np.full(2, float(i)) for i in range(4)]
-        for query in queries:
-            cache.put("m", query, _points(2.0))
+        assert [cache.put("m", query, _points(2.0)) for query in queries] == [0, 0, 0, 1]
         assert len(cache) == 3
-        assert cache.stats()["evictions"] == 1
         assert cache.get("m", queries[0]) is None  # the LRU entry paid for it
         assert cache.get("m", queries[3]) is not None
         assert cache.bytes <= cache.max_bytes
@@ -129,29 +117,6 @@ class TestCurveCache:
         cache.put("m", np.zeros(2), _points(1.0))
         with pytest.raises(TypeError):
             cache.get("m", np.zeros(2), threshold=2.0)
-        assert set(cache.stats()).isdisjoint({"grids", "quantize_bits"})
-
-
-class TestMicroBatching:
-    def test_iter_microbatches_covers_everything(self):
-        queries = np.arange(20, dtype=np.float64).reshape(10, 2)
-        thresholds = np.linspace(0.0, 1.0, 10)
-        batches = list(iter_microbatches(queries, thresholds, max_batch_size=4))
-        assert [len(batch) for batch in batches] == [4, 4, 2]
-        reassembled = np.concatenate([batch.positions for batch in batches])
-        np.testing.assert_array_equal(reassembled, np.arange(10))
-
-    def test_iter_microbatches_validates_shapes(self):
-        with pytest.raises(ValueError):
-            list(iter_microbatches(np.zeros(3), np.zeros(3), 2))
-        with pytest.raises(ValueError):
-            list(iter_microbatches(np.zeros((3, 2)), np.zeros(4), 2))
-        with pytest.raises(ValueError):
-            list(iter_microbatches(np.zeros((3, 2)), np.zeros(3), 0))
-
-    @pytest.mark.parametrize("queries", [np.empty((0, 5)), np.empty(0), []])
-    def test_iter_microbatches_accepts_empty_batches(self, queries):
-        assert list(iter_microbatches(queries, np.empty(0), 4)) == []
 
 
 class TestEstimationService:
@@ -181,18 +146,53 @@ class TestEstimationService:
         assert stats["requests"] == len(thresholds)
         assert stats["batches"] == -(-len(thresholds) // 7)
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_max_batch_size_below_one_is_refused(self, size):
+        """A server whose batch bound admits no row is misconfigured: it is
+        refused at construction, not blamed on every request."""
+        with pytest.raises(ValueError, match="max_batch_size"):
+            EstimationService(max_batch_size=size)
+        with pytest.raises(ValueError, match="max_batch_size"):
+            ClusterConfig(max_batch_size=size)
+
+    def test_misaligned_batches_are_refused(self, model_dir):
+        service = EstimationService(model_dir)
+        for queries, thresholds in ((np.zeros(3), np.zeros(3)), (np.zeros((3, 10)), np.zeros(4))):
+            for use_cache in (True, False):
+                with pytest.raises(ValueError, match="aligned"):
+                    service.estimate("kde", queries, thresholds, use_cache=use_cache)
+
     def test_curve_cache_hits_on_repeated_queries(self, selnet_ct, tiny_cosine_split):
+        """The cache's hits and misses are the sums of the per-model counters."""
         service = EstimationService(cache_capacity=64)
         service.add_model("selnet-ct", selnet_ct)
+        service.add_model("twin", selnet_ct)
         queries = tiny_cosine_split.test.queries
         thresholds = tiny_cosine_split.test.thresholds
         first = service.estimate("selnet-ct", queries, thresholds)
         second = service.estimate("selnet-ct", queries, thresholds)
         np.testing.assert_array_equal(first, second)
-        stats = service.stats()["per_model"]["selnet-ct"]
-        assert stats["cache_hits"] >= len(thresholds)
-        assert stats["curve_builds"] == len(np.unique(queries, axis=0))
-        assert service.cache.hit_rate > 0.0
+        service.estimate("twin", queries[:5], thresholds[:5])
+        stats = service.stats()
+        per_model = stats["per_model"]["selnet-ct"]
+        assert per_model["cache_hits"] >= len(thresholds)
+        assert per_model["curve_builds"] == len(np.unique(queries, axis=0))
+        cache = stats["cache"]
+        assert set(cache) == {
+            "size", "capacity", "hits", "misses", "hit_rate", "evictions",
+            "invalidations", "bytes", "max_bytes",
+        }
+        for key in ("hits", "misses"):
+            assert cache[key] == sum(model[f"cache_{key}"] for model in stats["per_model"].values())
+        assert cache["misses"] > per_model["cache_misses"]  # the twin's count too
+        assert cache["hit_rate"] == cache["hits"] / (cache["hits"] + cache["misses"]) > 0.0
+
+        # A zero-capacity cache is off: nothing is looked up or counted.
+        off = EstimationService(cache_capacity=0)
+        off.add_model("selnet-ct", selnet_ct)
+        off.estimate("selnet-ct", queries, thresholds)
+        cache = off.stats()["cache"]
+        assert cache["size"] == cache["hits"] == cache["misses"] == cache["evictions"] == 0
 
     @pytest.mark.parametrize("name", ["kde", "gbdt"])
     def test_non_selnet_models_serve_uncached_and_exact(
@@ -208,7 +208,8 @@ class TestEstimationService:
         for _ in range(2):  # a repeat would hit a cache, if there were one
             np.testing.assert_array_equal(service.estimate(name, queries, thresholds), direct)
         assert len(service.cache) == 0 and service.cache.bytes == 0
-        assert service.cache.hits == 0 and service.cache.misses == 0
+        cache = service.stats()["cache"]
+        assert cache["hits"] == cache["misses"] == 0
         stats = service.stats()["per_model"][name]
         assert stats["cache_hits"] == stats["cache_misses"] == stats["curve_builds"] == 0
         assert stats["batches"] == 2 * -(-len(thresholds) // 16)
@@ -221,8 +222,9 @@ class TestEstimationService:
             per_shard = cluster.stats()["per_shard"]
         assert sum(entry["requests"] for entry in per_shard) == 2 * len(thresholds)
         for entry in per_shard:
-            assert entry["cache"]["size"] == 0
-            assert entry["cache"]["hits"] == entry["cache"]["misses"] == 0
+            cache = entry["worker"]["cache"]
+            assert cache["size"] == 0
+            assert cache["hits"] == cache["misses"] == 0
 
     @pytest.mark.parametrize("use_cache", [True, False])
     def test_empty_request_batch_returns_empty(self, model_dir, use_cache):

@@ -182,7 +182,7 @@ class TestConsistencyProbe:
             np.testing.assert_array_equal(
                 estimator.selectivity_curve(query, grid), service.estimate("m", rows, grid)
             )
-        assert service.cache.hits > 0
+        assert service.stats()["cache"]["hits"] > 0
 
     @pytest.mark.parametrize("name", ["selnet-ct", "selnet"])
     def test_inline_and_network_shards_answer_like_one_service(
@@ -216,10 +216,11 @@ class TestControlPointEntries:
         assert per_entry == 8 * 8 * 2 + 3 * 8 + len(key) + _ENTRY_OVERHEAD_BYTES
         cache = CurveCache(capacity=100, max_bytes=3 * per_entry)
         stored = [points(float(i)) for i in range(5)]
+        evictions = 0
         for i, entry in enumerate(stored):
-            cache.put("m", np.full(2, float(i)), entry)
+            evictions += cache.put("m", np.full(2, float(i)), entry)
             assert cache.bytes <= 3 * per_entry
-        assert len(cache) == 3 and cache.evictions == 2
+        assert len(cache) == 3 and evictions == 2
         assert cache.bytes == 3 * per_entry
         assert cache.get("m", np.full(2, 1.0)) is None
         assert cache.get("m", np.full(2, 4.0)) is stored[4]  # stored as handed in
@@ -239,7 +240,7 @@ class TestControlPointEntries:
         thresholds = np.linspace(0.0, kernel.t_max, len(queries))
         served = service.estimate("m", queries, thresholds)
         assert len(service.cache) == 2 and service.cache.bytes == 2 * per_entry
-        assert service.cache.evictions == len(queries) - 2
+        assert service.stats()["cache"]["evictions"] == len(queries) - 2
         np.testing.assert_allclose(
             served, service.estimate("m", queries, thresholds, use_cache=False), rtol=0, atol=1e-12
         )
@@ -261,15 +262,17 @@ class TestDistinctQueryLookups:
         thresholds = np.linspace(0.0, 0.05, len(rows))
         service.estimate("m", rows, thresholds)
         assert len(lookups) == 3
-        # Both hit rates count rows: the cache's and the per-model one.
-        assert service.cache.misses == len(rows) and service.cache.hits == 0
-        stats = service.stats()["per_model"]["m"]
-        assert stats["cache_misses"] == len(rows) and stats["curve_builds"] == 3
-        assert stats["batches"] == 1
+        # Hits and misses count rows, per model and for the whole cache.
+        stats = service.stats()
+        assert stats["cache"]["misses"] == len(rows) and stats["cache"]["hits"] == 0
+        per_model = stats["per_model"]["m"]
+        assert per_model["cache_misses"] == len(rows) and per_model["curve_builds"] == 3
+        assert per_model["batches"] == 1
         service.estimate("m", rows, thresholds)
-        assert len(lookups) == 6 and service.cache.hits == len(rows)
-        assert service.stats()["per_model"]["m"]["cache_hits"] == len(rows)
-        assert service.stats()["cache"]["hit_rate"] == 0.5
+        stats = service.stats()
+        assert len(lookups) == 6 and stats["cache"]["hits"] == len(rows)
+        assert stats["per_model"]["m"]["cache_hits"] == len(rows)
+        assert stats["cache"]["hit_rate"] == 0.5
 
     def test_every_kernel_call_is_bounded_by_max_batch_size(self, models, pool, monkeypatch):
         queries, _ = pool
